@@ -24,7 +24,7 @@ def main() -> None:
     for label in args.types:
         rd = rootdata.build_root_datum(label)
         strata_list = vinberg.nilcone_strata(rd)
-        summary = vinberg.nilcone_report(rd)
+        summary = vinberg.nilcone_report(rd, strata_list)
         hist = Counter(s.dim for s in strata_list)
         hist_str = " ".join(f"{d}:{n}" for d, n in sorted(hist.items()))
         print(

@@ -37,8 +37,13 @@ def _fmt(v) -> str:
 def _build(args) -> rootdata.RootDatum:
     isogeny = args.isogeny
     if isinstance(isogeny, str) and isogeny.startswith("custom:"):
-        with open(isogeny[len("custom:"):], encoding="utf-8") as fh:
-            isogeny = json.load(fh)
+        try:
+            with open(isogeny[len("custom:"):], encoding="utf-8") as fh:
+                isogeny = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"cannot read isogeny file: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"malformed isogeny JSON: {exc}") from None
     return rootdata.build_root_datum(args.type, isogeny)
 
 
@@ -51,7 +56,10 @@ def _parse_cvals(rd, text):
         if p.lower() in ("inf", "infinite", "oo"):
             out.append(strata.INFINITE)
         else:
-            out.append(Fraction(p))
+            try:
+                out.append(Fraction(p))
+            except (ValueError, ZeroDivisionError):
+                raise UsageError(f"bad c-valuation {p!r}") from None
     return tuple(out)
 
 
@@ -127,15 +135,21 @@ def cmd_dim(args, out):
 
 
 def cmd_components(args, out):
+    """The component-count lines of the `dim` report, without its Chen-Zhu set."""
     cd = _load_class(args)
-    lam = rootdata.parse_coweight(cd.rd, args.lam)
-    rep = kv.report(cd, lam)
-    if not rep.nonempty:
+    rd = cd.rd
+    lam = rootdata.parse_coweight(rd, args.lam)
+    if not kv.nonempty(cd, lam):
         print("empty", file=out)
         return
-    print(f"predicted-orbits {rep.predicted_orbits}", file=out)
-    print(f"regular-orbit-bound {rep.regular_orbit_bound}", file=out)
-    print(f"regular-bound-exact {str(rep.regular_bound_exact).lower()}", file=out)
+    mu_star = kv.best_integral_approx(rd, conjugacy.newton_point(cd), lam)
+    kv.dimension(cd, lam)  # raises, as `dim` does, on an inconsistent datum
+    orbits = multiplicity.multiplicity_freudenthal(rd, lam, mu_star)
+    exact = kv.regular_bound_exact(rd, lam, mu_star)
+    kv.extended_disc_valuation(cd, lam)  # likewise
+    print(f"predicted-orbits {orbits}", file=out)
+    print(f"regular-orbit-bound {kv.regular_orbit_bound(rd)}", file=out)
+    print(f"regular-bound-exact {str(exact).lower()}", file=out)
 
 
 def cmd_strata(args, out):
@@ -162,11 +176,12 @@ def cmd_strata(args, out):
 
 def cmd_nilcone(args, out):
     rd = _build(args)
-    for s in vinberg.nilcone_strata(rd):
+    strata_list = vinberg.nilcone_strata(rd)
+    for s in strata_list:
         j = ",".join(str(i + 1) for i in sorted(s.j)) or "-"
         top = "top" if s.is_top else "."
         print(f"{j}\t{_word_str(s.w.word)}\t{s.w.length}\t{s.dim}\t{top}", file=out)
-    summary = vinberg.nilcone_report(rd)
+    summary = vinberg.nilcone_report(rd, strata_list)
     print(
         f"summary dim {summary.dim} top {summary.top_count} strata {summary.strata_count}",
         file=out,
@@ -174,15 +189,16 @@ def cmd_nilcone(args, out):
 
 
 # ---------------------------------------------------------------------------
-# verification suites
+# verification suites: each returns (all cases passed, number of cases checked)
 
 
 def _types(args, default):
     return args.type.split(",") if args.type else default
 
 
-def verify_lower_bound(args, out) -> bool:
+def verify_lower_bound(args, out) -> tuple[bool, int]:
     ok = True
+    checked = 0
     for label in _types(args, DEFAULT_BOUND_TYPES):
         rd = rootdata.build_root_datum(label)
         bound = len(weyl.coxeter_elements(rd))
@@ -195,28 +211,31 @@ def verify_lower_bound(args, out) -> bool:
                 m = multiplicity.multiplicity_freudenthal(rd, lam, mu)
                 line_ok = m >= bound
                 ok = ok and line_ok
+                checked += 1
                 print(
                     f"{label}\t{_fmt(lam)}\t{_fmt(mu)}\t{m}\t{bound}\t"
                     f"{'pass' if line_ok else 'FAIL'}",
                     file=out,
                 )
-    return ok
+    return ok, checked
 
 
-def verify_nilcone(args, out) -> bool:
-    for label in _types(args, DEFAULT_NILCONE_TYPES):
+def verify_nilcone(args, out) -> tuple[bool, int]:
+    labels = _types(args, DEFAULT_NILCONE_TYPES)
+    for label in labels:
         rd = rootdata.build_root_datum(label)
-        summary = vinberg.nilcone_report(rd)  # raises on violation
+        summary = vinberg.nilcone_report(rd, vinberg.nilcone_strata(rd))  # raises on violation
         print(
             f"{label}\tdim {summary.dim}\ttop {summary.top_count}\t"
             f"strata {summary.strata_count}\tpass",
             file=out,
         )
-    return True
+    return True, len(labels)
 
 
-def verify_freudenthal_kostant(args, out) -> bool:
+def verify_freudenthal_kostant(args, out) -> tuple[bool, int]:
     ok = True
+    checked = 0
     for label in _types(args, ["A1", "A2", "B2", "G2"]):
         rd = rootdata.build_root_datum(label)
         for lam in multiplicity.sweep_dominant(rd, args.height):
@@ -226,17 +245,19 @@ def verify_freudenthal_kostant(args, out) -> bool:
                 b = multiplicity.multiplicity_kostant(rd, lam, mu)
                 line_ok = a == b
                 ok = ok and line_ok
+                checked += 1
                 print(
                     f"{label}\t{_fmt(lam)}\t{_fmt(mu)}\t{a}\t{b}\t"
                     f"{'pass' if line_ok else 'FAIL'}",
                     file=out,
                 )
-    return ok
+    return ok, checked
 
 
-def verify_dimension_consistency(args, out) -> bool:
+def verify_dimension_consistency(args, out) -> tuple[bool, int]:
     rng = random.Random(args.seed)
     ok = True
+    checked = 0
     for label in _types(args, ["A2", "A3"]):
         rd = rootdata.build_root_datum(label)
         for lam in rootdata.dominant_integral_sweep(rd, args.height):
@@ -253,6 +274,7 @@ def verify_dimension_consistency(args, out) -> bool:
                 alt = rootdata.rho_pair(rd, rootdata.sub(lam, mu)) + conjugacy.r_invariant(cd)
                 line_ok = Fraction(alt) == dim
                 ok = ok and line_ok
+                checked += 1
                 print(
                     f"{label}\t{_fmt(lam)}\t{_fmt(mu)}\tdim {dim}\t"
                     f"{'pass' if line_ok else 'FAIL'}",
@@ -269,14 +291,16 @@ def verify_dimension_consistency(args, out) -> bool:
                 for levi in combinations(range(rd.rank), size):
                     _, relation = conjugacy.r_levi(cd, frozenset(levi))
                     ok = ok and relation
+                    checked += 1
                     if not relation:
                         print(f"{label}\tlevi {levi}\ttrial {trial}\tFAIL", file=out)
         print(f"{label}\tlevi-relation\t{'pass' if ok else 'FAIL'}", file=out)
-    return ok
+    return ok, checked
 
 
-def verify_stratification_disjoint(args, out) -> bool:
+def verify_stratification_disjoint(args, out) -> tuple[bool, int]:
     ok = True
+    checked = 0
     for label in _types(args, ["A2"]):
         rd = rootdata.build_root_datum(label)
         lam_cap = args.height + 2 * rd.rank
@@ -286,14 +310,16 @@ def verify_stratification_disjoint(args, out) -> bool:
                     if strata.polytope_member(rd, nu, lam, open_stratum=True)]
             line_ok = len(hits) == 1
             ok = ok and line_ok
+            checked += 1
             print(
                 f"{label}\t{_fmt(nu)}\t{len(hits)}\t{'pass' if line_ok else 'FAIL'}",
                 file=out,
             )
-    return ok
+    return ok, checked
 
 
-def verify_chen_zhu_compare(args, out) -> bool:
+def verify_chen_zhu_compare(args, out) -> tuple[bool, int]:
+    reported = 0
     for label in _types(args, ["A2"]):
         rd = rootdata.build_root_datum(label)
         lam_cap = args.height + 2 * rd.rank
@@ -309,7 +335,8 @@ def verify_chen_zhu_compare(args, out) -> bool:
             same = len(below) == 1 and below[0] == mu_star
             print(f"{label}\t{_fmt(nu)}\tmin-above {_fmt(mu_star)}\tmax-below {czs}\t"
                   f"{'equal' if same else 'differ'}", file=out)
-    return True  # report only, never a failure
+            reported += 1
+    return True, reported  # report only, never a failure
 
 
 VERIFY_SUITES = {
@@ -328,7 +355,9 @@ def cmd_verify(args, out):
         raise UsageError(
             f"unknown suite {args.suite!r}; choose from {sorted(VERIFY_SUITES)}"
         )
-    ok = suite(args, out)
+    ok, checked = suite(args, out)
+    if checked == 0:
+        raise UsageError(f"verification suite {args.suite} checked no cases")
     if args.suite == "chen-zhu-compare":
         print("REPORT", file=out)
         return
@@ -345,8 +374,6 @@ def _add_common(p):
     p.add_argument("--type", default=None, help="root-system label, e.g. A2 or A1xA1")
     p.add_argument("--isogeny", default="sc",
                    help="sc | adjoint | custom:<json-file with generator vectors>")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker hint; all calculators are pure, output order is fixed")
 
 
 def build_parser() -> _Parser:
@@ -369,13 +396,11 @@ def build_parser() -> _Parser:
     p.add_argument("--class", dest="class_file", required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("components", help="component-count prediction")
     p.add_argument("--class", dest="class_file", required=True)
     p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_components)
 
     p = sub.add_parser("strata", help="polytope and Steinberg-base strata")
@@ -397,9 +422,12 @@ def build_parser() -> _Parser:
     p.add_argument("--height", type=int, default=6)
     p.add_argument("--seed", type=int, default=20240817)
     p.add_argument("--count", type=int, default=20)
-    p.add_argument("--tsv", action="store_true")
     p.set_defaults(func=cmd_verify)
 
+    for p in sub.choices.values():
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted and ignored: every calculator runs in one process "
+                            "and output order is fixed")
     return parser
 
 
@@ -424,9 +452,6 @@ def run(argv=None, out=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 2
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except KVError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

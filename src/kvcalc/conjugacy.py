@@ -216,11 +216,14 @@ def class_from_json(data) -> ClassDatum:
     except (KeyError, TypeError) as exc:
         raise UsageError(f"class JSON missing field: {exc}") from None
     rd = rootdata.build_root_datum(label, isogeny)
-    if isinstance(nu, dict):
-        den = int(nu.get("den", 1))
-        nu_bar = tuple(Fraction(int(n), den) for n in nu["num"])
-    else:
-        nu_bar = rootdata.coweight(nu)
+    try:
+        if isinstance(nu, dict):
+            den = int(nu.get("den", 1))
+            nu_bar = tuple(Fraction(int(n), den) for n in nu["num"])
+        else:
+            nu_bar = rootdata.coweight(nu)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"malformed nu_bar {nu!r}: {exc}") from None
     if len(nu_bar) != rd.rank:
         raise UsageError("nu_bar has the wrong number of coordinates")
     w = weyl.word_to_element(rd, word)

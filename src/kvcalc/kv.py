@@ -86,7 +86,8 @@ def best_integral_approx(rd: RootDatum, nu, lam) -> Coweight:
         raise UsageError("nu must be dominated by lambda")
     candidates = [mu for mu in multiplicity.dominant_below(rd, lam)
                   if rootdata.leq_q(rd, nu, mu)]
-    assert candidates, "lambda itself is always a candidate"
+    if not candidates:
+        raise InvariantViolation(f"lambda {lam} is not a candidate above {nu}")
     minimal = [mu for mu in candidates
                if not any(m != mu and rootdata.leq_q(rd, m, mu) for m in candidates)]
     if len(minimal) != 1:

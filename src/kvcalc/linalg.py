@@ -11,10 +11,6 @@ def frac_matrix(rows) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def identity(n: int):
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-
-
 def mat_vec(m, v):
     return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
 
@@ -25,10 +21,6 @@ def mat_mul(a, b):
         tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(p))
         for i in range(n)
     )
-
-
-def transpose(m):
-    return tuple(zip(*m))
 
 
 def rank(m) -> int:
@@ -71,11 +63,6 @@ def inverse(m) -> Matrix:
                 f = aug[i][col]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
-
-
-def solve(m, v):
-    """Solve m x = v exactly (square, invertible m)."""
-    return mat_vec(inverse(m), v)
 
 
 def smith_normal_form(a):

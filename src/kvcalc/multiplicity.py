@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import lcm
 
 from . import rootdata, weyl
-from .errors import UsageError
+from .errors import InvariantViolation, UsageError
 from .rootdata import Coweight, RootDatum
 
 
@@ -50,7 +50,8 @@ def _symmetrizer(dual: RootDatum) -> tuple[int, ...]:
     out = [int(x * mult) for x in d]
     for i in range(r):
         for j in range(r):
-            assert out[i] * c[i][j] == out[j] * c[j][i]
+            if out[i] * c[i][j] != out[j] * c[j][i]:
+                raise InvariantViolation("Cartan matrix is not symmetrizable")
     return tuple(out)
 
 
@@ -124,9 +125,11 @@ def weight_system(rd: RootDatum, lam: Coweight) -> dict[Coweight, int]:
                     total += m_y * _inner(dual, d, y, root)
                 k += 1
         denom = norm_lam - (_inner(dual, d, x, x) + 2 * _inner(dual, d, x, rho))
-        assert denom > 0, "Freudenthal denominator must be positive below lam"
+        if denom <= 0:
+            raise InvariantViolation(f"Freudenthal denominator {denom} at {x} below {lam}")
         m = 2 * Fraction(total) / denom
-        assert m.denominator == 1 and m >= 0
+        if m.denominator != 1 or m < 0:
+            raise InvariantViolation(f"Freudenthal multiplicity {m} at {x} below {lam}")
         if m:
             mult[x] = int(m)
     return mult
@@ -185,7 +188,8 @@ def multiplicity_kostant(rd: RootDatum, lam, mu) -> int:
         if any(x.denominator != 1 or x < 0 for x in diff):
             continue
         total += (-1) ** w.length * kostant_partition(rd, tuple(int(x) for x in diff))
-    assert total >= 0
+    if total < 0:
+        raise InvariantViolation(f"Kostant sum {total} is negative")
     return total
 
 
@@ -214,7 +218,8 @@ def dominant_below(rd: RootDatum, lam) -> tuple[Coweight, ...]:
                 visited.add(w)
                 stack.append(w)
     # every lattice point below lam stays in the lattice (coroot steps)
-    assert all(rootdata.is_integral(rd, v) for v in out)
+    if not all(rootdata.is_integral(rd, v) for v in out):
+        raise InvariantViolation(f"a coweight below {lam} left the isogeny lattice")
     out.sort()
     return tuple(out)
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from . import linalg
-from .errors import SizeGuardError, UsageError
+from .errors import InvariantViolation, SizeGuardError, UsageError
 
 Coweight = tuple[Fraction, ...]
 
@@ -59,6 +59,8 @@ def _factorial(n: int) -> int:
 
 
 def parse_label(label: str) -> tuple[tuple[str, int], ...]:
+    if not isinstance(label, str):
+        raise UsageError(f"type label must be a string, not {label!r}")
     factors = []
     for part in label.split("x"):
         m = re.fullmatch(r"([A-G])([0-9]+)", part.strip())
@@ -154,8 +156,6 @@ class RootDatum:
     positive_roots: tuple[tuple[int, ...], ...]
     positive_coroots: tuple[tuple[int, ...], ...]
     rho_check: Coweight  # half-sum of positive coroots, simple-coroot coords
-    w0_matrix: tuple[tuple[int, ...], ...]  # action of w0 on coweights
-    iota: tuple[int, ...]  # involution with omega_{iota(i)} = -w0(omega_i)
     isogeny: str
     lattice_basis: tuple[tuple[int, ...], ...]  # columns = generators of Lambda
     # in fundamental-coweight coordinates
@@ -182,12 +182,19 @@ class RootDatum:
     def dual(self, isogeny: str = "sc") -> "RootDatum":
         return _dual_datum(self, isogeny)
 
-
-def _simple_reflection_coweight(cartan, i):
-    r = len(cartan)
-    return tuple(
-        tuple(int(j == k) - int(j == i) * cartan[k][i] for k in range(r)) for j in range(r)
-    )
+    @cached_property
+    def iota(self) -> tuple[int, ...]:
+        """Involution with omega_{iota(i)} = -w0(omega_i), read off
+        -w0(alpha_i^vee) = alpha_{iota(i)}^vee; w0 is the word that takes
+        -2 rho_check to 2 rho_check."""
+        _, w0 = dominant_reduce(self, tuple(-2 * x for x in self.rho_check))
+        out = []
+        for i in range(self.rank):
+            v = tuple(-int(i == j) for j in range(self.rank))
+            for k in w0:
+                v = reflect(self, k, v)
+            out.append(v.index(1))
+        return tuple(out)
 
 
 def build_root_datum(label: str, isogeny="sc") -> RootDatum:
@@ -206,20 +213,15 @@ def _build(factors, cartan, isogeny) -> RootDatum:
     roots, coroots = _root_closure(cartan)
     expected = sum(_POSITIVE_ROOT_COUNT[l](n) for l, n in factors)
     if len(roots) != expected:
-        raise AssertionError(
+        raise InvariantViolation(
             f"positive root closure for {factors} gave {len(roots)}, expected {expected}"
         )
     two_rho_check = tuple(sum(c[j] for c in coroots) for j in range(r))
     rho_check = tuple(Fraction(x, 2) for x in two_rho_check)
     # sanity: <alpha_i, rho_check> = 1 for every simple root
     for i in range(r):
-        assert sum(cartan[j][i] * rho_check[j] for j in range(r)) == 1
-
-    w0 = _longest_element_matrix(cartan)
-    iota = []
-    for i in range(r):
-        img = tuple(-w0[j][i] for j in range(r))  # -w0(alpha_i^vee) in coroot coords
-        iota.append(next(k for k in range(r) if img == tuple(int(j == k) for j in range(r))))
+        if sum(cartan[j][i] * rho_check[j] for j in range(r)) != 1:
+            raise InvariantViolation(f"<alpha_{i + 1}, rho_check> != 1 for {factors}")
 
     if isogeny == "sc":
         basis = tuple(tuple(cartan[j][i] for j in range(r)) for i in range(r))  # columns = coroots
@@ -228,7 +230,10 @@ def _build(factors, cartan, isogeny) -> RootDatum:
         basis = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
         iso_name = "adjoint"
     else:
-        gens = [tuple(int(x) for x in g) for g in isogeny]
+        try:
+            gens = [tuple(int(x) for x in g) for g in isogeny]
+        except (TypeError, ValueError):
+            raise UsageError(f"cannot read isogeny {isogeny!r}") from None
         if len(gens) != r or any(len(g) != r for g in gens):
             raise UsageError("custom isogeny needs exactly rank-many generator vectors")
         basis = tuple(tuple(gens[j][i] for j in range(r)) for i in range(r))
@@ -249,39 +254,9 @@ def _build(factors, cartan, isogeny) -> RootDatum:
         positive_roots=roots,
         positive_coroots=coroots,
         rho_check=rho_check,
-        w0_matrix=w0,
-        iota=tuple(iota),
         isogeny=iso_name,
         lattice_basis=basis,
     )
-
-
-def _longest_element_matrix(cartan):
-    r = len(cartan)
-    # reduce a strictly antidominant coweight to the dominant chamber
-    v = tuple(-Fraction(sum(cartan[j][i] for i in range(r)) + 3) for j in range(r))
-    # crude strictly dominant seed: use rho_check-like vector instead
-    two_rho_check = [0] * r
-    _, coroots = _root_closure(cartan)
-    for c in coroots:
-        for j in range(r):
-            two_rho_check[j] += c[j]
-    v = tuple(-Fraction(x) for x in two_rho_check)
-    mat = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
-    while True:
-        pair = [sum(cartan[j][i] * v[j] for j in range(r)) for i in range(r)]
-        i = next((k for k in range(r) if pair[k] < 0), None)
-        if i is None:
-            break
-        s = _simple_reflection_coweight(cartan, i)
-        v = tuple(sum(s[a][b] * v[b] for b in range(r)) for a in range(r))
-        mat = tuple(
-            tuple(sum(s[a][b] * mat[b][c] for b in range(r)) for c in range(r)) for a in range(r)
-        )
-    out = []
-    for row in mat:
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -325,17 +300,8 @@ def pair_root(rd: RootDatum, root, v: Coweight):
     return sum(a * p for a, p in zip(root, sp))
 
 
-def pair_weight(rd: RootDatum, weight, v: Coweight):
-    """Pairing of a weight in fundamental-weight coords with a coweight."""
-    return sum(Fraction(a) * b for a, b in zip(weight, v))
-
-
 def rho_pair(rd: RootDatum, v: Coweight):
     """<rho, v>: sum of the simple-coroot coordinates."""
-    return sum(v)
-
-
-def coweight_height(v: Coweight):
     return sum(v)
 
 
@@ -344,8 +310,9 @@ def is_dominant(rd: RootDatum, v: Coweight) -> bool:
 
 
 def reflect(rd: RootDatum, i: int, v: Coweight) -> Coweight:
-    p = simple_pairings(rd, v)[i]
-    return tuple(x - p * int(j == i) for j, x in enumerate(v))
+    """s_i(v) = v - <alpha_i, v> alpha_i^vee: one pairing, one coordinate."""
+    p = sum(row[i] * x for row, x in zip(rd.cartan, v))
+    return v[:i] + (v[i] - p,) + v[i + 1:]
 
 
 def dominant_reduce(rd: RootDatum, v: Coweight):
@@ -386,11 +353,6 @@ def is_integral(rd: RootDatum, v: Coweight) -> bool:
     return all(x.denominator == 1 for x in lattice_coords(rd, v))
 
 
-def w0_apply(rd: RootDatum, v: Coweight) -> Coweight:
-    r = rd.rank
-    return tuple(sum(rd.w0_matrix[i][j] * v[j] for j in range(r)) for i in range(r))
-
-
 # ---------------------------------------------------------------------------
 # fundamental group
 
@@ -422,10 +384,6 @@ class FiniteAbelianGroup:
         raw = tuple(sum(self._u[i][j] * int(x[j]) for j in range(r)) for i in range(r))
         return self.reduce(raw)
 
-    def project_rational(self, v: Coweight):
-        """Class of a rational coweight in pi_1(G) tensor Q (always 0 here)."""
-        return self.zero() if all(True for _ in v) else self.zero()
-
 
 @lru_cache(maxsize=None)
 def fundamental_group(rd: RootDatum) -> FiniteAbelianGroup:
@@ -436,7 +394,8 @@ def fundamental_group(rd: RootDatum) -> FiniteAbelianGroup:
     for i in range(r):
         coroot_f = tuple(Fraction(rd.cartan[i][j]) for j in range(r))
         x = linalg.mat_vec(b_inv, coroot_f)
-        assert all(c.denominator == 1 for c in x), "coroot lattice not inside Lambda"
+        if any(c.denominator != 1 for c in x):
+            raise InvariantViolation("coroot lattice not inside Lambda")
         cols.append(tuple(int(c) for c in x))
     rel = tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
     d, u, _ = linalg.smith_normal_form(rel)
@@ -475,7 +434,8 @@ def weyl_dimension(rd: RootDatum, lam: Coweight) -> int:
         num *= pair_root(rd, coroot_of_dual, shifted)
         den *= pair_root(rd, coroot_of_dual, rd.rho_check)
     val = num / den
-    assert val.denominator == 1 and val > 0
+    if val.denominator != 1 or val <= 0:
+        raise InvariantViolation(f"Weyl dimension {val} is not a positive integer")
     return int(val)
 
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import product
 
 from . import kv, linalg, multiplicity, rootdata
-from .errors import UniquenessError, UsageError
+from .errors import InvariantViolation, UniquenessError, UsageError
 from .rootdata import Coweight, RootDatum
 
 
@@ -90,9 +90,12 @@ def polytope_intersection(rd: RootDatum, lam1, lam2) -> Coweight:
         raise UsageError("polytope intersection requires matching pi_1 classes")
     beta1 = tuple(max(x, Fraction(0)) for x in rootdata.sub(lam1, lam2))
     mu = rootdata.sub(lam1, beta1)
-    assert mu == tuple(min(a, b) for a, b in zip(lam1, lam2))
-    assert rootdata.is_dominant(rd, mu), "intersection coweight must be dominant"
-    assert rootdata.leq_q(rd, mu, lam1) and rootdata.leq_q(rd, mu, lam2)
+    if mu != tuple(min(a, b) for a, b in zip(lam1, lam2)):
+        raise InvariantViolation(f"intersection {mu} is not the componentwise minimum")
+    if not rootdata.is_dominant(rd, mu):
+        raise InvariantViolation(f"intersection coweight {mu} is not dominant")
+    if not (rootdata.leq_q(rd, mu, lam1) and rootdata.leq_q(rd, mu, lam2)):
+        raise InvariantViolation(f"intersection coweight {mu} is not below both")
     return mu
 
 
@@ -107,15 +110,6 @@ def rational_grid(rd: RootDatum, height_cap, denominator: int):
         if rootdata.is_dominant(rd, v):
             out.append(v)
     out.sort()
-    return out
-
-
-def open_strata_containing(rd: RootDatum, nu, height_cap):
-    """All lambda with height <= cap whose open stratum contains nu."""
-    out = []
-    for lam in rootdata.dominant_integral_sweep(rd, height_cap):
-        if polytope_member(rd, nu, lam, open_stratum=True):
-            out.append(lam)
     return out
 
 

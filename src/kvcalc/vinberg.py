@@ -61,10 +61,10 @@ class NilconeSummary:
     strata_count: int
 
 
-def nilcone_report(rd: RootDatum) -> NilconeSummary:
-    """Summary with the structural identities asserted: the maximum stratum
-    dimension is dim G - r, attained exactly at (Delta, Coxeter)."""
-    strata = nilcone_strata(rd)
+def nilcone_report(rd: RootDatum, strata) -> NilconeSummary:
+    """Summary of the strata from `nilcone_strata(rd)`, with the structural
+    identities checked: the maximum stratum dimension is dim G - r, attained
+    exactly at (Delta, Coxeter)."""
     top_dim = rd.dim_g - rd.rank
     max_dim = max(s.dim for s in strata)
     if max_dim != top_dim:
@@ -72,8 +72,8 @@ def nilcone_report(rd: RootDatum) -> NilconeSummary:
             f"max stratum dimension {max_dim} != dim G - r = {top_dim}"
         )
     top = [s for s in strata if s.dim == top_dim]
-    coxeter = {w.action for w in weyl.coxeter_elements(rd)}
-    top_ws = {s.w.action for s in top}
+    coxeter = {w.key for w in weyl.coxeter_elements(rd)}
+    top_ws = {s.w.key for s in top}
     full = frozenset(range(rd.rank))
     if any(s.j != full for s in top) or top_ws != coxeter:
         raise InvariantViolation("top strata are not exactly (Delta, Coxeter)")
@@ -107,5 +107,6 @@ def b_constant(rd: RootDatum, lam) -> int:
     if not rootdata.is_dominant(rd, lam) or not rootdata.is_integral(rd, lam):
         raise UsageError("lambda must be dominant and in the isogeny lattice")
     best = max(lam[i] + lam[rd.iota[i]] for i in range(rd.rank))
-    assert best >= 0 and best.denominator == 1
+    if best < 0 or best.denominator != 1:
+        raise InvariantViolation(f"b(lambda) = {best} is not a nonnegative integer")
     return int(best)

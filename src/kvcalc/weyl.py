@@ -1,61 +1,61 @@
 """Weyl group enumeration: lengths, supports, Coxeter elements, cosets.
 
-Elements are canonicalized by their action matrix on simple-coroot
-coordinates; reduced words come from breadth-first search over the Cayley
-graph, whose geodesics are exactly the reduced expressions.
+An element w is encoded by w(2 rho_check), the image of the regular integer
+coweight 2 rho_check in simple-coroot coordinates.  That vector has a trivial
+stabilizer, so its image decides equality.  Each element also stores its
+lexicographically first reduced word.
+
+The group is built once per datum as a breadth-first orbit table of
+2 rho_check (`enumerate_group`); s_i rewrites one coordinate
+(`rootdata.reflect`).  Descents are read off the same image:
+<alpha_i, w(2 rho_check)> < 0 exactly when s_i w is shorter than w (a left
+descent), and the right descents of w are the left descents of w^-1.  The
+minimal representatives of W_J1 \\ W / W_J2 are the elements with no left
+descent in J1 and no right descent in J2 (Bjorner-Brenti, Combinatorics of
+Coxeter Groups, section 2.4).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 
-from . import linalg
-from .errors import SizeGuardError, UsageError
+from . import linalg, rootdata
+from .errors import InvariantViolation, SizeGuardError, UsageError
 from .rootdata import WEYL_ORDER_CAP, Coweight, RootDatum
 
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def _identity(r: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+def _two_rho_check(rd: RootDatum) -> tuple[int, ...]:
+    return tuple(int(2 * x) for x in rd.rho_check)
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    r = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(r)) for j in range(r)) for i in range(r)
-    )
+def _apply_word(rd: RootDatum, word, v):
+    """Apply the word to v, letters in application order (left to right)."""
+    for i in word:
+        v = rootdata.reflect(rd, i, v)
+    return v
 
 
-@lru_cache(maxsize=None)
-def coweight_reflection(rd: RootDatum, i: int) -> Matrix:
-    """Matrix of s_i on simple-coroot coordinates."""
+def _descents(rd: RootDatum, key) -> frozenset[int]:
+    return frozenset(i for i, p in enumerate(rootdata.simple_pairings(rd, key)) if p < 0)
+
+
+def _word_matrix(rd: RootDatum, word) -> Matrix:
+    """Matrix of the word acting on the coweights of rd."""
     r = rd.rank
-    return tuple(
-        tuple(int(j == k) - int(j == i) * rd.cartan[k][i] for k in range(r)) for j in range(r)
-    )
-
-
-@lru_cache(maxsize=None)
-def root_reflection(rd: RootDatum, i: int) -> Matrix:
-    """Matrix of s_i on simple-root coordinates."""
-    r = rd.rank
-    return tuple(
-        tuple(int(j == k) - int(j == i) * rd.cartan[i][k] for k in range(r)) for j in range(r)
-    )
+    cols = [_apply_word(rd, word, tuple(int(i == j) for i in range(r))) for j in range(r)]
+    return tuple(zip(*cols))
 
 
 @dataclass(frozen=True)
 class WeylElement:
     rd: RootDatum
-    action: Matrix  # on coweights (simple-coroot coordinates)
+    key: tuple[int, ...]  # w(2 rho_check), simple-coroot coordinates
     word: tuple[int, ...]  # a reduced word, application order left-to-right
-
-    def __post_init__(self):
-        pass
 
     @property
     def length(self) -> int:
@@ -65,9 +65,27 @@ class WeylElement:
     def support(self) -> frozenset[int]:
         return frozenset(self.word)
 
-    @property
+    @cached_property
+    def left_descents(self) -> frozenset[int]:
+        """The i with s_i w shorter than w: <alpha_i, w(2 rho_check)> < 0."""
+        return _descents(self.rd, self.key)
+
+    @cached_property
+    def right_descents(self) -> frozenset[int]:
+        """The i with w s_i shorter than w: the left descents of w^-1."""
+        inverse_key = _apply_word(self.rd, reversed(self.word), _two_rho_check(self.rd))
+        return _descents(self.rd, inverse_key)
+
+    @cached_property
+    def action(self) -> Matrix:
+        """Matrix of w on coweights (simple-coroot coordinates)."""
+        return _word_matrix(self.rd, self.word)
+
+    @cached_property
     def root_action(self) -> Matrix:
-        return _root_action(self.rd, self.word)
+        """Matrix of w on roots (simple-root coordinates): the dual datum's
+        Cartan matrix is the transpose, so its coweights are our roots."""
+        return _word_matrix(self.rd.dual(), self.word)
 
     def apply(self, v: Coweight) -> Coweight:
         r = self.rd.rank
@@ -78,94 +96,85 @@ class WeylElement:
         r = self.rd.rank
         return tuple(sum(m[i][j] * root[j] for j in range(r)) for i in range(r))
 
-    def inverse(self) -> "WeylElement":
-        inv = tuple(tuple(int(x) for x in row) for row in linalg.inverse(self.action))
-        return WeylElement(self.rd, inv, tuple(reversed(self.word)))
-
     def order(self) -> int:
-        m = self.action
-        ident = _identity(self.rd.rank)
+        origin = _two_rho_check(self.rd)
+        v = self.key
         k = 1
-        while m != ident:
-            m = _mat_mul(m, self.action)
+        while v != origin:
+            v = self.apply(v)
             k += 1
-            if k > 2 * WEYL_ORDER_CAP:
-                raise AssertionError("element order runaway")
+            if k > self.rd.weyl_order:
+                raise InvariantViolation(f"element {self.word} has order above |W|")
         return k
 
     def is_identity(self) -> bool:
-        return self.action == _identity(self.rd.rank)
+        return self.key == _two_rho_check(self.rd)
+
+
+def identity_element(rd: RootDatum) -> WeylElement:
+    return WeylElement(rd, _two_rho_check(rd), ())
 
 
 @lru_cache(maxsize=None)
-def _root_action(rd: RootDatum, word: tuple[int, ...]) -> Matrix:
-    m = _identity(rd.rank)
-    # word applies left-to-right: w = s_{word[-1]} ... s_{word[0]} as operators
-    for i in word:
-        m = _mat_mul(root_reflection(rd, i), m)
-    return m
+def enumerate_group(rd: RootDatum) -> tuple[WeylElement, ...]:
+    """Full Weyl group as the orbit table of 2 rho_check: breadth-first from
+    the identity, by length, then by word."""
+    if rd.weyl_order > WEYL_ORDER_CAP:
+        raise SizeGuardError(
+            f"|W| = {rd.weyl_order} exceeds the enumeration cap {WEYL_ORDER_CAP}"
+        )
+    ident = identity_element(rd)
+    seen = {ident.key}
+    out = [ident]
+    frontier = [ident]
+    while frontier:
+        # The frontier is sorted by word, so each level is found in word
+        # order and keeps the lexicographically first reduced words.
+        nxt = []
+        for w in frontier:
+            for i in range(rd.rank):
+                key = rootdata.reflect(rd, i, w.key)
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(WeylElement(rd, key, w.word + (i,)))
+        out.extend(nxt)
+        frontier = nxt
+    if len(out) != rd.weyl_order:
+        raise InvariantViolation(
+            f"orbit of 2 rho_check has {len(out)} points, |W| = {rd.weyl_order}"
+        )
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _by_key(rd: RootDatum) -> dict[tuple[int, ...], WeylElement]:
+    return {e.key: e for e in enumerate_group(rd)}
 
 
 def word_to_element(rd: RootDatum, word) -> WeylElement:
     """Element with the given word (not necessarily reduced); the stored
     reduced word is recovered from the enumeration table."""
-    m = _identity(rd.rank)
+    word = tuple(int(i) for i in word)
     for i in word:
-        if not 0 <= int(i) < rd.rank:
+        if not 0 <= i < rd.rank:
             raise UsageError(f"reflection index {i} out of range for rank {rd.rank}")
-        m = _mat_mul(coweight_reflection(rd, int(i)), m)
-    table = {e.action: e for e in enumerate_group(rd)}
-    return table[m]
-
-
-def identity_element(rd: RootDatum) -> WeylElement:
-    return WeylElement(rd, _identity(rd.rank), ())
-
-
-@lru_cache(maxsize=None)
-def enumerate_group(rd: RootDatum) -> tuple[WeylElement, ...]:
-    """Full Weyl group by breadth-first search; identity first, by length."""
-    if rd.weyl_order > WEYL_ORDER_CAP:
-        raise SizeGuardError(
-            f"|W| = {rd.weyl_order} exceeds the enumeration cap {WEYL_ORDER_CAP}"
-        )
-    r = rd.rank
-    ident = identity_element(rd)
-    seen = {ident.action: ident}
-    out = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in range(r):
-                m = _mat_mul(coweight_reflection(rd, i), w.action)
-                if m not in seen:
-                    e = WeylElement(rd, m, w.word + (i,))
-                    seen[m] = e
-                    nxt.append(e)
-        nxt.sort(key=lambda e: e.word)
-        out.extend(nxt)
-        frontier = nxt
-    assert len(out) == rd.weyl_order, (len(out), rd.weyl_order)
-    return tuple(out)
+    return _by_key(rd)[_apply_word(rd, word, _two_rho_check(rd))]
 
 
 def longest_element(rd: RootDatum) -> WeylElement:
-    table = {e.action: e for e in enumerate_group(rd)}
-    return table[rd.w0_matrix]
+    return enumerate_group(rd)[-1]
 
 
 @lru_cache(maxsize=None)
 def coxeter_elements(rd: RootDatum) -> tuple[WeylElement, ...]:
-    """Products of all simple reflections in every order, deduplicated."""
-    r = rd.rank
+    """Products of all simple reflections in every order, deduplicated by
+    their image of 2 rho_check (no group table needed)."""
     seen = {}
-    for perm in permutations(range(r)):
-        m = _identity(r)
-        for i in perm:
-            m = _mat_mul(coweight_reflection(rd, i), m)
-        if m not in seen:
-            seen[m] = WeylElement(rd, m, perm)
+    origin = _two_rho_check(rd)
+    for perm in permutations(range(rd.rank)):
+        key = _apply_word(rd, perm, origin)
+        if key not in seen:
+            seen[key] = WeylElement(rd, key, perm)
     return tuple(sorted(seen.values(), key=lambda e: e.word))
 
 
@@ -177,57 +186,22 @@ def coxeter_count(rd: RootDatum) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
 def parabolic_subgroup(rd: RootDatum, gens: frozenset[int]) -> tuple[WeylElement, ...]:
-    """The standard parabolic subgroup W_J generated by the given indices."""
-    ident = identity_element(rd)
-    seen = {ident.action: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in sorted(gens):
-                m = _mat_mul(coweight_reflection(rd, i), w.action)
-                if m not in seen:
-                    e = WeylElement(rd, m, w.word + (i,))
-                    seen[m] = e
-                    nxt.append(e)
-        frontier = nxt
-    return tuple(sorted(seen.values(), key=lambda e: (e.length, e.word)))
+    """The standard parabolic subgroup W_J: the elements with support in J."""
+    gens = frozenset(gens)
+    return tuple(e for e in enumerate_group(rd) if e.support <= gens)
 
 
 def min_double_coset_reps(rd: RootDatum, j1, j2) -> tuple[WeylElement, ...]:
-    """Minimal-length representatives of the double cosets W_J1 \\ W / W_J2."""
+    """Minimal-length representatives of the double cosets W_J1 \\ W / W_J2:
+    the elements with no left descent in J1 and no right descent in J2."""
     j1 = frozenset(int(i) for i in j1)
     j2 = frozenset(int(i) for i in j2)
     for j in (j1, j2):
         if any(not 0 <= i < rd.rank for i in j):
             raise UsageError("parabolic index out of range")
-    group = sorted(enumerate_group(rd), key=lambda e: (e.length, e.word))
-    left = parabolic_subgroup(rd, j1)
-    right = parabolic_subgroup(rd, j2)
-    covered = set()
-    reps = []
-    for w in group:
-        if w.action in covered:
-            continue
-        reps.append(w)
-        for a in left:
-            aw = _mat_mul(a.action, w.action)
-            for b in right:
-                covered.add(_mat_mul(aw, b.action))
-    return tuple(reps)
-
-
-def double_coset_size(rd: RootDatum, j1, j2, w: WeylElement) -> int:
-    left = parabolic_subgroup(rd, frozenset(int(i) for i in j1))
-    right = parabolic_subgroup(rd, frozenset(int(i) for i in j2))
-    coset = set()
-    for a in left:
-        aw = _mat_mul(a.action, w.action)
-        for b in right:
-            coset.add(_mat_mul(aw, b.action))
-    return len(coset)
+    return tuple(w for w in enumerate_group(rd)
+                 if not (j1 & w.left_descents or j2 & w.right_descents))
 
 
 def fixed_space_dim(w: WeylElement) -> int:

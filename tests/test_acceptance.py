@@ -97,7 +97,7 @@ def test_05_nilcone_strata():
         for s in strata_list:
             if s not in tops:
                 assert s.dim < top_dim, (label, s)
-        vinberg.nilcone_report(datum)  # internal invariants re-checked
+        vinberg.nilcone_report(datum, strata_list)  # internal invariants re-checked
     _report("nilcone max dim = dim G - r with |Cox| top strata, others smaller")
 
 

@@ -80,6 +80,41 @@ class TestExitCodes:
         assert code == 1
 
 
+def write_class(tmp_path, **fields):
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps({"type": "A2", "nu_bar": [0, 0], **fields}))
+    return str(path)
+
+
+class TestMalformedInput:
+    """Each malformed input ends in exit 1 with one `error:` line on stderr."""
+
+    def check(self, argv, capsys):
+        code, text = run(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert text == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_missing_isogeny_file(self, capsys):
+        self.check(["weyl", "--type", "A2", "--isogeny", "custom:/missing.json"], capsys)
+
+    def test_non_string_type(self, tmp_path, capsys):
+        path = write_class(tmp_path, type=5)
+        self.check(["dim", "--class", path, "--lambda", "1,1"], capsys)
+
+    def test_zero_nu_bar_denominator(self, tmp_path, capsys):
+        path = write_class(tmp_path, nu_bar={"num": [1, 1], "den": 0})
+        self.check(["dim", "--class", path, "--lambda", "1,1"], capsys)
+
+    def test_non_numeric_cvals(self, capsys):
+        self.check(["strata", "steinberg", "--type", "A2", "--lambda", "1,1",
+                    "--cvals", "abc,1"], capsys)
+
+    def test_suite_checking_nothing_fails(self, capsys):
+        self.check(["verify", "lower-bound", "--height", "-3"], capsys)
+
+
 class TestWeyl:
     def test_order_output(self):
         code, text = run(["weyl", "--type", "G2"])

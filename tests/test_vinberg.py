@@ -56,15 +56,17 @@ class TestNilconeStrata:
 
     @pytest.mark.parametrize(
         "label,dim,top,count",
-        [("A1", 2, 1, 2), ("A2", 6, 2, 6), ("B2", 8, 2, 10), ("G2", 12, 2, 16)],
+        [("A1", 2, 1, 2), ("A2", 6, 2, 6), ("B2", 8, 2, 10), ("G2", 12, 2, 16),
+         ("F4", 48, 8, 2630)],
     )
     def test_report_values(self, label, dim, top, count):
-        summary = vinberg.nilcone_report(rd(label))
+        datum = rd(label)
+        summary = vinberg.nilcone_report(datum, vinberg.nilcone_strata(datum))
         assert summary.dim == dim
-        assert summary.top_count == top
+        assert summary.top_count == top == weyl.coxeter_count(datum)
         assert summary.strata_count == count
 
-    @pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3"])
+    @pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3", "F4"])
     def test_top_strata_are_exactly_coxeter(self, label):
         datum = rd(label)
         tops = {s.w.action for s in vinberg.nilcone_strata(datum) if s.is_top}

@@ -1,13 +1,66 @@
-"""Weyl group enumeration, Coxeter elements, cosets, fixed spaces."""
+"""Weyl group enumeration, Coxeter elements, cosets, fixed spaces.
+
+The brute-force constructions below (parabolic closure, covering-set double
+cosets, coset sizes) multiply action matrices with `linalg.mat_mul`.  They
+are the oracles for the descent-set filters of `weyl`, which never multiply
+matrices.
+"""
+
+from itertools import combinations
 
 import pytest
 
-from kvcalc import rootdata, weyl
+from kvcalc import linalg, rootdata, weyl
 from kvcalc.errors import SizeGuardError
 
 
 def rd(label, isogeny="sc"):
     return rootdata.build_root_datum(label, isogeny)
+
+
+def subsets(n):
+    return [frozenset(c) for k in range(n + 1) for c in combinations(range(n), k)]
+
+
+def parabolic_actions(datum, gens):
+    """Action matrices of W_J, by closing the generators under products."""
+    ident = weyl.identity_element(datum).action
+    seen = {ident}
+    frontier = [ident]
+    gens = [weyl.word_to_element(datum, [i]).action for i in sorted(gens)]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                p = linalg.mat_mul(g, m)
+                if p not in seen:
+                    seen.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return seen
+
+
+def double_coset(left, w, right):
+    return {linalg.mat_mul(linalg.mat_mul(a, w.action), b) for a in left for b in right}
+
+
+def covering_reps(datum, j1, j2):
+    """Minimal double-coset representatives by covering: scan W by (length,
+    word) and keep each element no earlier double coset contains."""
+    left = parabolic_actions(datum, j1)
+    right = parabolic_actions(datum, j2)
+    covered = set()
+    reps = []
+    for w in sorted(weyl.enumerate_group(datum), key=lambda e: (e.length, e.word)):
+        if w.action in covered:
+            continue
+        reps.append(w)
+        covered |= double_coset(left, w, right)
+    return reps
+
+
+def double_coset_size(datum, j1, j2, w):
+    return len(double_coset(parabolic_actions(datum, j1), w, parabolic_actions(datum, j2)))
 
 
 def all_reduced_words(datum, element):
@@ -33,6 +86,13 @@ class TestEnumeration:
     def test_group_orders(self, label, order):
         assert len(weyl.enumerate_group(rd(label))) == order
 
+    @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4",
+                                       "B5", "C3", "D4", "D5", "F4", "G2"])
+    def test_group_orders_match_sympy(self, label):
+        from sympy.liealgebras.weyl_group import WeylGroup
+
+        assert len(weyl.enumerate_group(rd(label))) == WeylGroup(label).group_order()
+
     def test_a2_length_multiset(self):
         lengths = sorted(e.length for e in weyl.enumerate_group(rd("A2")))
         assert lengths == [0, 1, 1, 2, 2, 3]
@@ -56,7 +116,7 @@ class TestEnumeration:
             datum = rd(label)
             w0 = weyl.longest_element(datum)
             assert w0.length == datum.num_positive_roots
-            assert weyl._mat_mul(w0.action, w0.action) == weyl._identity(datum.rank)
+            assert linalg.mat_mul(w0.action, w0.action) == weyl.identity_element(datum).action
 
     def test_iota_matches_w0(self):
         for label in ["A2", "A3", "D4", "G2", "B3"]:
@@ -64,6 +124,12 @@ class TestEnumeration:
             assert tuple(datum.iota[datum.iota[i]] for i in range(datum.rank)) == tuple(
                 range(datum.rank)
             )
+            # -w0 sends the simple coroot i to the simple coroot iota(i)
+            w0 = weyl.longest_element(datum).action
+            for i in range(datum.rank):
+                assert tuple(-w0[j][i] for j in range(datum.rank)) == tuple(
+                    int(j == datum.iota[i]) for j in range(datum.rank)
+                )
 
 
 class TestCoxeterElements:
@@ -108,14 +174,8 @@ class TestDoubleCosets:
         # exhaustive scan oracle: group the 6 elements into double cosets.
         # W_{s1} \ W / W_{s1} in S3 has cosets of sizes 2 and 4.
         datum = rd("A2")
-        sub = weyl.parabolic_subgroup(datum, frozenset({0}))
-        cosets = set()
-        for w in weyl.enumerate_group(datum):
-            coset = frozenset(
-                weyl._mat_mul(weyl._mat_mul(a.action, w.action), b.action)
-                for a in sub for b in sub
-            )
-            cosets.add(coset)
+        sub = [a.action for a in weyl.parabolic_subgroup(datum, frozenset({0}))]
+        cosets = {frozenset(double_coset(sub, w, sub)) for w in weyl.enumerate_group(datum)}
         assert sorted(len(c) for c in cosets) == [2, 4]
         reps = weyl.min_double_coset_reps(datum, {0}, {0})
         assert len(reps) == len(cosets) == 2
@@ -124,7 +184,7 @@ class TestDoubleCosets:
         for label, j1, j2 in [("B2", {0}, {1}), ("A3", {0, 2}, {1}), ("G2", {1}, {1})]:
             datum = rd(label)
             reps = weyl.min_double_coset_reps(datum, j1, j2)
-            total = sum(weyl.double_coset_size(datum, j1, j2, w) for w in reps)
+            total = sum(double_coset_size(datum, j1, j2, w) for w in reps)
             assert total == len(weyl.enumerate_group(datum))
 
     def test_reps_are_minimal(self):
@@ -135,9 +195,25 @@ class TestDoubleCosets:
             for a in sub:
                 for b in sub:
                     other = table[
-                        weyl._mat_mul(weyl._mat_mul(a.action, w.action), b.action)
+                        linalg.mat_mul(linalg.mat_mul(a.action, w.action), b.action)
                     ]
                     assert w.length <= other.length
+
+    @pytest.mark.parametrize("label", ["A3", "B3", "G2", "A1xB2"])
+    def test_descent_filter_matches_covering_oracle(self, label):
+        datum = rd(label)
+        for j1 in subsets(datum.rank):
+            for j2 in subsets(datum.rank):
+                reps = weyl.min_double_coset_reps(datum, j1, j2)
+                assert list(reps) == covering_reps(datum, j1, j2), (j1, j2)
+
+    @pytest.mark.parametrize("label", ["A3", "B3", "G2", "A1xB2"])
+    def test_parabolic_matches_closure(self, label):
+        datum = rd(label)
+        for j in subsets(datum.rank):
+            sub = weyl.parabolic_subgroup(datum, j)
+            assert {e.action for e in sub} == parabolic_actions(datum, j)
+            assert len(sub) == len(parabolic_actions(datum, j))
 
 
 class TestSupportAndFixedSpace:
