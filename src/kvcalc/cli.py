@@ -86,9 +86,7 @@ def cmd_mult(args, out):
         rows = []
         for lam in multiplicity.sweep_dominant(rd, args.sweep):
             wsys = multiplicity.weight_system(rd, lam)
-            for mu in sorted(wsys):
-                if rootdata.is_dominant(rd, mu):
-                    rows.append((lam, mu, wsys[mu]))
+            rows.extend((lam, mu, m) for mu, m in wsys.items())
         for lam, mu, m in sorted(rows):
             print(f"{_fmt(lam)}\t{_fmt(mu)}\t{m}", file=out)
         return
@@ -201,7 +199,7 @@ def verify_lower_bound(args, out) -> tuple[bool, int]:
     checked = 0
     for label in _types(args, DEFAULT_BOUND_TYPES):
         rd = rootdata.build_root_datum(label)
-        bound = len(weyl.coxeter_elements(rd))
+        bound = kv.regular_orbit_bound(rd)
         for lam in rootdata.dominant_integral_sweep(rd, args.height):
             if not all(p > 0 for p in rootdata.simple_pairings(rd, lam)):
                 continue
@@ -240,8 +238,7 @@ def verify_freudenthal_kostant(args, out) -> tuple[bool, int]:
         rd = rootdata.build_root_datum(label)
         for lam in multiplicity.sweep_dominant(rd, args.height):
             wsys = multiplicity.weight_system(rd, lam)
-            for mu in sorted(m for m in wsys if rootdata.is_dominant(rd, m)):
-                a = wsys[mu]
+            for mu, a in sorted(wsys.items()):
                 b = multiplicity.multiplicity_kostant(rd, lam, mu)
                 line_ok = a == b
                 ok = ok and line_ok
@@ -282,6 +279,7 @@ def verify_dimension_consistency(args, out) -> tuple[bool, int]:
                 )
         # Levi relation on randomized residual data with nu_bar = 0
         zero = rootdata.zero_coweight(rd)
+        levi_ok = True
         for trial in range(args.count):
             residual = {
                 root: Fraction(rng.randrange(0, 4)) for root in rd.positive_roots
@@ -290,11 +288,13 @@ def verify_dimension_consistency(args, out) -> tuple[bool, int]:
             for size in range(rd.rank + 1):
                 for levi in combinations(range(rd.rank), size):
                     _, relation = conjugacy.r_levi(cd, frozenset(levi))
-                    ok = ok and relation
+                    levi_ok = levi_ok and relation
                     checked += 1
                     if not relation:
                         print(f"{label}\tlevi {levi}\ttrial {trial}\tFAIL", file=out)
-        print(f"{label}\tlevi-relation\t{'pass' if ok else 'FAIL'}", file=out)
+        ok = ok and levi_ok
+        if args.count > 0:
+            print(f"{label}\tlevi-relation\t{'pass' if levi_ok else 'FAIL'}", file=out)
     return ok, checked
 
 

@@ -226,7 +226,8 @@ def class_from_json(data) -> ClassDatum:
         raise UsageError(f"malformed nu_bar {nu!r}: {exc}") from None
     if len(nu_bar) != rd.rank:
         raise UsageError("nu_bar has the wrong number of coordinates")
-    w = weyl.word_to_element(rd, word)
+    # a split class needs no Weyl table, which E6 and larger types pay for
+    w = weyl.word_to_element(rd, word) if word else weyl.identity_element(rd)
     residual = {}
     for item in data.get("residual", []):
         try:

@@ -132,7 +132,8 @@ def predicted_components(cd: ClassDatum, lam) -> int:
 
 
 def regular_orbit_bound(rd: RootDatum) -> int:
-    return len(weyl.coxeter_elements(rd))
+    """|Cox(W, S)|, counted per simple factor without walking r! orderings."""
+    return weyl.coxeter_count(rd)
 
 
 def regular_bound_exact(rd: RootDatum, lam, mu_star) -> bool:

@@ -1,138 +1,99 @@
 """Weight multiplicities of the Langlands dual group.
 
-The dual group is realized concretely as the root system with transposed
-Cartan matrix, so simple-coroot coordinates of G are simple-root coordinates
-of the dual with the same indexing.  Freudenthal's recursion is the
-production algorithm; Kostant's alternating sum over the Weyl group (with a
-brute-force partition function) is an independent oracle kept for tests.
+The dual group is read off the root datum: its weights are the coweights of
+rd in simple-coroot coordinates, its positive roots are
+``rd.positive_coroots`` and its rho is ``rd.rho_check``; its coroots are the
+roots of rd, paired with a weight by ``rootdata.pair_root``.  The invariant
+form is (x, y) = sum over positive roots beta of <beta, x><beta, y>, which W
+preserves because it permutes the roots up to sign; on each simple factor it
+is a positive multiple of the form that symmetrizes the Cartan matrix, and
+Freudenthal's formula holds for any such form.
+
+Freudenthal's recursion runs over the dominant weights of V(lam) only (the
+dominance interval ``dominant_below``), reading the multiplicity of each
+mu + k alpha at its dominant representative.  Kostant's alternating sum over
+the Weyl group of the literal dual datum (with a brute-force partition
+function) is an independent oracle kept for tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from types import MappingProxyType
 
 from . import rootdata, weyl
 from .errors import InvariantViolation, UsageError
 from .rootdata import Coweight, RootDatum
 
 
-def _check_weight(rd: RootDatum, v, dominant=True) -> Coweight:
+def _check_weight(rd: RootDatum, v) -> Coweight:
     v = rootdata.coweight(v)
     if not rootdata.is_integral(rd, v):
         raise UsageError("coweight is not in the isogeny lattice")
-    if dominant and not rootdata.is_dominant(rd, v):
+    if not rootdata.is_dominant(rd, v):
         raise UsageError("coweight must be dominant")
     return v
 
 
 @lru_cache(maxsize=None)
-def _symmetrizer(dual: RootDatum) -> tuple[int, ...]:
-    """Positive integers d_i making diag(d) @ cartan symmetric."""
-    r = dual.rank
-    c = dual.cartan
-    d: list[Fraction] = [Fraction(0)] * r
-    remaining = set(range(r))
-    while remaining:
-        seed = min(remaining)
-        d[seed] = Fraction(1)
-        remaining.discard(seed)
-        stack = [seed]
-        while stack:
-            i = stack.pop()
-            for j in list(remaining):
-                if c[i][j] != 0:
-                    d[j] = d[i] * Fraction(c[i][j], c[j][i])
-                    remaining.discard(j)
-                    stack.append(j)
-    mult = lcm(*(x.denominator for x in d))
-    out = [int(x * mult) for x in d]
-    for i in range(r):
-        for j in range(r):
-            if out[i] * c[i][j] != out[j] * c[j][i]:
-                raise InvariantViolation("Cartan matrix is not symmetrizable")
-    return tuple(out)
+def _gram(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
+    """Gram matrix of (x, y) = sum over beta > 0 of <beta, x><beta, y> in
+    simple-coroot coordinates."""
+    r = rd.rank
+    unit = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    rows = [[rootdata.pair_root(rd, beta, e) for e in unit] for beta in rd.positive_roots]
+    return tuple(tuple(sum(p[i] * p[j] for p in rows) for j in range(r)) for i in range(r))
 
 
-def _inner(dual: RootDatum, d, a, b):
-    """W-invariant form on dual-weight space; a, b in dual-root coords."""
-    r = dual.rank
-    return sum(d[i] * dual.cartan[i][j] * a[i] * b[j] for i in range(r) for j in range(r))
+def _form(g, x, y):
+    return sum(g[i][j] * x[i] * y[j] for i in range(len(x)) for j in range(len(y)))
 
 
 @lru_cache(maxsize=None)
-def _dual_rho(rd: RootDatum) -> Coweight:
-    """rho of the dual group in the dual's simple-root coordinates."""
-    dual = rd.dual()
-    s = [Fraction(0)] * rd.rank
-    for root in dual.positive_roots:
-        for j in range(rd.rank):
-            s[j] += Fraction(root[j], 2)
-    return tuple(s)
+def weight_system(rd: RootDatum, lam: Coweight) -> MappingProxyType:
+    """The dominant weights of the dual-group irreducible V(lam), with their
+    multiplicities, as a read-only mapping.
 
-
-def _dual_pairing(dual: RootDatum, x, coroot_idx: int):
-    """Pairing of a dual weight x (dual-root coords) with the coroot of the
-    positive root number coroot_idx of the dual."""
-    coroot = dual.positive_coroots[coroot_idx]
-    r = dual.rank
-    return sum(dual.cartan[i][j] * coroot[i] * x[j] for i in range(r) for j in range(r))
-
-
-@lru_cache(maxsize=None)
-def weight_system(rd: RootDatum, lam: Coweight) -> dict[Coweight, int]:
-    """All weights of the dual-group irreducible V(lam) with multiplicities.
-
-    lam and the returned weights are in simple-coroot coordinates of rd.
-    Weight set by saturated root-string descent; multiplicities by
-    Freudenthal's recursion from the top.
+    lam and the weights are in simple-coroot coordinates of rd.  Freudenthal's
+    recursion visits ``dominant_below(rd, lam)`` in decreasing height and reads
+    m(mu + k alpha) as m of its dominant representative.  A dict lookup is
+    enough, for two reasons: that representative is at least mu + k alpha in
+    dominance, so it is higher than mu and already computed; and the weights on
+    an alpha-string form an unbroken string, so the first k whose
+    representative is not a weight ends the string.
     """
     lam = _check_weight(rd, lam)
-    dual = rd.dual()
-    r = rd.rank
-    weights = {lam}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for k, root in enumerate(dual.positive_roots):
-                p = _dual_pairing(dual, x, k)
-                if p > 0:
-                    for step in range(1, int(p) + 1):
-                        y = tuple(x[j] - step * root[j] for j in range(r))
-                        if y not in weights:
-                            weights.add(y)
-                            nxt.append(y)
-        frontier = nxt
+    g = _gram(rd)
+    rho = rd.rho_check
 
-    d = _symmetrizer(dual)
-    rho = _dual_rho(rd)
-    norm_lam = _inner(dual, d, lam, lam) + 2 * _inner(dual, d, lam, rho)
-    mult = {lam: 1}
-    for x in sorted(weights, key=lambda v: (-sum(v), v)):
-        if x == lam:
+    def casimir(x):
+        return _form(g, x, x) + 2 * _form(g, x, rho)
+
+    top = casimir(lam)
+    mult = {}
+    for mu in sorted(dominant_below(rd, lam), key=lambda v: (-sum(v), v)):
+        if mu == lam:
+            mult[mu] = 1
             continue
-        total = Fraction(0)
-        for root in dual.positive_roots:
+        total = 0
+        for alpha in rd.positive_coroots:
             k = 1
             while True:
-                y = tuple(x[j] + k * root[j] for j in range(r))
-                if y not in weights:
+                y = tuple(x + k * a for x, a in zip(mu, alpha))
+                m_y = mult.get(rootdata.dominant_reduce(rd, y)[0])
+                if m_y is None:
                     break
-                m_y = mult.get(y, 0)
-                if m_y:
-                    total += m_y * _inner(dual, d, y, root)
+                total += m_y * _form(g, y, alpha)
                 k += 1
-        denom = norm_lam - (_inner(dual, d, x, x) + 2 * _inner(dual, d, x, rho))
+        denom = top - casimir(mu)
         if denom <= 0:
-            raise InvariantViolation(f"Freudenthal denominator {denom} at {x} below {lam}")
+            raise InvariantViolation(f"Freudenthal denominator {denom} at {mu} below {lam}")
         m = 2 * Fraction(total) / denom
-        if m.denominator != 1 or m < 0:
-            raise InvariantViolation(f"Freudenthal multiplicity {m} at {x} below {lam}")
-        if m:
-            mult[x] = int(m)
-    return mult
+        if m.denominator != 1 or m <= 0:
+            raise InvariantViolation(f"Freudenthal multiplicity {m} at {mu} below {lam}")
+        mult[mu] = int(m)
+    return MappingProxyType(mult)
 
 
 def multiplicity_freudenthal(rd: RootDatum, lam, mu) -> int:
@@ -178,9 +139,8 @@ def multiplicity_kostant(rd: RootDatum, lam, mu) -> int:
     lam = _check_weight(rd, lam)
     mu = _check_weight(rd, mu)
     dual = rd.dual()
-    rho = _dual_rho(rd)
-    lam_rho = rootdata.add(lam, rho)
-    mu_rho = rootdata.add(mu, rho)
+    lam_rho = rootdata.add(lam, rd.rho_check)
+    mu_rho = rootdata.add(mu, rd.rho_check)
     total = 0
     for w in weyl.enumerate_group(dual):
         img = w.apply_root(lam_rho)
@@ -247,11 +207,8 @@ def orbit_size(rd: RootDatum, v) -> int:
 def dimension_sum(rd: RootDatum, lam) -> int:
     """Sum of m_{lam,mu} * |W.mu| over dominant weights of V(lam); equals
     the Weyl dimension formula when everything is consistent."""
-    total = 0
-    for x, m in weight_system(rd, rootdata.coweight(lam)).items():
-        if rootdata.is_dominant(rd, x):
-            total += m * orbit_size(rd, x)
-    return total
+    wsys = weight_system(rd, rootdata.coweight(lam))
+    return sum(m * orbit_size(rd, x) for x, m in wsys.items())
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +216,10 @@ def dimension_sum(rd: RootDatum, lam) -> int:
 
 
 def highest_root_pairing(rd: RootDatum, lam) -> Fraction:
-    """max over the dual's positive roots theta of <lam + rho, theta-vee>."""
-    dual = rd.dual()
-    shifted = rootdata.add(rootdata.coweight(lam), _dual_rho(rd))
-    return max(
-        Fraction(_dual_pairing(dual, shifted, k)) for k in range(len(dual.positive_roots))
-    )
+    """max over the dual's positive roots theta of <lam + rho, theta-vee>;
+    the coroots theta-vee are the positive roots of rd."""
+    shifted = rootdata.add(rootdata.coweight(lam), rd.rho_check)
+    return max(Fraction(rootdata.pair_root(rd, beta, shifted)) for beta in rd.positive_roots)
 
 
 def sweep_dominant(rd: RootDatum, cap: int) -> list[Coweight]:

@@ -424,15 +424,14 @@ def weyl_dimension(rd: RootDatum, lam: Coweight) -> int:
     """
     if not is_dominant(rd, lam):
         raise UsageError("weyl_dimension needs a dominant coweight")
-    dual = rd.dual()
     num = Fraction(1)
     den = Fraction(1)
     shifted = add(coweight(lam), rd.rho_check)
-    for coroot_of_dual in dual.positive_coroots:
-        # a positive coroot of the dual group is a positive root of rd;
-        # its pairing with a dual weight x (coroot coords of rd) is <root, x>.
-        num *= pair_root(rd, coroot_of_dual, shifted)
-        den *= pair_root(rd, coroot_of_dual, rd.rho_check)
+    for root in rd.positive_roots:
+        # the positive coroots of the dual group are the positive roots of
+        # rd; one pairs with a dual weight x (coroot coords of rd) as <root, x>.
+        num *= pair_root(rd, root, shifted)
+        den *= pair_root(rd, root, rd.rho_check)
     val = num / den
     if val.denominator != 1 or val <= 0:
         raise InvariantViolation(f"Weyl dimension {val} is not a positive integer")

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
-from . import kv, linalg, multiplicity, rootdata
+from . import kv, multiplicity, rootdata
 from .errors import InvariantViolation, UniquenessError, UsageError
 from .rootdata import Coweight, RootDatum
 
@@ -117,24 +116,18 @@ def rational_grid(rd: RootDatum, height_cap, denominator: int):
 # Steinberg-base strata
 
 
-@lru_cache(maxsize=None)
-def fundamental_weight_root_coords(rd: RootDatum, i: int):
-    """omega_i of rd in simple-root coordinates (column i of the inverse
-    Cartan matrix)."""
-    inv = linalg.inverse(linalg.frac_matrix(rd.cartan))
-    return tuple(inv[j][i] for j in range(rd.rank))
-
-
 def generic_char_valuation(rd: RootDatum, mu, i: int) -> Fraction:
     """min over the weights chi of V(omega_i) of <chi, mu>: the generic
-    valuation of the i-th trace coordinate at a unit times the mu-cocharacter."""
+    valuation of the i-th trace coordinate at a unit times the mu-cocharacter.
+
+    The weights are W-stable, so the minimum is taken at the dominant
+    representative of mu, where the lowest weight w0(omega_i) =
+    -omega_{iota(i)} attains it: -dominant(mu)[iota(i)]."""
     mu = rootdata.coweight(mu)
     if not 0 <= i < rd.rank:
         raise UsageError("fundamental index out of range")
-    rep_datum = rd.dual("adjoint")
-    omega = fundamental_weight_root_coords(rd, i)
-    wsys = multiplicity.weight_system(rep_datum, rootdata.coweight(omega))
-    return min(Fraction(rootdata.pair_root(rd, chi, mu)) for chi in wsys)
+    dom, _ = rootdata.dominant_reduce(rd, mu)
+    return -dom[rd.iota[i]]
 
 
 def steinberg_stratum(rd: RootDatum, v: ValuationVector, lam) -> Coweight:

@@ -37,6 +37,7 @@ def test_01_coxeter_counts():
             actions.add(weyl.word_to_element(datum, perm).action)
         assert len(actions) == expected, label
         assert len(weyl.coxeter_elements(datum)) == expected, label
+        assert kv.regular_orbit_bound(datum) == weyl.coxeter_count(datum) == expected, label
     _report("coxeter-counts 2^(r-1) per factor, brute forced over r! orderings")
 
 

@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from kvcalc import cli
+from kvcalc import cli, weyl
 
 
 def run(argv):
@@ -158,6 +162,22 @@ class TestDim:
         rep = kv.KVReport.from_json(data)
         assert rep.dimension == 3
 
+    def test_split_class_builds_no_weyl_table(self, tmp_path):
+        path = write_class(tmp_path, type="E6", w=[], nu_bar=[0] * 6)
+        weyl.enumerate_group.cache_clear()
+        code, text = run(["dim", "--class", path, "--lambda", "1,2,2,3,2,1"])
+        assert code == 0
+        assert "regular-orbit-bound 32" in text
+        assert weyl.enumerate_group.cache_info().misses == 0
+
+    def test_split_class_beyond_the_weyl_cap(self, tmp_path):
+        # |W(B6xB5)| is far above the enumeration cap, and no table is needed
+        path = write_class(tmp_path, type="B6xB5", w=[], nu_bar=[0] * 11)
+        code, text = run(["dim", "--class", path, "--lambda", ",".join(["0"] * 11)])
+        assert code == 0
+        assert "dimension 0" in text
+        assert "regular-orbit-bound 512" in text
+
     def test_components(self, split_class_file):
         code, text = run(["components", "--class", split_class_file,
                           "--lambda", "1,1"])
@@ -200,6 +220,15 @@ class TestVerify:
         assert code == 0
         assert text.strip().splitlines()[-1] == "PASS"
 
+    def test_levi_relation_reported_only_after_a_trial(self):
+        argv = ["verify", "dimension-consistency", "--type", "A2", "--height", "0"]
+        code, text = run(argv + ["--count", "0"])
+        assert code == 0
+        assert "levi-relation" not in text
+        code, text = run(argv + ["--count", "1"])
+        assert code == 0
+        assert "A2\tlevi-relation\tpass\n" in text
+
     def test_chen_zhu_is_report_only(self):
         code, text = run(["verify", "chen-zhu-compare", "--height", "2"])
         assert code == 0
@@ -219,3 +248,18 @@ class TestDeterminism:
         second = run(argv)
         assert first == second
         assert first[0] == 0
+
+
+def test_invariant_violation_survives_python_O(inconsistent_class_file):
+    """The checks that refuse an inconsistent datum are not asserts: they
+    still exit 2 when the interpreter strips asserts.  Under -O pytest would
+    strip the test's own asserts as well, so the calculator runs in a child."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "kvcalc.cli", "dim", "--class",
+         inconsistent_class_file, "--lambda", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert any(line.startswith("invariant violated:") for line in proc.stderr.splitlines())

@@ -185,9 +185,12 @@ class TestComponentsAndBounds:
         # space is 1-dimensional
         assert kv.predicted_components(cd, [2]) == 1
 
-    @pytest.mark.parametrize("label,bound", [("A1", 1), ("A2", 2), ("A3", 4), ("G2", 2)])
+    @pytest.mark.parametrize("label,bound", [("A1", 1), ("A2", 2), ("A3", 4), ("G2", 2),
+                                             ("F4", 8), ("A2xB3", 8)])
     def test_regular_orbit_bound(self, label, bound):
-        assert kv.regular_orbit_bound(rd(label)) == bound
+        # the closed-form count against the brute force over r! orderings
+        datum = rd(label)
+        assert kv.regular_orbit_bound(datum) == len(weyl.coxeter_elements(datum)) == bound
 
     def test_exactness_flag(self):
         datum = rd("A2")

@@ -1,14 +1,16 @@
 """Weight multiplicities: two algorithms plus brute-force oracles."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvcalc import multiplicity, rootdata
-from kvcalc.errors import UsageError
+from kvcalc import linalg, multiplicity, rootdata, strata
+from kvcalc.errors import InvariantViolation, UsageError
 
 
 def rd(label, isogeny="sc"):
@@ -35,6 +37,179 @@ def naive_partition_count(datum, beta):
         if tuple(total) == tuple(beta):
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# Full-weight Freudenthal oracle: every weight of V(lam), found by saturated
+# root-string descent on the literal dual datum, with the symmetrizer form.
+# This was the production algorithm before the dominant-only recursion.
+
+
+@lru_cache(maxsize=None)
+def _symmetrizer(dual):
+    """Positive integers d_i making diag(d) @ cartan symmetric."""
+    r = dual.rank
+    c = dual.cartan
+    d = [Fraction(0)] * r
+    remaining = set(range(r))
+    while remaining:
+        seed = min(remaining)
+        d[seed] = Fraction(1)
+        remaining.discard(seed)
+        stack = [seed]
+        while stack:
+            i = stack.pop()
+            for j in list(remaining):
+                if c[i][j] != 0:
+                    d[j] = d[i] * Fraction(c[i][j], c[j][i])
+                    remaining.discard(j)
+                    stack.append(j)
+    mult = lcm(*(x.denominator for x in d))
+    out = [int(x * mult) for x in d]
+    for i in range(r):
+        for j in range(r):
+            if out[i] * c[i][j] != out[j] * c[j][i]:
+                raise InvariantViolation("Cartan matrix is not symmetrizable")
+    return tuple(out)
+
+
+def _inner(dual, d, a, b):
+    """W-invariant form on dual-weight space; a, b in dual-root coords."""
+    r = dual.rank
+    return sum(d[i] * dual.cartan[i][j] * a[i] * b[j] for i in range(r) for j in range(r))
+
+
+@lru_cache(maxsize=None)
+def _dual_rho(rd):
+    """rho of the dual group in the dual's simple-root coordinates."""
+    dual = rd.dual()
+    s = [Fraction(0)] * rd.rank
+    for root in dual.positive_roots:
+        for j in range(rd.rank):
+            s[j] += Fraction(root[j], 2)
+    return tuple(s)
+
+
+def _dual_pairing(dual, x, coroot_idx):
+    """Pairing of a dual weight x (dual-root coords) with the coroot of the
+    positive root number coroot_idx of the dual."""
+    coroot = dual.positive_coroots[coroot_idx]
+    r = dual.rank
+    return sum(dual.cartan[i][j] * coroot[i] * x[j] for i in range(r) for j in range(r))
+
+
+@lru_cache(maxsize=None)
+def full_weight_system(rd, lam):
+    """All weights of the dual-group irreducible V(lam) with multiplicities."""
+    lam = rootdata.coweight(lam)
+    dual = rd.dual()
+    r = rd.rank
+    weights = {lam}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for k, root in enumerate(dual.positive_roots):
+                p = _dual_pairing(dual, x, k)
+                if p > 0:
+                    for step in range(1, int(p) + 1):
+                        y = tuple(x[j] - step * root[j] for j in range(r))
+                        if y not in weights:
+                            weights.add(y)
+                            nxt.append(y)
+        frontier = nxt
+
+    d = _symmetrizer(dual)
+    rho = _dual_rho(rd)
+    norm_lam = _inner(dual, d, lam, lam) + 2 * _inner(dual, d, lam, rho)
+    mult = {lam: 1}
+    for x in sorted(weights, key=lambda v: (-sum(v), v)):
+        if x == lam:
+            continue
+        total = Fraction(0)
+        for root in dual.positive_roots:
+            k = 1
+            while True:
+                y = tuple(x[j] + k * root[j] for j in range(r))
+                if y not in weights:
+                    break
+                m_y = mult.get(y, 0)
+                if m_y:
+                    total += m_y * _inner(dual, d, y, root)
+                k += 1
+        denom = norm_lam - (_inner(dual, d, x, x) + 2 * _inner(dual, d, x, rho))
+        if denom <= 0:
+            raise InvariantViolation(f"Freudenthal denominator {denom} at {x} below {lam}")
+        m = 2 * Fraction(total) / denom
+        if m.denominator != 1 or m < 0:
+            raise InvariantViolation(f"Freudenthal multiplicity {m} at {x} below {lam}")
+        if m:
+            mult[x] = int(m)
+    return mult
+
+
+def fundamental_weight_root_coords(rd, i):
+    """omega_i of rd in simple-root coordinates (column i of the inverse
+    Cartan matrix)."""
+    inv = linalg.inverse(linalg.frac_matrix(rd.cartan))
+    return tuple(inv[j][i] for j in range(rd.rank))
+
+
+def oracle_char_valuation(rd, mu, i):
+    """min over every weight chi of V(omega_i) of <chi, mu>, with V(omega_i)
+    built by the full-weight oracle on the adjoint dual datum."""
+    wsys = full_weight_system(rd.dual("adjoint"), fundamental_weight_root_coords(rd, i))
+    return min(Fraction(rootdata.pair_root(rd, chi, rootdata.coweight(mu))) for chi in wsys)
+
+
+def dominant_lattice_weights(datum, cap):
+    """Dominant lattice coweights whose simple-root pairings sum to at most
+    cap; unlike `dominant_integral_sweep` this reaches every pi_1 class."""
+    r = datum.rank
+    pairings_inv = linalg.inverse(
+        linalg.frac_matrix([[datum.cartan[j][i] for j in range(r)] for i in range(r)])
+    )
+    out = []
+    for c in product(range(cap + 1), repeat=r):
+        if sum(c) <= cap:
+            v = linalg.mat_vec(pairings_inv, c)
+            if rootdata.is_integral(datum, v):
+                out.append(v)
+    return out
+
+
+# (type, pairing cap): every lambda up to the cap, a few seconds in all
+ORACLE_TYPES = [("A1", 6), ("A2", 4), ("A3", 3), ("A4", 2), ("B2", 3), ("B3", 2),
+                ("B4", 1), ("C3", 2), ("D4", 1), ("G2", 2), ("A1xB2", 3)]
+
+
+class TestFullWeightOracle:
+    @pytest.mark.parametrize("isogeny", ["sc", "adjoint"])
+    @pytest.mark.parametrize("label,cap", ORACLE_TYPES)
+    def test_dominant_multiplicities_match(self, label, cap, isogeny):
+        datum = rd(label, isogeny)
+        lams = dominant_lattice_weights(datum, cap)
+        assert len(lams) > 1
+        for lam in lams:
+            full = full_weight_system(datum, lam)
+            dominant = {mu: m for mu, m in full.items() if rootdata.is_dominant(datum, mu)}
+            assert dict(multiplicity.weight_system(datum, lam)) == dominant, lam
+
+    @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3", "C3", "A1xB2"])
+    def test_generic_char_valuation_non_dominant_and_rational(self, label):
+        datum = rd(label)
+        grid = [Fraction(-3, 2), Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(2)]
+        for mu in product(grid, repeat=datum.rank):
+            for i in range(datum.rank):
+                assert strata.generic_char_valuation(datum, mu, i) == oracle_char_valuation(
+                    datum, mu, i
+                ), (mu, i)
+
+    def test_result_is_read_only(self):
+        wsys = multiplicity.weight_system(rd("A2"), cw(1, 1))
+        with pytest.raises(TypeError):
+            wsys[cw(0, 0)] = 5
+        assert wsys[cw(0, 0)] == 2
 
 
 class TestKostantPartition:
