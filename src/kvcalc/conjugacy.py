@@ -207,14 +207,21 @@ def class_from_json(data) -> ClassDatum:
     positive roots only; a short "kappa" is padded with zeros.
     """
     if isinstance(data, (str, bytes)):
-        data = json.loads(data)
+        try:
+            data = json.loads(data)
+        except ValueError as exc:
+            raise UsageError(f"malformed class JSON: {exc}") from None
     try:
         label = data["type"]
         isogeny = data.get("isogeny", "sc")
-        word = [int(i) - 1 for i in data.get("w", [])]
+        word = data.get("w", [])
         nu = data["nu_bar"]
     except (KeyError, TypeError) as exc:
         raise UsageError(f"class JSON missing field: {exc}") from None
+    try:
+        word = [int(i) - 1 for i in word]
+    except (TypeError, ValueError):
+        raise UsageError(f"malformed twist word {word!r}") from None
     rd = rootdata.build_root_datum(label, isogeny)
     try:
         if isinstance(nu, dict):
@@ -228,15 +235,21 @@ def class_from_json(data) -> ClassDatum:
         raise UsageError("nu_bar has the wrong number of coordinates")
     # a split class needs no Weyl table, which E6 and larger types pay for
     w = weyl.word_to_element(rd, word) if word else weyl.identity_element(rd)
+    items = data.get("residual", [])
+    if not isinstance(items, (list, tuple)):
+        raise UsageError(f"residual must be a list of entries, not {items!r}")
     residual = {}
-    for item in data.get("residual", []):
+    for item in items:
         try:
             root = tuple(int(x) for x in item["root"])
             residual[root] = _frac_from_json(item["val"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"malformed residual entry {item!r}: {exc}") from None
     kappa = rootdata.parse_kappa(rd, data.get("kappa", []))
-    e = int(data["e"]) if "e" in data else None
+    try:
+        e = int(data["e"]) if "e" in data else None
+    except (TypeError, ValueError):
+        raise UsageError(f"malformed splitting degree {data['e']!r}") from None
     return make_class(rd, w, nu_bar, residual, kappa, e=e)
 
 

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from . import conjugacy, multiplicity, rootdata, weyl
 from .conjugacy import ClassDatum
@@ -106,10 +107,9 @@ def chen_zhu_approx(rd: RootDatum, nu):
     if not rootdata.is_dominant(rd, nu):
         raise UsageError("nu must be dominant")
     q = max(rootdata.fundamental_group(rd).invariant_factors, default=1)
-    grids = [
-        [Fraction(k, q) for k in range(int(x * q) + 1)]
-        for x in nu
-    ]
+    sizes = [int(x * q) + 1 for x in nu]
+    rootdata.guard_grid_size(prod(sizes), "the Chen-Zhu grid")
+    grids = [[Fraction(k, q) for k in range(n)] for n in sizes]
     candidates = []
     for coords in product(*grids):
         v = rootdata.coweight(coords)

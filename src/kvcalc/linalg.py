@@ -11,10 +11,6 @@ def frac_matrix(rows) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def mat_vec(m, v):
-    return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
-
-
 def mat_mul(a, b):
     n, k, p = len(a), len(b), len(b[0])
     return tuple(

@@ -42,7 +42,7 @@ def _gram(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
     simple-coroot coordinates."""
     r = rd.rank
     unit = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-    rows = [[rootdata.pair_root(rd, beta, e) for e in unit] for beta in rd.positive_roots]
+    rows = [[int(rootdata.pair_root(rd, beta, e)) for e in unit] for beta in rd.positive_roots]
     return tuple(tuple(sum(p[i] * p[j] for p in rows) for j in range(r)) for i in range(r))
 
 

@@ -9,7 +9,13 @@ Coordinate conventions used throughout the package:
   root against the i-th simple coroot, so pairings of arbitrary roots with
   arbitrary coweights route through it.
 
-All arithmetic is exact; no floats anywhere.
+All arithmetic is exact; no floats anywhere.  The predicates (dominance,
+lattice membership, rational dominance ``leq_q``, root pairings and
+``dominant_reduce``) never compute with Fractions: a coweight is scaled once to
+``(D, n)``, D the lcm of its denominators and n integers, and tested against
+integer data cached per datum (the Cartan columns, and the inverse of
+``lattice_basis`` as an integer matrix ``adj`` over a scale ``det``).
+Fractions are built only at the boundary, for the values a function returns.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
+from math import lcm
+from operator import mul
 
 from . import linalg
 from .errors import InvariantViolation, SizeGuardError, UsageError
@@ -27,6 +35,10 @@ Coweight = tuple[Fraction, ...]
 
 #: Hard cap on the Weyl group order for full enumerations (E6 just fits).
 WEYL_ORDER_CAP = 51840
+
+#: Hard cap on the number of tuples a grid enumeration may visit
+#: (`dominant_integral_sweep`, `strata.rational_grid`, `kv.chen_zhu_approx`).
+GRID_SIZE_CAP = 2_000_000
 
 _POSITIVE_ROOT_COUNT = {
     "A": lambda n: n * (n + 1) // 2,
@@ -196,6 +208,17 @@ class RootDatum:
             out.append(v.index(1))
         return tuple(out)
 
+    @cached_property
+    def cartan_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Column i of the Cartan matrix: <alpha_i, v> = sum_j col[j] v[j]."""
+        return tuple(zip(*self.cartan))
+
+    @cached_property
+    def lattice_inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(adj, det): the inverse of lattice_basis is adj / det, with adj
+        integral and det > 0 the lcm of the inverse's denominators."""
+        return _integer_inverse(self.lattice_basis)
+
 
 def build_root_datum(label: str, isogeny="sc") -> RootDatum:
     """Construct a root datum for a product of simple types.
@@ -239,13 +262,11 @@ def _build(factors, cartan, isogeny) -> RootDatum:
         basis = tuple(tuple(gens[j][i] for j in range(r)) for i in range(r))
         iso_name = "custom"
         try:
-            b_inv = linalg.inverse(basis)
+            inverse = _integer_inverse(basis)
         except ValueError:
             raise UsageError("isogeny generators are linearly dependent") from None
-        for i in range(r):
-            coroot_f = tuple(Fraction(cartan[i][j]) for j in range(r))
-            if any(x.denominator != 1 for x in linalg.mat_vec(b_inv, coroot_f)):
-                raise UsageError("isogeny lattice does not contain the coroot lattice")
+        if any(_coroot_coords(inverse, cartan, i) is None for i in range(r)):
+            raise UsageError("isogeny lattice does not contain the coroot lattice")
 
     return RootDatum(
         label=factors,
@@ -273,7 +294,7 @@ def _dual_datum(rd: RootDatum, isogeny: str = "sc") -> RootDatum:
 
 
 def coweight(coords) -> Coweight:
-    return tuple(Fraction(x) for x in coords)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in coords)
 
 
 def zero_coweight(rd: RootDatum) -> Coweight:
@@ -288,16 +309,27 @@ def sub(u: Coweight, v: Coweight) -> Coweight:
     return tuple(a - b for a, b in zip(u, v))
 
 
+def _scale(v) -> tuple[int, tuple[int, ...]]:
+    """(D, n) with v = n / D: D > 0 the lcm of the denominators, n integers."""
+    d = lcm(*(x.denominator for x in v))
+    if d == 1:
+        return 1, tuple(x.numerator for x in v)
+    return d, tuple(x.numerator * (d // x.denominator) for x in v)
+
+
+def _pairings(rd: RootDatum, v) -> tuple:
+    return tuple(sum(map(mul, col, v)) for col in rd.cartan_columns)
+
+
 def simple_pairings(rd: RootDatum, v: Coweight):
     """Pairings <alpha_i, v> for all simple roots alpha_i."""
-    r = rd.rank
-    return tuple(sum(rd.cartan[j][i] * v[j] for j in range(r)) for i in range(r))
+    return _pairings(rd, v)
 
 
-def pair_root(rd: RootDatum, root, v: Coweight):
+def pair_root(rd: RootDatum, root, v: Coweight) -> Fraction:
     """Pairing <alpha, v> of a root (simple-root coords) with a coweight."""
-    sp = simple_pairings(rd, v)
-    return sum(a * p for a, p in zip(root, sp))
+    d, n = _scale(v)
+    return Fraction(sum(map(mul, root, _pairings(rd, n))), d)
 
 
 def rho_pair(rd: RootDatum, v: Coweight):
@@ -306,12 +338,13 @@ def rho_pair(rd: RootDatum, v: Coweight):
 
 
 def is_dominant(rd: RootDatum, v: Coweight) -> bool:
-    return all(p >= 0 for p in simple_pairings(rd, v))
+    _, n = _scale(v)
+    return all(sum(map(mul, col, n)) >= 0 for col in rd.cartan_columns)
 
 
 def reflect(rd: RootDatum, i: int, v: Coweight) -> Coweight:
     """s_i(v) = v - <alpha_i, v> alpha_i^vee: one pairing, one coordinate."""
-    p = sum(row[i] * x for row, x in zip(rd.cartan, v))
+    p = sum(map(mul, rd.cartan_columns[i], v))
     return v[:i] + (v[i] - p,) + v[i + 1:]
 
 
@@ -319,38 +352,72 @@ def dominant_reduce(rd: RootDatum, v: Coweight):
     """Dominant representative of the W-orbit of v plus the word reaching it.
 
     The word lists simple reflections in application order: folding them over
-    v from the left reproduces the returned dominant coweight.
+    v from the left reproduces the returned dominant coweight.  The loop
+    reflects the scaled integers n at the first negative pairing p_i and
+    updates the pairings from one Cartan row: s_i moves <alpha_k, .> by
+    -p_i <alpha_k, alpha_i^vee>.
     """
     v = coweight(v)
+    d, n = _scale(v)
+    n = list(n)
+    pair = list(_pairings(rd, n))
     word = []
     while True:
-        pair = simple_pairings(rd, v)
-        i = next((k for k in range(rd.rank) if pair[k] < 0), None)
+        i = next((k for k, p in enumerate(pair) if p < 0), None)
         if i is None:
-            return v, tuple(word)
-        v = reflect(rd, i, v)
+            break
+        p = pair[i]
+        n[i] -= p
+        pair = [q - p * c for q, c in zip(pair, rd.cartan[i])]
         word.append(i)
+    if not word:
+        return v, ()
+    return tuple(Fraction(x, d) for x in n), tuple(word)
 
 
 def leq_q(rd: RootDatum, nu: Coweight, lam: Coweight) -> bool:
-    """Rational dominance: lambda - nu has nonnegative coroot coordinates."""
-    return all(a <= b for a, b in zip(nu, lam))
+    """Rational dominance: lambda - nu has nonnegative coroot coordinates,
+    compared coordinate by coordinate with cross-multiplied integers."""
+    return all(a.numerator * b.denominator <= b.numerator * a.denominator
+               for a, b in zip(nu, lam))
 
 
-@lru_cache(maxsize=None)
-def _lattice_basis_inv(rd: RootDatum):
-    return linalg.inverse(linalg.frac_matrix(rd.lattice_basis))
+def _integer_inverse(m) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(adj, det) with m^-1 = adj / det; raises ValueError if m is singular."""
+    inv = linalg.inverse(m)
+    det = lcm(*(x.denominator for row in inv for x in row))
+    return tuple(tuple(int(x * det) for x in row) for row in inv), det
+
+
+def _lattice_numerators(rd: RootDatum, v) -> tuple[tuple[int, ...], int]:
+    """(x, s) with x / s the coordinates of v in the lattice basis: the
+    fundamental-coweight coordinates of v are the pairings F / D, so the
+    coordinates are adj F / (det D)."""
+    adj, det = rd.lattice_inverse
+    d, n = _scale(v)
+    f = _pairings(rd, n)
+    return tuple(sum(map(mul, row, f)) for row in adj), det * d
+
+
+def _coroot_coords(inverse, cartan, i) -> tuple[int, ...] | None:
+    """Lattice-basis coordinates of the i-th simple coroot, whose
+    fundamental-coweight coordinates are row i of the Cartan matrix; None
+    when the lattice does not contain it."""
+    adj, det = inverse
+    x = tuple(sum(map(mul, row, cartan[i])) for row in adj)
+    return None if any(c % det for c in x) else tuple(c // det for c in x)
 
 
 def lattice_coords(rd: RootDatum, v: Coweight):
     """Coordinates of v in the isogeny-lattice basis (rational in general)."""
-    f = tuple(p for p in simple_pairings(rd, v))  # fundamental-coweight coords
-    return linalg.mat_vec(_lattice_basis_inv(rd), tuple(Fraction(x) for x in f))
+    x, s = _lattice_numerators(rd, v)
+    return tuple(Fraction(c, s) for c in x)
 
 
 def is_integral(rd: RootDatum, v: Coweight) -> bool:
     """Membership of v in the chosen coweight lattice Lambda."""
-    return all(x.denominator == 1 for x in lattice_coords(rd, v))
+    x, s = _lattice_numerators(rd, v)
+    return all(c % s == 0 for c in x)
 
 
 # ---------------------------------------------------------------------------
@@ -377,26 +444,23 @@ class FiniteAbelianGroup:
         return tuple(x % d for x, d in zip(raw, self.invariant_factors))
 
     def project(self, v: Coweight) -> tuple[int, ...]:
-        x = lattice_coords(self.rd, v)
-        if any(c.denominator != 1 for c in x):
+        x, s = _lattice_numerators(self.rd, v)
+        if any(c % s for c in x):
             raise UsageError("coweight is not in the isogeny lattice")
-        r = self.rd.rank
-        raw = tuple(sum(self._u[i][j] * int(x[j]) for j in range(r)) for i in range(r))
-        return self.reduce(raw)
+        x = tuple(c // s for c in x)
+        return self.reduce(tuple(sum(map(mul, row, x)) for row in self._u))
 
 
 @lru_cache(maxsize=None)
 def fundamental_group(rd: RootDatum) -> FiniteAbelianGroup:
     """pi_1(G) = Lambda / (coroot lattice), by Smith normal form."""
     r = rd.rank
-    b_inv = _lattice_basis_inv(rd)
     cols = []
     for i in range(r):
-        coroot_f = tuple(Fraction(rd.cartan[i][j]) for j in range(r))
-        x = linalg.mat_vec(b_inv, coroot_f)
-        if any(c.denominator != 1 for c in x):
+        x = _coroot_coords(rd.lattice_inverse, rd.cartan, i)
+        if x is None:
             raise InvariantViolation("coroot lattice not inside Lambda")
-        cols.append(tuple(int(c) for c in x))
+        cols.append(x)
     rel = tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
     d, u, _ = linalg.smith_normal_form(rel)
     factors = tuple(d[i][i] for i in range(r))
@@ -405,7 +469,10 @@ def fundamental_group(rd: RootDatum) -> FiniteAbelianGroup:
 
 def parse_kappa(rd: RootDatum, entries) -> tuple[int, ...]:
     grp = fundamental_group(rd)
-    entries = list(int(x) for x in entries)
+    try:
+        entries = list(int(x) for x in entries)
+    except (TypeError, ValueError):
+        raise UsageError(f"kappa must be a list of integers, not {entries!r}") from None
     if len(entries) > rd.rank:
         raise UsageError("kappa has more entries than the rank")
     entries += [0] * (rd.rank - len(entries))
@@ -456,22 +523,30 @@ def format_coweight(v: Coweight) -> str:
     return ",".join(str(x) for x in v)
 
 
+def guard_grid_size(count: int, what: str) -> None:
+    """Refuse, before it starts, an enumeration of more than GRID_SIZE_CAP tuples."""
+    if count > GRID_SIZE_CAP:
+        raise SizeGuardError(
+            f"{what} would visit {count} tuples, over the cap of {GRID_SIZE_CAP}"
+        )
+
+
 def dominant_integral_sweep(rd: RootDatum, height_cap, interior=False):
     """Dominant integral coweights with coordinate-sum at most height_cap."""
     r = rd.rank
     out = []
     cap = int(height_cap)
+    guard_grid_size(max(cap + 1, 0) ** r, "the dominant sweep")
     for coords in product(range(cap + 1), repeat=r):
         if sum(coords) > cap:
             continue
-        v = coweight(coords)
-        pair = simple_pairings(rd, v)
+        pair = _pairings(rd, coords)
         if interior and not all(p > 0 for p in pair):
             continue
         if not all(p >= 0 for p in pair):
             continue
-        if not is_integral(rd, v):
+        if not is_integral(rd, coords):
             continue
-        out.append(v)
+        out.append(coords)
     out.sort()
-    return out
+    return [coweight(v) for v in out]

@@ -101,15 +101,17 @@ def polytope_intersection(rd: RootDatum, lam1, lam2) -> Coweight:
 def rational_grid(rd: RootDatum, height_cap, denominator: int):
     """Dominant rational coweights with bounded denominator and height."""
     steps = int(height_cap * denominator)
+    rootdata.guard_grid_size(max(steps + 1, 0) ** rd.rank, "the rational grid")
+    limit = height_cap * denominator
     out = []
+    # k / denominator is dominant exactly when k is, and sorts as k does
     for coords in product(range(steps + 1), repeat=rd.rank):
-        v = tuple(Fraction(k, denominator) for k in coords)
-        if sum(v) > height_cap:
+        if sum(coords) > limit:
             continue
-        if rootdata.is_dominant(rd, v):
-            out.append(v)
+        if rootdata.is_dominant(rd, coords):
+            out.append(coords)
     out.sort()
-    return out
+    return [tuple(Fraction(k, denominator) for k in coords) for coords in out]
 
 
 # ---------------------------------------------------------------------------

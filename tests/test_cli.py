@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,7 @@ class TestMalformedInput:
         assert code == 1
         assert text == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
     def test_missing_isogeny_file(self, capsys):
         self.check(["weyl", "--type", "A2", "--isogeny", "custom:/missing.json"], capsys)
@@ -111,12 +113,36 @@ class TestMalformedInput:
         path = write_class(tmp_path, nu_bar={"num": [1, 1], "den": 0})
         self.check(["dim", "--class", path, "--lambda", "1,1"], capsys)
 
+    @pytest.mark.parametrize("fields", [
+        {"residual": [{"root": [1, 1], "val": "1/0"}]},
+        {"residual": [{"root": [1, 1], "val": {"num": 1, "den": 0}}]},
+        {"kappa": ["a"]},
+        {"e": "x"},
+        {"w": ["a"]},
+        {"kappa": 5},
+        {"residual": 5},
+    ], ids=["residual-text-den-0", "residual-den-0", "kappa-text", "e-text", "w-text",
+            "kappa-int", "residual-int"])
+    def test_malformed_class_field(self, tmp_path, capsys, fields):
+        path = write_class(tmp_path, **fields)
+        self.check(["dim", "--class", path, "--lambda", "1,1"], capsys)
+
+    def test_class_json_holding_a_string(self, tmp_path, capsys):
+        path = tmp_path / "class.json"
+        path.write_text(json.dumps("not a class"))
+        self.check(["dim", "--class", str(path), "--lambda", "1,1"], capsys)
+
     def test_non_numeric_cvals(self, capsys):
         self.check(["strata", "steinberg", "--type", "A2", "--lambda", "1,1",
                     "--cvals", "abc,1"], capsys)
 
     def test_suite_checking_nothing_fails(self, capsys):
         self.check(["verify", "lower-bound", "--height", "-3"], capsys)
+
+    def test_oversized_grid_is_refused_before_it_starts(self, capsys):
+        start = time.perf_counter()
+        self.check(["verify", "stratification-disjoint", "--height", "100000"], capsys)
+        assert time.perf_counter() - start < 2
 
 
 class TestWeyl:

@@ -162,6 +162,10 @@ def oracle_char_valuation(rd, mu, i):
     return min(Fraction(rootdata.pair_root(rd, chi, rootdata.coweight(mu))) for chi in wsys)
 
 
+def mat_vec(m, v):
+    return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
+
+
 def dominant_lattice_weights(datum, cap):
     """Dominant lattice coweights whose simple-root pairings sum to at most
     cap; unlike `dominant_integral_sweep` this reaches every pi_1 class."""
@@ -172,7 +176,7 @@ def dominant_lattice_weights(datum, cap):
     out = []
     for c in product(range(cap + 1), repeat=r):
         if sum(c) <= cap:
-            v = linalg.mat_vec(pairings_inv, c)
+            v = mat_vec(pairings_inv, c)
             if rootdata.is_integral(datum, v):
                 out.append(v)
     return out

@@ -1,6 +1,7 @@
 """Root datum construction, lattice arithmetic, and dominance."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -246,3 +247,148 @@ class TestWeylDimension:
         datum = rd(label)
         for lam in rootdata.dominant_integral_sweep(datum, 3):
             assert rootdata.weyl_dimension(datum, lam) >= 1
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles for the integer kernel: each predicate computed directly,
+# with every pairing, lattice coordinate and comparison in Fractions.
+
+
+def oracle_simple_pairings(datum, v):
+    r = datum.rank
+    return tuple(sum(datum.cartan[j][i] * v[j] for j in range(r)) for i in range(r))
+
+
+def oracle_is_dominant(datum, v):
+    return all(p >= 0 for p in oracle_simple_pairings(datum, v))
+
+
+@lru_cache(maxsize=None)
+def oracle_lattice_basis_inverse(datum):
+    return linalg.inverse(linalg.frac_matrix(datum.lattice_basis))
+
+
+def oracle_lattice_coords(datum, v):
+    b_inv = oracle_lattice_basis_inverse(datum)
+    f = tuple(Fraction(p) for p in oracle_simple_pairings(datum, v))
+    return tuple(sum(row[j] * f[j] for j in range(len(f))) for row in b_inv)
+
+
+def oracle_is_integral(datum, v):
+    return all(x.denominator == 1 for x in oracle_lattice_coords(datum, v))
+
+
+def oracle_leq_q(nu, lam):
+    return all(a <= b for a, b in zip(nu, lam))
+
+
+def oracle_pair_root(datum, root, v):
+    return sum(a * p for a, p in zip(root, oracle_simple_pairings(datum, v)))
+
+
+def oracle_dominant_reduce(datum, v):
+    v = tuple(Fraction(x) for x in v)
+    word = []
+    while True:
+        pair = oracle_simple_pairings(datum, v)
+        i = next((k for k in range(datum.rank) if pair[k] < 0), None)
+        if i is None:
+            return v, tuple(word)
+        v = v[:i] + (v[i] - pair[i],) + v[i + 1:]
+        word.append(i)
+
+
+@lru_cache(maxsize=None)
+def oracle_fundamental_group(datum):
+    """(invariant factors, u) from the Fraction lattice coordinates of the
+    simple coroots, by Smith normal form."""
+    r = datum.rank
+    cols = [oracle_lattice_coords(datum, tuple(int(i == j) for j in range(r)))
+            for i in range(r)]
+    assert all(c.denominator == 1 for col in cols for c in col)
+    rel = tuple(tuple(int(cols[j][i]) for j in range(r)) for i in range(r))
+    d, u, _ = linalg.smith_normal_form(rel)
+    return tuple(d[i][i] for i in range(r)), u
+
+
+def oracle_project(datum, v):
+    """pi_1 class of v, or None when v is not in the lattice."""
+    factors, u = oracle_fundamental_group(datum)
+    x = oracle_lattice_coords(datum, v)
+    if any(c.denominator != 1 for c in x):
+        return None
+    raw = (sum(row[j] * int(x[j]) for j in range(len(x))) for row in u)
+    return tuple(c % d for c, d in zip(raw, factors))
+
+
+def coroot_plus_twice_coweight(label):
+    """Generators, in fundamental-coweight coordinates, of the lattice spanned
+    by the coroots and twice the fundamental coweights: sc, adjoint or strictly
+    between (A3, A5), in a basis read off a Smith normal form, so that the
+    lattice basis differs from the built-in ones."""
+    datum = rd(label)
+    r = datum.rank
+    gens = [list(row) for row in datum.cartan] + [
+        [2 * int(i == j) for j in range(r)] for i in range(r)
+    ]
+    d, _, v = linalg.smith_normal_form(gens)
+    v_inv = linalg.inverse(v)
+    return [[int(d[i][i] * x) for x in v_inv[i]] for i in range(r)]
+
+
+KERNEL_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "G2", "F4",
+                "A1xB2"]
+
+
+def rationals(size):
+    fraction = st.builds(Fraction, st.integers(-36, 36), st.integers(1, 12))
+    return st.lists(fraction, min_size=size, max_size=size).map(tuple)
+
+
+class TestIntegerKernelAgainstFractionOracles:
+    @pytest.mark.parametrize("isogeny", ["sc", "adjoint", "custom"])
+    @pytest.mark.parametrize("label", KERNEL_TYPES)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_predicates_match(self, label, isogeny, data):
+        datum = rd(label, coroot_plus_twice_coweight(label) if isogeny == "custom"
+                   else isogeny)
+        r = datum.rank
+        v = data.draw(rationals(r), label="v")
+        step = data.draw(rationals(r).map(lambda t: tuple(abs(x) for x in t)),
+                         label="step")
+        above = tuple(a + b for a, b in zip(v, step))
+        ints = data.draw(st.lists(st.integers(-12, 12), min_size=r, max_size=r).map(tuple),
+                         label="ints")
+        for x in (v, above, ints):
+            assert rootdata.is_dominant(datum, x) == oracle_is_dominant(datum, x)
+            assert rootdata.is_integral(datum, x) == oracle_is_integral(datum, x)
+            assert rootdata.lattice_coords(datum, x) == oracle_lattice_coords(datum, x)
+            assert rootdata.dominant_reduce(datum, x) == oracle_dominant_reduce(datum, x)
+            negated = tuple(-a for a in datum.positive_roots[-1])
+            for root in datum.positive_roots + (negated,):
+                assert rootdata.pair_root(datum, root, x) == oracle_pair_root(datum, root, x)
+            expected = oracle_project(datum, x)
+            grp = rootdata.fundamental_group(datum)
+            if expected is None:
+                with pytest.raises(UsageError):
+                    grp.project(x)
+            else:
+                assert grp.project(x) == expected
+        for a, b in [(v, above), (above, v), (v, ints), (ints, v), (v, v)]:
+            assert rootdata.leq_q(datum, a, b) == oracle_leq_q(a, b)
+        assert rootdata.leq_q(datum, v, above)
+
+    @pytest.mark.parametrize("isogeny", ["sc", "adjoint", "custom"])
+    @pytest.mark.parametrize("label", KERNEL_TYPES)
+    def test_fundamental_group_matches(self, label, isogeny):
+        datum = rd(label, coroot_plus_twice_coweight(label) if isogeny == "custom"
+                   else isogeny)
+        grp = rootdata.fundamental_group(datum)
+        assert (grp.invariant_factors, grp._u) == oracle_fundamental_group(datum)
+
+    def test_custom_lattice_lies_strictly_between(self):
+        # A3: pi_1 of the custom lattice is Z/2, between sc (trivial) and
+        # adjoint (Z/4); the lattice index over the coroots says so
+        datum = rd("A3", coroot_plus_twice_coweight("A3"))
+        assert rootdata.fundamental_group(datum).order == 2

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from kvcalc import kv, multiplicity, rootdata, strata
-from kvcalc.errors import UsageError
+from kvcalc.errors import SizeGuardError, UsageError
 
 
 def rd(label, isogeny="sc"):
@@ -161,3 +161,18 @@ class TestDisjointness:
             hits = [lam for lam in lams
                     if strata.polytope_member(datum, nu, lam, open_stratum=True)]
             assert len(hits) == 1, (nu, hits)
+
+
+class TestSizeGuards:
+    """Each grid enumeration predicts its tuple count and refuses, before
+    starting, one over `rootdata.GRID_SIZE_CAP`."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: rootdata.dominant_integral_sweep(rd("A2"), 10**4),
+        lambda: strata.rational_grid(rd("A2"), 10**3, 6),
+        lambda: kv.chen_zhu_approx(rd("A1", "adjoint"), [10**7]),
+    ], ids=["dominant-sweep", "rational-grid", "chen-zhu-grid"])
+    def test_oversized_grid_refused(self, build):
+        with pytest.raises(SizeGuardError):
+            build()
+
