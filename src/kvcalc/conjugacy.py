@@ -5,6 +5,11 @@ Galois-stable valuation coweight nu_bar, residual valuations r_alpha on the
 roots vanishing on nu_bar, and its fundamental-group class kappa.  All the
 numerical invariants (Newton point, discriminant valuation, split-rank defect c,
 Levi-relative r_N) are exact rationals computed from these data.
+
+Every invariant reads the pairings <alpha, nu_bar> of the roots.  A class
+scales nu_bar once and caches its simple pairings as integers
+(``ClassDatum.nu_pairings``); a root's pairing is then one integer dot
+product, and a Fraction is built only for a value that is returned.
 """
 
 from __future__ import annotations
@@ -12,7 +17,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
+from operator import mul
 
 from . import rootdata, weyl
 from .errors import InvariantViolation, UsageError
@@ -43,6 +50,19 @@ class ClassDatum:
             if r == key:
                 return v
         return Fraction(0)
+
+    @cached_property
+    def nu_pairings(self) -> tuple[int, tuple[int, ...]]:
+        """(D, p): nu_bar scaled by D, the lcm of its denominators, paired
+        with the simple roots, so that <alpha, nu_bar> = sum(alpha_j p_j) / D
+        for a root alpha in simple-root coordinates."""
+        d, n = rootdata._scale(self.nu_bar)
+        return d, rootdata.simple_pairings(self.rd, n)
+
+
+def _nu_pairing(cd: ClassDatum, root) -> int:
+    """D <alpha, nu_bar>, with D as in ``ClassDatum.nu_pairings``."""
+    return sum(map(mul, root, cd.nu_pairings[1]))
 
 
 def make_class(rd: RootDatum, w: weyl.WeylElement, nu_bar, residual=None, kappa=None,
@@ -85,7 +105,7 @@ def validate(cd: ClassDatum) -> list[str]:
         if root in seen:
             errors.append(f"residual-root: duplicate entry for {root}")
         seen.add(root)
-        if rootdata.pair_root(rd, root, cd.nu_bar) != 0:
+        if _nu_pairing(cd, root) != 0:
             errors.append(f"residual-domain: root {root} does not vanish on nu_bar")
         if val < 0:
             errors.append(f"residual-value: r_{root} = {val} is negative")
@@ -121,11 +141,8 @@ def disc_valuation(cd: ClassDatum, _checked=True):
     Written in a form invariant under Weyl images of nu_bar: the second term
     is the sum of |<alpha, nu_bar>| over positive roots.
     """
-    rd = cd.rd
-    total = 2 * sum(v for _, v in cd.residual)
-    for root in rd.positive_roots:
-        total -= abs(rootdata.pair_root(rd, root, cd.nu_bar))
-    total = Fraction(total)
+    newton = sum(abs(_nu_pairing(cd, root)) for root in cd.rd.positive_roots)
+    total = 2 * sum(v for _, v in cd.residual) - Fraction(newton, cd.nu_pairings[0])
     if _checked and total.denominator != 1:
         raise InvariantViolation(f"discriminant valuation {total} is not an integer")
     return total
@@ -142,9 +159,9 @@ def is_split(cd: ClassDatum) -> bool:
 
 def val_one_minus(cd: ClassDatum, root) -> Fraction:
     """val(1 - alpha(gamma)) for any root alpha."""
-    p = rootdata.pair_root(cd.rd, root, cd.nu_bar)
+    p = _nu_pairing(cd, root)
     if p != 0:
-        return min(Fraction(p), Fraction(0))
+        return Fraction(min(p, 0), cd.nu_pairings[0])
     return cd.residual_value(root)
 
 
@@ -192,7 +209,7 @@ def levi_disc_valuation(cd: ClassDatum, levi) -> Fraction:
 
 def _frac_from_json(obj) -> Fraction:
     if isinstance(obj, dict):
-        return Fraction(int(obj["num"]), int(obj.get("den", 1)))
+        return Fraction(rootdata._as_int(obj["num"]), rootdata._as_int(obj.get("den", 1)))
     return Fraction(obj)
 
 
@@ -219,14 +236,14 @@ def class_from_json(data) -> ClassDatum:
     except (KeyError, TypeError) as exc:
         raise UsageError(f"class JSON missing field: {exc}") from None
     try:
-        word = [int(i) - 1 for i in word]
+        word = [rootdata._as_int(i) - 1 for i in word]
     except (TypeError, ValueError):
         raise UsageError(f"malformed twist word {word!r}") from None
     rd = rootdata.build_root_datum(label, isogeny)
     try:
         if isinstance(nu, dict):
-            den = int(nu.get("den", 1))
-            nu_bar = tuple(Fraction(int(n), den) for n in nu["num"])
+            den = rootdata._as_int(nu.get("den", 1))
+            nu_bar = tuple(Fraction(rootdata._as_int(n), den) for n in nu["num"])
         else:
             nu_bar = rootdata.coweight(nu)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -241,13 +258,13 @@ def class_from_json(data) -> ClassDatum:
     residual = {}
     for item in items:
         try:
-            root = tuple(int(x) for x in item["root"])
+            root = tuple(rootdata._as_int(x) for x in item["root"])
             residual[root] = _frac_from_json(item["val"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"malformed residual entry {item!r}: {exc}") from None
     kappa = rootdata.parse_kappa(rd, data.get("kappa", []))
     try:
-        e = int(data["e"]) if "e" in data else None
+        e = rootdata._as_int(data["e"]) if "e" in data else None
     except (TypeError, ValueError):
         raise UsageError(f"malformed splitting degree {data['e']!r}") from None
     return make_class(rd, w, nu_bar, residual, kappa, e=e)

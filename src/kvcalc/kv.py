@@ -4,6 +4,12 @@ Everything here composes the other modules: nonemptiness from the fundamental-gr
 class and Newton point, dimension from the discriminant valuation and the
 split-rank defect, component predictions from weight multiplicities of the
 dual group, and the Coxeter-count bound for regular-locus orbits.
+
+The approximations mu* (minimal above the Newton point) and Chen-Zhu
+(maximal below it) compare scaled integers: the candidates are integer
+tuples over one denominator, and ``rootdata._extremes`` confirms the lowest
+(highest) one by height against every other in one pass, falling back to the
+pairwise filter only to list a tie.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
+from operator import le
 
 from . import conjugacy, multiplicity, rootdata, weyl
 from .conjugacy import ClassDatum
@@ -85,23 +92,36 @@ def best_integral_approx(rd: RootDatum, nu, lam) -> Coweight:
         raise UsageError("nu must be dominant")
     if not rootdata.leq_q(rd, nu, lam):
         raise UsageError("nu must be dominated by lambda")
-    candidates = [mu for mu in multiplicity.dominant_below(rd, lam)
-                  if rootdata.leq_q(rd, nu, mu)]
+    return _best_integral_approx(rd, nu, lam)
+
+
+def _best_integral_approx(rd: RootDatum, nu: Coweight, lam: Coweight) -> Coweight:
+    """``best_integral_approx`` for a dominant nu <= lam, lam dominant and in
+    the lattice, unchecked.
+
+    With the interval scaled by D, mu >= nu exactly when D mu >= ceil(D nu)
+    coordinatewise, since D mu is an integer tuple."""
+    d, interval = multiplicity._interval(rd, lam)
+    dn, n = rootdata._scale(nu)
+    low = tuple(-(-x * d // dn) for x in n)  # ceil(D nu)
+    candidates = [mu for mu in interval if all(map(le, low, mu))]
     if not candidates:
         raise InvariantViolation(f"lambda {lam} is not a candidate above {nu}")
-    minimal = [mu for mu in candidates
-               if not any(m != mu and rootdata.leq_q(rd, m, mu) for m in candidates)]
+    minimal = rootdata._extremes(candidates)
     if len(minimal) != 1:
+        minimal = sorted(interval[mu] for mu in minimal)
         raise UniquenessError(
             f"minimal dominant approximations of {nu} below {lam} are not unique: {minimal}"
         )
-    return minimal[0]
+    return interval[minimal[0]]
 
 
 def chen_zhu_approx(rd: RootDatum, nu):
     """Maximal dominant lattice coweights dominated by nu (report-only).
 
-    Returns a sorted tuple; empty when no lattice point sits under nu.
+    Returns a sorted tuple; empty when no lattice point sits under nu.  The
+    grid k / q has k_i <= floor(q nu_i), so each of its points lies below nu;
+    dominance and lattice membership are tested on k itself.
     """
     nu = rootdata.coweight(nu)
     if not rootdata.is_dominant(rd, nu):
@@ -109,16 +129,10 @@ def chen_zhu_approx(rd: RootDatum, nu):
     q = max(rootdata.fundamental_group(rd).invariant_factors, default=1)
     sizes = [int(x * q) + 1 for x in nu]
     rootdata.guard_grid_size(prod(sizes), "the Chen-Zhu grid")
-    grids = [[Fraction(k, q) for k in range(n)] for n in sizes]
-    candidates = []
-    for coords in product(*grids):
-        v = rootdata.coweight(coords)
-        if (rootdata.leq_q(rd, v, nu) and rootdata.is_dominant(rd, v)
-                and rootdata.is_integral(rd, v)):
-            candidates.append(v)
-    maximal = [v for v in candidates
-               if not any(m != v and rootdata.leq_q(rd, v, m) for m in candidates)]
-    return tuple(sorted(maximal))
+    candidates = [k for k in product(*map(range, sizes))
+                  if rootdata.is_dominant(rd, k) and rootdata._is_integral_ints(rd, q, k)]
+    maximal = rootdata._extremes(candidates, highest=True)
+    return tuple(sorted(tuple(Fraction(x, q) for x in k) for k in maximal))
 
 
 def predicted_components(cd: ClassDatum, lam) -> int:

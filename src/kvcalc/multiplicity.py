@@ -14,12 +14,20 @@ dominance interval ``dominant_below``), reading the multiplicity of each
 mu + k alpha at its dominant representative.  Kostant's alternating sum over
 the Weyl group of the literal dual datum (with a brute-force partition
 function) is an independent oracle kept for tests.
+
+Freudenthal's recursion and the interval walk run on integers: lam and the
+weights below it are scaled once by D, the lcm of lam's denominators, and
+walked, reduced to dominant and summed in the Gram form as integers.
+``_interval`` caches the scaled interval per (rd, lam) beside the Fraction
+coweights it stands for, which are built once and are the keys every caller
+sees.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, le, mul
 from types import MappingProxyType
 
 from . import rootdata, weyl
@@ -46,10 +54,6 @@ def _gram(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sum(p[i] * p[j] for p in rows) for j in range(r)) for i in range(r))
 
 
-def _form(g, x, y):
-    return sum(g[i][j] * x[i] * y[j] for i in range(len(x)) for j in range(len(y)))
-
-
 @lru_cache(maxsize=None)
 def weight_system(rd: RootDatum, lam: Coweight) -> MappingProxyType:
     """The dominant weights of the dual-group irreducible V(lam), with their
@@ -62,38 +66,57 @@ def weight_system(rd: RootDatum, lam: Coweight) -> MappingProxyType:
     dominance, so it is higher than mu and already computed; and the weights on
     an alpha-string form an unbroken string, so the first k whose
     representative is not a weight ends the string.
+
+    Everything is scaled by D (see ``_interval``): with x = X / D the Casimir
+    value (x, x) + (x, 2 rho) is C(X) / D^2, C(X) = (X, X) + D (X, 2 rho), and
+    Freudenthal's m = 2 sum m(y) (y, alpha) / (C(lam) - C(mu)) becomes
+    2 D sum m(Y) (Y, alpha) / (C(D lam) - C(D mu)), all in integers.
     """
     lam = _check_weight(rd, lam)
+    d, interval = _interval(rd, lam)
     g = _gram(rd)
-    rho = rd.rho_check
+
+    def gram_times(x):
+        return tuple(sum(map(mul, row, x)) for row in g)
+
+    two_rho = tuple(int(2 * x) for x in rd.rho_check)
+    g_two_rho = gram_times(two_rho)
 
     def casimir(x):
-        return _form(g, x, x) + 2 * _form(g, x, rho)
+        return sum(map(mul, x, gram_times(x))) + d * sum(map(mul, x, g_two_rho))
 
-    top = casimir(lam)
-    mult = {}
-    for mu in sorted(dominant_below(rd, lam), key=lambda v: (-sum(v), v)):
-        if mu == lam:
-            mult[mu] = 1
-            continue
+    # per positive root alpha of the dual: D alpha, g alpha and D (alpha, alpha)
+    strings = []
+    for alpha in rd.positive_coroots:
+        g_alpha = gram_times(alpha)
+        strings.append((tuple(d * a for a in alpha), g_alpha, d * sum(map(mul, alpha, g_alpha))))
+
+    highest, *rest = interval
+    top = casimir(highest)
+    mult = {highest: 1}
+    for mu in rest:
         total = 0
-        for alpha in rd.positive_coroots:
-            k = 1
+        for step, g_alpha, growth in strings:
+            y = mu
+            form = sum(map(mul, mu, g_alpha))  # (Y, alpha), Y = mu + k D alpha
             while True:
-                y = tuple(x + k * a for x, a in zip(mu, alpha))
-                m_y = mult.get(rootdata.dominant_reduce(rd, y)[0])
+                y = tuple(map(add, y, step))
+                form += growth
+                m_y = mult.get(rootdata._reduce_ints(rd, y)[0])
                 if m_y is None:
                     break
-                total += m_y * _form(g, y, alpha)
-                k += 1
+                total += m_y * form
         denom = top - casimir(mu)
         if denom <= 0:
-            raise InvariantViolation(f"Freudenthal denominator {denom} at {mu} below {lam}")
-        m = 2 * Fraction(total) / denom
-        if m.denominator != 1 or m <= 0:
-            raise InvariantViolation(f"Freudenthal multiplicity {m} at {mu} below {lam}")
-        mult[mu] = int(m)
-    return MappingProxyType(mult)
+            raise InvariantViolation(
+                f"Freudenthal denominator {Fraction(denom, d * d)} at {interval[mu]} below {lam}")
+        m, rest = divmod(2 * d * total, denom)
+        if rest or m <= 0:
+            raise InvariantViolation(
+                f"Freudenthal multiplicity {Fraction(2 * d * total, denom)} at {interval[mu]} "
+                f"below {lam}")
+        mult[mu] = m
+    return MappingProxyType({interval[mu]: m for mu, m in mult.items()})
 
 
 def multiplicity_freudenthal(rd: RootDatum, lam, mu) -> int:
@@ -160,28 +183,51 @@ def multiplicity_kostant(rd: RootDatum, lam, mu) -> int:
 @lru_cache(maxsize=None)
 def dominant_below(rd: RootDatum, lam) -> tuple[Coweight, ...]:
     """Dominant lattice coweights mu with lam - mu a nonnegative integer
-    combination of simple coroots (this forces matching pi_1 classes)."""
+    combination of simple coroots (this forces matching pi_1 classes).
+
+    The walk steps down by simple coroots from lam scaled by D, the lcm of its
+    denominators, keeping a step whose dominant representative stays below
+    lam; every coordinate stays a nonnegative integer.
+    """
     lam = _check_weight(rd, lam)
+    d, top = rootdata._scale(lam)
     out = []
-    visited = {lam}
-    stack = [lam]
+    visited = {top}
+    stack = [top]
     while stack:
         v = stack.pop()
         if rootdata.is_dominant(rd, v):
             out.append(v)
         for i in range(rd.rank):
-            w = tuple(x - int(i == j) for j, x in enumerate(v))
-            if w in visited or any(x < 0 for x in w):
+            if v[i] < d:
                 continue
-            dom, _ = rootdata.dominant_reduce(rd, w)
-            if rootdata.leq_q(rd, dom, lam):
+            w = v[:i] + (v[i] - d,) + v[i + 1:]
+            if w in visited:
+                continue
+            if all(map(le, rootdata._reduce_ints(rd, w)[0], top)):
                 visited.add(w)
                 stack.append(w)
+    out.sort()
+    out = tuple(tuple(Fraction(x, d) for x in v) for v in out)
     # every lattice point below lam stays in the lattice (coroot steps)
     if not all(rootdata.is_integral(rd, v) for v in out):
         raise InvariantViolation(f"a coweight below {lam} left the isogeny lattice")
-    out.sort()
-    return tuple(out)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _interval(rd: RootDatum, lam) -> tuple[int, dict[tuple[int, ...], Coweight]]:
+    """(D, {D mu: mu}) over mu in ``dominant_below(rd, lam)`` by decreasing
+    height, lam first; D is the lcm of lam's denominators, so every D mu is an
+    integer tuple.  It reads ``dominant_below``, so that every interval is
+    walked in that one function, once, and passes through its cache and its
+    per-layer work count whichever caller asks first; the Fraction coweights
+    are the public ones, not copies."""
+    coweights = dominant_below(rd, lam)
+    d, _ = rootdata._scale(rootdata.coweight(lam))
+    scaled = [(tuple(x.numerator * (d // x.denominator) for x in mu), mu) for mu in coweights]
+    scaled.sort(key=lambda item: (-sum(item[0]), item[0]))
+    return d, dict(scaled)
 
 
 def weyl_orbit(rd: RootDatum, v) -> set[Coweight]:

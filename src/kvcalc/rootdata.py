@@ -16,17 +16,20 @@ lattice membership, rational dominance ``leq_q``, root pairings and
 integer data cached per datum (the Cartan columns, and the inverse of
 ``lattice_basis`` as an integer matrix ``adj`` over a scale ``det``).
 Fractions are built only at the boundary, for the values a function returns.
+The layers above share two private kernels on such scaled integers:
+``_reduce_ints`` (the reflection loop of ``dominant_reduce``) and
+``_extremes`` (the minimal or maximal elements of a set of scaled coweights).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from math import lcm
-from operator import mul
+from operator import ge, le, mul
 
 from . import linalg
 from .errors import InvariantViolation, SizeGuardError, UsageError
@@ -214,6 +217,15 @@ class RootDatum:
         return tuple(zip(*self.cartan))
 
     @cached_property
+    def _hash(self) -> int:
+        return hash(tuple(getattr(self, f.name) for f in fields(self)))
+
+    def __hash__(self) -> int:
+        # Every lru_cache keyed on a datum hashes it on each lookup; the
+        # generated hash would rehash all fields, Fractions included, each time.
+        return self._hash
+
+    @cached_property
     def lattice_inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(adj, det): the inverse of lattice_basis is adj / det, with adj
         integral and det > 0 the lcm of the inverse's denominators."""
@@ -348,31 +360,63 @@ def reflect(rd: RootDatum, i: int, v: Coweight) -> Coweight:
     return v[:i] + (v[i] - p,) + v[i + 1:]
 
 
+def _reduce_ints(rd: RootDatum, n: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(m, word): m the dominant element of the W-orbit of the integer tuple
+    n (a coweight scaled by any D > 0), word the simple reflections reaching
+    it in application order.
+
+    The loop reflects at the first negative pairing p_i and updates the
+    pairings from one Cartan row: s_i moves <alpha_k, .> by
+    -p_i <alpha_k, alpha_i^vee>.  A dominant n comes back as it is.
+    """
+    pair = _pairings(rd, n)
+    if min(pair) >= 0:
+        return n, ()
+    n = list(n)
+    word = []
+    while True:
+        for i, p in enumerate(pair):
+            if p < 0:
+                break
+        else:
+            return tuple(n), tuple(word)
+        n[i] -= p
+        pair = [q - p * c for q, c in zip(pair, rd.cartan[i])]
+        word.append(i)
+
+
 def dominant_reduce(rd: RootDatum, v: Coweight):
     """Dominant representative of the W-orbit of v plus the word reaching it.
 
     The word lists simple reflections in application order: folding them over
-    v from the left reproduces the returned dominant coweight.  The loop
-    reflects the scaled integers n at the first negative pairing p_i and
-    updates the pairings from one Cartan row: s_i moves <alpha_k, .> by
-    -p_i <alpha_k, alpha_i^vee>.
+    v from the left reproduces the returned dominant coweight.
     """
     v = coweight(v)
     d, n = _scale(v)
-    n = list(n)
-    pair = list(_pairings(rd, n))
-    word = []
-    while True:
-        i = next((k for k, p in enumerate(pair) if p < 0), None)
-        if i is None:
-            break
-        p = pair[i]
-        n[i] -= p
-        pair = [q - p * c for q, c in zip(pair, rd.cartan[i])]
-        word.append(i)
+    m, word = _reduce_ints(rd, n)
     if not word:
         return v, ()
-    return tuple(Fraction(x, d) for x in n), tuple(word)
+    return tuple(Fraction(x, d) for x in m), word
+
+
+def _extremes(points: list, highest: bool = False) -> list:
+    """The minimal (highest: maximal) elements of a list of distinct integer
+    tuples under the componentwise order, which is dominance for coroot
+    coordinates scaled to one denominator.
+
+    A point strictly below another has a smaller coordinate sum, so only a
+    point of least height can be a least element.  One pass checks whether
+    the lowest point lies below every other; only when it does not, and the
+    minimal elements are therefore not unique, does the pairwise filter run,
+    returning them in list order.
+    """
+    if not points:
+        return []
+    below = ge if highest else le
+    best = (max if highest else min)(points, key=sum)
+    if all(all(map(below, best, p)) for p in points):
+        return [best]
+    return [p for p in points if not any(q != p and all(map(below, q, p)) for q in points)]
 
 
 def leq_q(rd: RootDatum, nu: Coweight, lam: Coweight) -> bool:
@@ -389,14 +433,19 @@ def _integer_inverse(m) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(int(x * det) for x in row) for row in inv), det
 
 
-def _lattice_numerators(rd: RootDatum, v) -> tuple[tuple[int, ...], int]:
-    """(x, s) with x / s the coordinates of v in the lattice basis: the
-    fundamental-coweight coordinates of v are the pairings F / D, so the
-    coordinates are adj F / (det D)."""
+def _lattice_numerators(rd: RootDatum, d: int, n) -> tuple[tuple[int, ...], int]:
+    """(x, s) with x / s the coordinates of the coweight n / d in the lattice
+    basis: its fundamental-coweight coordinates are the pairings F / d, so
+    the coordinates are adj F / (det d)."""
     adj, det = rd.lattice_inverse
-    d, n = _scale(v)
     f = _pairings(rd, n)
     return tuple(sum(map(mul, row, f)) for row in adj), det * d
+
+
+def _is_integral_ints(rd: RootDatum, d: int, n) -> bool:
+    """Membership of the coweight n / d in the lattice Lambda."""
+    x, s = _lattice_numerators(rd, d, n)
+    return all(c % s == 0 for c in x)
 
 
 def _coroot_coords(inverse, cartan, i) -> tuple[int, ...] | None:
@@ -410,14 +459,13 @@ def _coroot_coords(inverse, cartan, i) -> tuple[int, ...] | None:
 
 def lattice_coords(rd: RootDatum, v: Coweight):
     """Coordinates of v in the isogeny-lattice basis (rational in general)."""
-    x, s = _lattice_numerators(rd, v)
+    x, s = _lattice_numerators(rd, *_scale(v))
     return tuple(Fraction(c, s) for c in x)
 
 
 def is_integral(rd: RootDatum, v: Coweight) -> bool:
     """Membership of v in the chosen coweight lattice Lambda."""
-    x, s = _lattice_numerators(rd, v)
-    return all(c % s == 0 for c in x)
+    return _is_integral_ints(rd, *_scale(v))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +492,7 @@ class FiniteAbelianGroup:
         return tuple(x % d for x, d in zip(raw, self.invariant_factors))
 
     def project(self, v: Coweight) -> tuple[int, ...]:
-        x, s = _lattice_numerators(self.rd, v)
+        x, s = _lattice_numerators(self.rd, *_scale(v))
         if any(c % s for c in x):
             raise UsageError("coweight is not in the isogeny lattice")
         x = tuple(c // s for c in x)
@@ -467,10 +515,22 @@ def fundamental_group(rd: RootDatum) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(invariant_factors=factors, _u=u, rd=rd)
 
 
+def _as_int(x) -> int:
+    """x read as an integer: an int or an integer string.  A number that is
+    not an integer raises ValueError, where int() would truncate it."""
+    try:
+        out = int(x)
+    except OverflowError:  # int() of an infinite float
+        raise ValueError(f"{x!r} is not an integer") from None
+    if not isinstance(x, str) and out != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return out
+
+
 def parse_kappa(rd: RootDatum, entries) -> tuple[int, ...]:
     grp = fundamental_group(rd)
     try:
-        entries = list(int(x) for x in entries)
+        entries = list(_as_int(x) for x in entries)
     except (TypeError, ValueError):
         raise UsageError(f"kappa must be a list of integers, not {entries!r}") from None
     if len(entries) > rd.rank:

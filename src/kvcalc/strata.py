@@ -5,6 +5,11 @@ open stratum removes every smaller polytope in the same lattice class.  The
 Steinberg-base strata classify valuation vectors of the characteristic
 coordinates (a_i, b_i); the classifying coweight is recovered as a unique
 minimal element, never by tie-breaking.
+
+Both minimal elements (the open-stratum test through ``kv``, and the
+Steinberg stratum here) are found among the dominance interval scaled to
+integers: ``rootdata._extremes`` confirms the lowest candidate by height in
+one pass and runs the pairwise filter only when that fails, to list the tie.
 """
 
 from __future__ import annotations
@@ -69,7 +74,8 @@ def polytope_member(rd: RootDatum, nu, lam, open_stratum: bool = False) -> bool:
         return False
     if not open_stratum:
         return True
-    return kv.best_integral_approx(rd, nu, lam) == lam
+    # lambda, nu and nu <= lambda are checked above
+    return kv._best_integral_approx(rd, nu, lam) == lam
 
 
 def polytope_intersection(rd: RootDatum, lam1, lam2) -> Coweight:
@@ -142,27 +148,23 @@ def steinberg_stratum(rd: RootDatum, v: ValuationVector, lam) -> Coweight:
         raise UsageError("need one c-valuation per fundamental coordinate")
     if v.b_vals and tuple(v.b_vals) != tuple(lam[rd.iota[i]] for i in range(rd.rank)):
         raise UsageError("b-valuations are inconsistent with lambda")
-    candidates = []
-    for mu in multiplicity.dominant_below(rd, lam):
-        ok = True
-        for i in range(rd.rank):
-            a_i = v.c_vals[rd.iota[i]]
-            if is_infinite(a_i):
-                continue
-            if Fraction(a_i) < lam[i] - mu[i]:
-                ok = False
-                break
-        if ok:
-            candidates.append(mu)
+    # mu_i >= lam_i - a_i, in the interval scaled by D: D mu_i >= D lam_i - floor(D a_i)
+    d, interval = multiplicity._interval(rd, lam)
+    top = next(iter(interval))
+    bounds = []
+    for i in range(rd.rank):
+        a_i = v.c_vals[rd.iota[i]]
+        if not is_infinite(a_i):
+            a_i = Fraction(a_i)
+            bounds.append((i, top[i] - a_i.numerator * d // a_i.denominator))
+    candidates = [mu for mu in interval if all(mu[i] >= low for i, low in bounds)]
     if not candidates:
         raise UsageError("valuation vector matches no stratum below lambda")
-    minimal = [mu for mu in candidates
-               if not any(m != mu and rootdata.leq_q(rd, m, mu) for m in candidates)]
+    minimal = rootdata._extremes(candidates)
     if len(minimal) != 1:
-        raise UniquenessError(
-            f"Steinberg stratum below {lam} is not unique: {minimal}"
-        )
-    return minimal[0]
+        minimal = sorted(interval[mu] for mu in minimal)
+        raise UniquenessError(f"Steinberg stratum below {lam} is not unique: {minimal}")
+    return interval[minimal[0]]
 
 
 def valuation_vector_for(rd: RootDatum, lam, mu) -> ValuationVector:

@@ -127,6 +127,29 @@ class TestMalformedInput:
         path = write_class(tmp_path, **fields)
         self.check(["dim", "--class", path, "--lambda", "1,1"], capsys)
 
+    # int() would truncate these; each must be refused, not read as an integer
+    @pytest.mark.parametrize("fields", [
+        {"w": [1.5]},
+        {"e": 1.5},
+        {"kappa": [0.7, 0]},
+        {"residual": [{"root": [1.9, 0], "val": "1"}]},
+        {"nu_bar": {"num": [1.5, 0], "den": 1}},
+        {"nu_bar": {"num": [1, 1], "den": 1.5}},
+        {"residual": [{"root": [1, 1], "val": {"num": 1.5, "den": 1}}]},
+        {"w": [float("inf")]},
+    ], ids=["w-float", "e-float", "kappa-float", "residual-root-float", "nu-num-float",
+            "nu-den-float", "residual-num-float", "w-infinite"])
+    def test_non_integral_number_in_integer_field(self, tmp_path, capsys, fields):
+        path = write_class(tmp_path, **fields)
+        self.check(["dim", "--class", path, "--lambda", "1,1"], capsys)
+
+    def test_integer_strings_still_parse(self, tmp_path):
+        path = write_class(tmp_path, w=["1"], e="2", kappa=["0", "0"],
+                           nu_bar={"num": ["0", "0"], "den": "1"},
+                           residual=[{"root": ["1", "0"], "val": "1/2"}])
+        code, text = run(["dim", "--class", path, "--lambda", "1,1"])
+        assert code == 0 and "dimension 2\n" in text
+
     def test_class_json_holding_a_string(self, tmp_path, capsys):
         path = tmp_path / "class.json"
         path.write_text(json.dumps("not a class"))

@@ -138,6 +138,72 @@ class TestDiscValuation:
             assert slack >= 0
 
 
+# ---------------------------------------------------------------------------
+# the pair_root-based invariants that the cached nu_bar pairings replaced
+
+
+def oracle_disc_valuation(cd):
+    total = 2 * sum(v for _, v in cd.residual)
+    for root in cd.rd.positive_roots:
+        total -= abs(rootdata.pair_root(cd.rd, root, cd.nu_bar))
+    return Fraction(total)
+
+
+def oracle_val_one_minus(cd, root):
+    p = rootdata.pair_root(cd.rd, root, cd.nu_bar)
+    if p != 0:
+        return min(Fraction(p), Fraction(0))
+    return cd.residual_value(root)
+
+
+def pairing_classes():
+    """Split classes with rational nu_bar, built without validation (a split
+    class needs e = 1, so validation would refuse the fractions), and valid
+    classes twisted by a Coxeter element of one factor, fixing a rational
+    nu_bar on the other."""
+    rng = random.Random(3)
+    out = []
+    for label in ["A2", "B2", "G2", "A3", "A1xB2"]:
+        datum = rd(label)
+        for _ in range(6):
+            nu_bar = tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+                           for _ in range(datum.rank))
+            residual = tuple((root, Fraction(rng.randint(0, 6), rng.randint(1, 3)))
+                             for root in datum.positive_roots[:2])
+            out.append(conjugacy.ClassDatum(
+                rd=datum, w=weyl.identity_element(datum), e=1, nu_bar=nu_bar,
+                residual=residual, kappa=rootdata.fundamental_group(datum).zero()))
+    # Coxeter element of the second factor; nu_bar = (k/2, 0, ...) on the first
+    for label, word, order in [("A1xB2", [1, 2], 4), ("A1xA1", [1], 2)]:
+        datum = rd(label)
+        cox = weyl.word_to_element(datum, word)
+        residual = {root: Fraction(1, order) for root in datum.positive_roots if root[0] == 0}
+        for k in range(-3, 4):
+            nu_bar = (Fraction(k, 2),) + (0,) * (datum.rank - 1)
+            out.append(conjugacy.make_class(datum, cox, nu_bar, residual))
+    return out
+
+
+class TestCachedPairings:
+    def test_root_pairings_match_pair_root(self):
+        for cd in pairing_classes():
+            d, p = cd.nu_pairings
+            for root in cd.rd.positive_roots:
+                got = Fraction(sum(a * b for a, b in zip(root, p)), d)
+                assert got == rootdata.pair_root(cd.rd, root, cd.nu_bar), (cd, root)
+
+    def test_invariants_match_pair_root_oracles(self):
+        classes = pairing_classes()
+        assert any(not conjugacy.is_split(cd) and any(cd.nu_bar) for cd in classes)
+        for cd in classes:
+            assert conjugacy.disc_valuation(cd, _checked=False) == oracle_disc_valuation(cd)
+            for root in cd.rd.positive_roots:
+                for r in (root, tuple(-x for x in root)):
+                    assert conjugacy.val_one_minus(cd, r) == oracle_val_one_minus(cd, r)
+            assert conjugacy.r_invariant(cd) == sum(
+                (oracle_val_one_minus(cd, root) for root in cd.rd.positive_roots), Fraction(0))
+
+
 class TestCInvariant:
     def test_split_is_zero(self):
         assert conjugacy.c_invariant(conjugacy.split_class(rd("A2"), [1, 1])) == 0

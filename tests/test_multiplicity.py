@@ -187,6 +187,58 @@ ORACLE_TYPES = [("A1", 6), ("A2", 4), ("A3", 3), ("A4", 2), ("B2", 3), ("B3", 2)
                 ("B4", 1), ("C3", 2), ("D4", 1), ("G2", 2), ("A1xB2", 3)]
 
 
+def oracle_dominant_below(datum, lam):
+    """The Fraction walk that `dominant_below` replaced: unit coroot steps
+    down from lam, kept while the dominant representative stays below lam."""
+    lam = rootdata.coweight(lam)
+    out = []
+    visited = {lam}
+    stack = [lam]
+    while stack:
+        v = stack.pop()
+        if rootdata.is_dominant(datum, v):
+            out.append(v)
+        for i in range(datum.rank):
+            w = tuple(x - int(i == j) for j, x in enumerate(v))
+            if w in visited or any(x < 0 for x in w):
+                continue
+            dom, _ = rootdata.dominant_reduce(datum, w)
+            if rootdata.leq_q(datum, dom, lam):
+                visited.add(w)
+                stack.append(w)
+    out.sort()
+    return tuple(out)
+
+
+# A3 with pi_1 = Z/2: fundamental coweights x with x1 + x3 even
+A3_CUSTOM = [[1, 0, 1], [0, 1, 0], [0, 0, 2]]
+
+
+class TestIntegerInterval:
+    @pytest.mark.parametrize("label,cap,isogeny",
+                             [(label, cap, iso) for label, cap in ORACLE_TYPES
+                              for iso in ("sc", "adjoint")] + [("A3", 3, A3_CUSTOM)])
+    def test_matches_fraction_walk(self, label, cap, isogeny):
+        datum = rd(label, isogeny)
+        lams = dominant_lattice_weights(datum, cap)
+        # a nontrivial pi_1 puts lambdas off the coroot lattice: fractional coordinates
+        fractional = any(x.denominator != 1 for lam in lams for x in lam)
+        assert fractional == (rootdata.fundamental_group(datum).order > 1)
+        for lam in lams:
+            view = multiplicity.dominant_below(datum, lam)
+            assert view == oracle_dominant_below(datum, lam), lam
+            d, interval = multiplicity._interval(datum, lam)
+            assert d == lcm(*(x.denominator for x in lam))
+            # the same coweight objects as the public tuple, not copies
+            assert all(a is b for a, b in zip(sorted(interval.values()), view))
+            assert len(interval) == len(view)
+            for key, mu in interval.items():
+                assert key == tuple(int(x * d) for x in mu)
+            heights = [sum(key) for key in interval]
+            assert heights == sorted(heights, reverse=True)
+            assert interval[next(iter(interval))] == lam
+
+
 class TestFullWeightOracle:
     @pytest.mark.parametrize("isogeny", ["sc", "adjoint"])
     @pytest.mark.parametrize("label,cap", ORACLE_TYPES)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvcalc import linalg, rootdata
+from kvcalc import linalg, multiplicity, rootdata
 from kvcalc.errors import UsageError
 
 
@@ -98,6 +98,20 @@ class TestConstruction:
                     [1 if j == i else 0 for j in range(datum.rank)]
                 )
                 assert rootdata.is_integral(datum, coroot)
+
+
+class TestHash:
+    def test_separate_builds_are_one_cache_key(self):
+        a, b = rd("A2"), rd("A2")
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a != rd("A2", "adjoint")
+        lam = rootdata.coweight((7, 5))
+        first = multiplicity.weight_system(a, lam)
+        info = multiplicity.weight_system.cache_info()
+        assert multiplicity.weight_system(b, lam) is first
+        again = multiplicity.weight_system.cache_info()
+        assert (again.hits, again.misses) == (info.hits + 1, info.misses)
 
 
 class TestDominance:
