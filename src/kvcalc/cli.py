@@ -423,11 +423,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=20240817)
     p.add_argument("--count", type=int, default=20)
     p.set_defaults(func=cmd_verify)
-
-    for p in sub.choices.values():
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted and ignored: every calculator runs in one process "
-                            "and output order is fixed")
     return parser
 
 

@@ -161,16 +161,15 @@ def multiplicity_kostant(rd: RootDatum, lam, mu) -> int:
     """Kostant's formula: sum over W of (-1)^l(w) P(w(lam+rho)-(mu+rho))."""
     lam = _check_weight(rd, lam)
     mu = _check_weight(rd, mu)
-    dual = rd.dual()
-    lam_rho = rootdata.add(lam, rd.rho_check)
-    mu_rho = rootdata.add(mu, rd.rho_check)
+    # lam + rho and mu + rho over one denominator D, so W acts on integers
+    d, n = rootdata._scale(rootdata.add(lam, rd.rho_check) + rootdata.add(mu, rd.rho_check))
+    lam_rho, mu_rho = n[:rd.rank], n[rd.rank:]
     total = 0
-    for w in weyl.enumerate_group(dual):
-        img = w.apply_root(lam_rho)
-        diff = rootdata.sub(tuple(Fraction(x) for x in img), mu_rho)
-        if any(x.denominator != 1 or x < 0 for x in diff):
+    for w in weyl.enumerate_group(rd.dual()):
+        diff = rootdata.sub(w.apply_root(lam_rho), mu_rho)
+        if any(x % d or x < 0 for x in diff):
             continue
-        total += (-1) ** w.length * kostant_partition(rd, tuple(int(x) for x in diff))
+        total += (-1) ** w.length * kostant_partition(rd, tuple(x // d for x in diff))
     if total < 0:
         raise InvariantViolation(f"Kostant sum {total} is negative")
     return total

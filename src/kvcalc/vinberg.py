@@ -85,14 +85,6 @@ def nilcone_report(rd: RootDatum, strata) -> NilconeSummary:
     return NilconeSummary(dim=max_dim, top_count=len(top), strata_count=len(strata))
 
 
-def fiber_strata(rd: RootDatum, j) -> tuple[weyl.WeylElement, ...]:
-    """Double-coset index set of the J-fiber before the support condition:
-    all w minimal in W_{J^c} \\ W / W_{J^c}.  For J = Delta this is all of W."""
-    j = frozenset(int(i) for i in j)
-    jc = frozenset(range(rd.rank)) - j
-    return weyl.min_double_coset_reps(rd, jc, jc)
-
-
 def arc_strata_index(rd: RootDatum, lam) -> tuple[Coweight, ...]:
     """Index set of the arc-space Cartan strata: dominant mu <= lam."""
     lam = rootdata.coweight(lam)

@@ -7,12 +7,25 @@ lexicographically first reduced word.
 
 The group is built once per datum as a breadth-first orbit table of
 2 rho_check (`enumerate_group`); s_i rewrites one coordinate
-(`rootdata.reflect`).  Descents are read off the same image:
-<alpha_i, w(2 rho_check)> < 0 exactly when s_i w is shorter than w (a left
-descent), and the right descents of w are the left descents of w^-1.  The
-minimal representatives of W_J1 \\ W / W_J2 are the elements with no left
-descent in J1 and no right descent in J2 (Bjorner-Brenti, Combinatorics of
-Coxeter Groups, section 2.4).
+(`rootdata.reflect`).  One key -> index map per datum (`_index`) finds an
+element in that table, for `word_to_element` and for the descent masks.
+
+The descents of every element are two integer bitmasks, built once per
+datum on first use (`_descent_masks`).  Bit i of the left mask is set when
+s_i w, looked up in the map, is shorter than w; these lookups are the
+left-multiplication rows of the table.  The right mask of w is the left mask
+of w^-1, found by walking the reversed word of w through those rows from the
+identity, with integer lookups only.  The minimal representatives of
+W_J1 \\ W / W_J2 are the elements with no left descent in J1 and no right
+descent in J2 (Bjorner-Brenti, Combinatorics of Coxeter Groups, section
+2.4): a two-mask test.  `enumerate_group`, `identity_element` and
+`coxeter_elements` build neither map nor masks.
+
+`vinberg.nilcone_strata` asks for the representatives one J at a time.  An
+enumeration driven by the masks (D_L and D_R inside J, J inside the support)
+would visit only the strata, but perfbench's `nilcone` workload counts the
+calls of `min_double_coset_reps`, so the per-J loop stays until that
+workload is re-recorded.
 """
 
 from __future__ import annotations
@@ -29,6 +42,7 @@ from .rootdata import WEYL_ORDER_CAP, Coweight, RootDatum
 Matrix = tuple[tuple[int, ...], ...]
 
 
+@lru_cache(maxsize=None)
 def _two_rho_check(rd: RootDatum) -> tuple[int, ...]:
     return tuple(int(2 * x) for x in rd.rho_check)
 
@@ -38,17 +52,6 @@ def _apply_word(rd: RootDatum, word, v):
     for i in word:
         v = rootdata.reflect(rd, i, v)
     return v
-
-
-def _descents(rd: RootDatum, key) -> frozenset[int]:
-    return frozenset(i for i, p in enumerate(rootdata.simple_pairings(rd, key)) if p < 0)
-
-
-def _word_matrix(rd: RootDatum, word) -> Matrix:
-    """Matrix of the word acting on the coweights of rd."""
-    r = rd.rank
-    cols = [_apply_word(rd, word, tuple(int(i == j) for i in range(r))) for j in range(r)]
-    return tuple(zip(*cols))
 
 
 @dataclass(frozen=True)
@@ -66,35 +69,21 @@ class WeylElement:
         return frozenset(self.word)
 
     @cached_property
-    def left_descents(self) -> frozenset[int]:
-        """The i with s_i w shorter than w: <alpha_i, w(2 rho_check)> < 0."""
-        return _descents(self.rd, self.key)
-
-    @cached_property
-    def right_descents(self) -> frozenset[int]:
-        """The i with w s_i shorter than w: the left descents of w^-1."""
-        inverse_key = _apply_word(self.rd, reversed(self.word), _two_rho_check(self.rd))
-        return _descents(self.rd, inverse_key)
-
-    @cached_property
     def action(self) -> Matrix:
         """Matrix of w on coweights (simple-coroot coordinates)."""
-        return _word_matrix(self.rd, self.word)
-
-    @cached_property
-    def root_action(self) -> Matrix:
-        """Matrix of w on roots (simple-root coordinates): the dual datum's
-        Cartan matrix is the transpose, so its coweights are our roots."""
-        return _word_matrix(self.rd.dual(), self.word)
+        r = self.rd.rank
+        cols = [_apply_word(self.rd, self.word, tuple(int(i == j) for i in range(r)))
+                for j in range(r)]
+        return tuple(zip(*cols))
 
     def apply(self, v: Coweight) -> Coweight:
         r = self.rd.rank
         return tuple(sum(self.action[i][j] * v[j] for j in range(r)) for i in range(r))
 
     def apply_root(self, root) -> tuple[int, ...]:
-        m = self.root_action
-        r = self.rd.rank
-        return tuple(sum(m[i][j] * root[j] for j in range(r)) for i in range(r))
+        """w on a root (simple-root coordinates): the dual datum's Cartan
+        matrix is the transpose, so its coweights are our roots."""
+        return _apply_word(self.rd.dual(), self.word, tuple(root))
 
     def order(self) -> int:
         origin = _two_rho_check(self.rd)
@@ -147,8 +136,28 @@ def enumerate_group(rd: RootDatum) -> tuple[WeylElement, ...]:
 
 
 @lru_cache(maxsize=None)
-def _by_key(rd: RootDatum) -> dict[tuple[int, ...], WeylElement]:
-    return {e.key: e for e in enumerate_group(rd)}
+def _index(rd: RootDatum) -> dict[tuple[int, ...], int]:
+    """Position of each element of `enumerate_group(rd)`, by key."""
+    return {e.key: n for n, e in enumerate(enumerate_group(rd))}
+
+
+@lru_cache(maxsize=None)
+def _descent_masks(rd: RootDatum) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(left, right): per element of `enumerate_group(rd)`, the bitmask of
+    the i with s_i w shorter than w, and that of the i with w s_i shorter."""
+    group = enumerate_group(rd)
+    index = _index(rd)
+    length = [e.length for e in group]
+    rows = [[index[rootdata.reflect(rd, i, e.key)] for i in range(rd.rank)] for e in group]
+    left = tuple(sum(1 << i for i, m in enumerate(row) if length[m] < length[n])
+                 for n, row in enumerate(rows))
+    right = []
+    for e in group:
+        n = 0  # the identity; w^-1 = s_{a_1} ... s_{a_l} for the word a of w
+        for i in reversed(e.word):
+            n = rows[n][i]
+        right.append(left[n])
+    return left, tuple(right)
 
 
 def word_to_element(rd: RootDatum, word) -> WeylElement:
@@ -158,7 +167,7 @@ def word_to_element(rd: RootDatum, word) -> WeylElement:
     for i in word:
         if not 0 <= i < rd.rank:
             raise UsageError(f"reflection index {i} out of range for rank {rd.rank}")
-    return _by_key(rd)[_apply_word(rd, word, _two_rho_check(rd))]
+    return enumerate_group(rd)[_index(rd)[_apply_word(rd, word, _two_rho_check(rd))]]
 
 
 def longest_element(rd: RootDatum) -> WeylElement:
@@ -186,22 +195,16 @@ def coxeter_count(rd: RootDatum) -> int:
     return out
 
 
-def parabolic_subgroup(rd: RootDatum, gens: frozenset[int]) -> tuple[WeylElement, ...]:
-    """The standard parabolic subgroup W_J: the elements with support in J."""
-    gens = frozenset(gens)
-    return tuple(e for e in enumerate_group(rd) if e.support <= gens)
-
-
 def min_double_coset_reps(rd: RootDatum, j1, j2) -> tuple[WeylElement, ...]:
     """Minimal-length representatives of the double cosets W_J1 \\ W / W_J2:
     the elements with no left descent in J1 and no right descent in J2."""
-    j1 = frozenset(int(i) for i in j1)
-    j2 = frozenset(int(i) for i in j2)
-    for j in (j1, j2):
-        if any(not 0 <= i < rd.rank for i in j):
-            raise UsageError("parabolic index out of range")
-    return tuple(w for w in enumerate_group(rd)
-                 if not (j1 & w.left_descents or j2 & w.right_descents))
+    j1, j2 = ({int(i) for i in j} for j in (j1, j2))
+    if any(not 0 <= i < rd.rank for i in j1 | j2):
+        raise UsageError("parabolic index out of range")
+    m1, m2 = (sum(1 << i for i in j) for j in (j1, j2))
+    left, right = _descent_masks(rd)
+    return tuple(w for w, a, b in zip(enumerate_group(rd), left, right)
+                 if not (a & m1 or b & m2))
 
 
 def fixed_space_dim(w: WeylElement) -> int:
@@ -210,13 +213,3 @@ def fixed_space_dim(w: WeylElement) -> int:
         tuple(Fraction(w.action[i][j] - int(i == j)) for j in range(r)) for i in range(r)
     )
     return r - linalg.rank(m)
-
-
-def inversions(w: WeylElement) -> int:
-    """Number of positive roots sent to negative roots by w."""
-    count = 0
-    for root in w.rd.positive_roots:
-        image = w.apply_root(root)
-        if all(x <= 0 for x in image) and any(x < 0 for x in image):
-            count += 1
-    return count

@@ -155,6 +155,15 @@ class TestMalformedInput:
         path.write_text(json.dumps("not a class"))
         self.check(["dim", "--class", str(path), "--lambda", "1,1"], capsys)
 
+    def test_split_class_kappa_off_the_class_of_nu_bar(self, tmp_path, capsys):
+        # kappa_G(t^nu) = [nu]: nu_bar = 1 lies in the coroot lattice, so kappa = 0
+        path = write_class(tmp_path, type="A1", isogeny="adjoint", nu_bar=["1"], kappa=[1])
+        self.check(["dim", "--class", path, "--lambda", "3/2"], capsys)
+
+    def test_newton_point_off_the_cocharacter_lattice(self, tmp_path, capsys):
+        path = write_class(tmp_path, type="A1", isogeny="sc", nu_bar=["1/2"], kappa=[0])
+        self.check(["dim", "--class", path, "--lambda", "3/2"], capsys)
+
     def test_non_numeric_cvals(self, capsys):
         self.check(["strata", "steinberg", "--type", "A2", "--lambda", "1,1",
                     "--cvals", "abc,1"], capsys)
@@ -178,6 +187,12 @@ class TestWeyl:
         code, text = run(["weyl", "--type", "A2", "--coxeter"])
         assert code == 0
         assert text == "s1 s2\ns2 s1\ncount 2\n"
+
+    def test_weyl_order_builds_no_descent_masks(self):
+        weyl._descent_masks.cache_clear()
+        code, text = run(["weyl", "--type", "F4"])
+        assert code == 0 and text == "order 1152\nlongest-length 24\n"
+        assert weyl._descent_masks.cache_info().misses == 0
 
 
 class TestMult:
@@ -218,6 +233,13 @@ class TestDim:
         assert code == 0
         assert "regular-orbit-bound 32" in text
         assert weyl.enumerate_group.cache_info().misses == 0
+
+    def test_newton_point_off_the_coroot_lattice(self, tmp_path):
+        # PGL2, nu_bar = 1/2: e * nu_bar lies in the cocharacter lattice for e = 1
+        path = write_class(tmp_path, type="A1", isogeny="adjoint", nu_bar=["1/2"], kappa=[1])
+        code, text = run(["dim", "--class", path, "--lambda", "3/2"])
+        assert code == 0
+        assert "dimension 1\n" in text
 
     def test_split_class_beyond_the_weyl_cap(self, tmp_path):
         # |W(B6xB5)| is far above the enumeration cap, and no table is needed

@@ -37,6 +37,21 @@ class TestValidation:
         with pytest.raises(UsageError, match="w\\(nu_bar\\)"):
             conjugacy.make_class(datum, s, [Fraction(1, 2)])
 
+    def test_newton_point_must_be_in_the_cocharacter_lattice(self):
+        # e * nu_bar must lie in X_*(T): 1/2 does for PGL2, not for SL2
+        assert conjugacy.validate(
+            conjugacy.split_class(rd("A1", "adjoint"), [Fraction(1, 2)], kappa=(1,))
+        ) == []
+        with pytest.raises(UsageError, match="newton-denominator"):
+            conjugacy.split_class(rd("A1"), [Fraction(1, 2)])
+
+    def test_split_kappa_is_the_class_of_nu_bar(self):
+        datum = rd("A1", "adjoint")
+        with pytest.raises(UsageError, match="fundamental-group class"):
+            conjugacy.split_class(datum, [Fraction(1, 2)])
+        with pytest.raises(UsageError, match="fundamental-group class"):
+            conjugacy.split_class(datum, [1], kappa=(1,))
+
     def test_residual_denominator_rejected(self):
         with pytest.raises(UsageError, match="denominator"):
             ramified_sl2(Fraction(1, 3))

@@ -101,6 +101,11 @@ class TestUnramifiedDimension:
     def test_a2_adjoint_pair(self):
         assert kv.unramified_dimension(rd("A2"), [0, 0], {}, [1, 1]) == (2, 2)
 
+    def test_adjoint_newton_point_off_the_coroot_lattice(self):
+        # PGL2: mu = 1/2 is a lattice coweight outside the coroot lattice
+        datum = rd("A1", "adjoint")
+        assert kv.unramified_dimension(datum, [Fraction(1, 2)], None, [Fraction(3, 2)]) == (1, 1)
+
     def test_matches_general_formula_with_residual(self):
         datum = rd("B2")
         residual = {

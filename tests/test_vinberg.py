@@ -73,17 +73,6 @@ class TestNilconeStrata:
         assert tops == {e.action for e in weyl.coxeter_elements(datum)}
 
 
-class TestFiberStrata:
-    def test_full_support_gives_whole_group(self):
-        datum = rd("A2")
-        fibers = vinberg.fiber_strata(datum, frozenset({0, 1}))
-        assert len(fibers) == len(weyl.enumerate_group(datum))
-
-    def test_empty_support_gives_identity(self):
-        fibers = vinberg.fiber_strata(rd("A2"), frozenset())
-        assert len(fibers) == 1
-
-
 class TestArcStrataIndex:
     def test_zero(self):
         assert vinberg.arc_strata_index(rd("A2"), cw(0, 0)) == (cw(0, 0),)

@@ -2,16 +2,18 @@
 
 The brute-force constructions below (parabolic closure, covering-set double
 cosets, coset sizes) multiply action matrices with `linalg.mat_mul`.  They
-are the oracles for the descent-set filters of `weyl`, which never multiply
-matrices.
+are the oracles for the descent-mask filters of `weyl`, which never multiply
+matrices.  The masks themselves are checked against descents read off
+`Fraction` pairings (`descent_oracle`).
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from kvcalc import linalg, rootdata, weyl
-from kvcalc.errors import SizeGuardError
+from kvcalc.errors import SizeGuardError, UsageError
 
 
 def rd(label, isogeny="sc"):
@@ -38,6 +40,20 @@ def parabolic_actions(datum, gens):
                     nxt.append(p)
         frontier = nxt
     return seen
+
+
+def descent_oracle(datum, w):
+    """(left, right) descent bitmasks of w from pairings: i is a left descent
+    when <alpha_i, w(2 rho_check)> < 0, and a right descent when it is a left
+    descent of w^-1, whose image of 2 rho_check is the reversed word applied
+    to 2 rho_check."""
+    def mask(v):
+        return sum(1 << i for i, p in enumerate(rootdata.simple_pairings(datum, v)) if p < 0)
+
+    inverse = tuple(2 * x for x in datum.rho_check)
+    for i in reversed(w.word):
+        inverse = rootdata.reflect(datum, i, inverse)
+    return mask(tuple(Fraction(x) for x in w.key)), mask(inverse)
 
 
 def double_coset(left, w, right):
@@ -102,10 +118,14 @@ class TestEnumeration:
         assert group[0].is_identity()
 
     def test_length_equals_inversions(self):
+        # oracle: the positive roots that w sends to negative roots
         for label in ["A2", "B2", "G2"]:
             datum = rd(label)
             for e in weyl.enumerate_group(datum):
-                assert e.length == weyl.inversions(e)
+                images = [e.apply_root(root) for root in datum.positive_roots]
+                assert e.length == sum(
+                    1 for x in images if all(c <= 0 for c in x) and any(c < 0 for c in x)
+                )
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
@@ -174,7 +194,7 @@ class TestDoubleCosets:
         # exhaustive scan oracle: group the 6 elements into double cosets.
         # W_{s1} \ W / W_{s1} in S3 has cosets of sizes 2 and 4.
         datum = rd("A2")
-        sub = [a.action for a in weyl.parabolic_subgroup(datum, frozenset({0}))]
+        sub = parabolic_actions(datum, {0})
         cosets = {frozenset(double_coset(sub, w, sub)) for w in weyl.enumerate_group(datum)}
         assert sorted(len(c) for c in cosets) == [2, 4]
         reps = weyl.min_double_coset_reps(datum, {0}, {0})
@@ -189,14 +209,12 @@ class TestDoubleCosets:
 
     def test_reps_are_minimal(self):
         datum = rd("B2")
-        sub = weyl.parabolic_subgroup(datum, frozenset({0}))
+        sub = parabolic_actions(datum, {0})
         table = {e.action: e for e in weyl.enumerate_group(datum)}
         for w in weyl.min_double_coset_reps(datum, {0}, {0}):
             for a in sub:
                 for b in sub:
-                    other = table[
-                        linalg.mat_mul(linalg.mat_mul(a.action, w.action), b.action)
-                    ]
+                    other = table[linalg.mat_mul(linalg.mat_mul(a, w.action), b)]
                     assert w.length <= other.length
 
     @pytest.mark.parametrize("label", ["A3", "B3", "G2", "A1xB2"])
@@ -209,11 +227,29 @@ class TestDoubleCosets:
 
     @pytest.mark.parametrize("label", ["A3", "B3", "G2", "A1xB2"])
     def test_parabolic_matches_closure(self, label):
+        # W_J is the set of elements with support in J
         datum = rd(label)
         for j in subsets(datum.rank):
-            sub = weyl.parabolic_subgroup(datum, j)
+            sub = [e for e in weyl.enumerate_group(datum) if e.support <= j]
             assert {e.action for e in sub} == parabolic_actions(datum, j)
             assert len(sub) == len(parabolic_actions(datum, j))
+
+    def test_index_out_of_range(self):
+        for j1, j2 in [({2}, set()), (set(), {-1})]:
+            with pytest.raises(UsageError):
+                weyl.min_double_coset_reps(rd("A2"), j1, j2)
+
+
+class TestDescentMasks:
+    @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4",
+                                       "C3", "C4", "D4", "D5", "G2", "F4", "A1xA1",
+                                       "A1xB2", "A2xG2"])
+    def test_masks_match_pairing_oracle(self, label):
+        datum = rd(label)
+        group = weyl.enumerate_group(datum)
+        assert len(group) <= 2000
+        left, right = weyl._descent_masks(datum)
+        assert list(zip(left, right)) == [descent_oracle(datum, w) for w in group]
 
 
 class TestSupportAndFixedSpace:
