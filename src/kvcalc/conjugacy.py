@@ -93,11 +93,8 @@ def validate(cd: ClassDatum) -> list[str]:
         errors.append(f"splitting-degree: e={cd.e} but the twist has order {cd.w.order()}")
     if cd.w.apply(cd.nu_bar) != cd.nu_bar:
         errors.append("galois-stability: w(nu_bar) != nu_bar")
-    # e nu_bar = e n / D must lie in X_*(T); it does when D divides e, since
-    # it then has integer coroot coordinates
-    dn, n = rootdata._scale(cd.nu_bar)
-    e_nu_integral = (cd.e % dn == 0
-                     or rootdata._is_integral_ints(rd, dn, tuple(cd.e * x for x in n)))
+    # e nu_bar must lie in X_*(T)
+    e_nu_integral = rootdata.is_integral(rd, tuple(cd.e * x for x in cd.nu_bar))
     if not e_nu_integral:
         errors.append(f"newton-denominator: e*nu_bar is not in the cocharacter lattice for e={cd.e}")
     seen = set()
@@ -125,7 +122,7 @@ def validate(cd: ClassDatum) -> list[str]:
         errors.append("fundamental-group class: entries not reduced modulo the invariant factors")
     elif cd.e == 1 and e_nu_integral and cd.w.is_identity():
         # kappa_G(t^nu) = [nu] in pi_1 (Kottwitz, Compositio 109, 1997)
-        nu_class = grp.zero() if dn == 1 else grp.project(cd.nu_bar)
+        nu_class = grp.project(cd.nu_bar)
         if nu_class != cd.kappa:
             errors.append(f"fundamental-group class: a split class needs kappa = "
                           f"{list(nu_class)}, the class of nu_bar")
