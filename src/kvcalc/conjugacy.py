@@ -189,15 +189,14 @@ def r_levi(cd: ClassDatum, levi: frozenset[int] | set[int]):
     if any(not 0 <= i < rd.rank for i in levi):
         raise UsageError("Levi index out of range")
     phi_n = [a for a in rd.positive_roots if any(a[i] != 0 for i in range(rd.rank) if i not in levi)]
-    phi_m = [a for a in rd.positive_roots if a not in phi_n]
     r_n = sum((val_one_minus(cd, a) for a in phi_n), Fraction(0))
-    d_m = sum((val_one_minus(cd, a) + val_one_minus(cd, _neg(a)) for a in phi_m), Fraction(0))
-    d_g = disc_valuation(cd)
-    relation = d_g == d_m + 2 * r_n
+    relation = disc_valuation(cd) == levi_disc_valuation(cd, levi) + 2 * r_n
     return r_n, relation
 
 
 def levi_disc_valuation(cd: ClassDatum, levi) -> Fraction:
+    """d_M: val(1 - alpha(gamma)) summed over the roots alpha of the Levi M
+    with simple roots I, both signs."""
     levi = frozenset(int(i) for i in levi)
     rd = cd.rd
     total = Fraction(0)
@@ -250,7 +249,7 @@ def class_from_json(data) -> ClassDatum:
             nu_bar = tuple(Fraction(rootdata._as_int(n), den) for n in nu["num"])
         else:
             nu_bar = rootdata.coweight(nu)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise UsageError(f"malformed nu_bar {nu!r}: {exc}") from None
     if len(nu_bar) != rd.rank:
         raise UsageError("nu_bar has the wrong number of coordinates")
@@ -264,7 +263,7 @@ def class_from_json(data) -> ClassDatum:
         try:
             root = tuple(rootdata._as_int(x) for x in item["root"])
             residual[root] = _frac_from_json(item["val"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise UsageError(f"malformed residual entry {item!r}: {exc}") from None
     kappa = rootdata.parse_kappa(rd, data.get("kappa", []))
     try:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from operator import add, le, mul
 from types import MappingProxyType
 
@@ -186,10 +187,13 @@ def dominant_below(rd: RootDatum, lam) -> tuple[Coweight, ...]:
 
     The walk steps down by simple coroots from lam scaled by D, the lcm of its
     denominators, keeping a step whose dominant representative stays below
-    lam; every coordinate stays a nonnegative integer.
+    lam; every coordinate stays a nonnegative integer.  Coordinate i of a
+    visited tuple lies between 0 and D lam_i and is congruent to D lam_i mod
+    D, so the walk visits at most prod(floor(lam_i) + 1) tuples.
     """
     lam = _check_weight(rd, lam)
     d, top = rootdata._scale(lam)
+    rootdata.guard_grid_size(prod(t // d + 1 for t in top), "the dominance interval")
     out = []
     visited = {top}
     stack = [top]

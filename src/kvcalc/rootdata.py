@@ -266,7 +266,7 @@ def _build(factors, cartan, isogeny) -> RootDatum:
         iso_name = "adjoint"
     else:
         try:
-            gens = [tuple(int(x) for x in g) for g in isogeny]
+            gens = [tuple(_as_int(x) for x in g) for g in isogeny]
         except (TypeError, ValueError):
             raise UsageError(f"cannot read isogeny {isogeny!r}") from None
         if len(gens) != r or any(len(g) != r for g in gens):
@@ -427,10 +427,18 @@ def leq_q(rd: RootDatum, nu: Coweight, lam: Coweight) -> bool:
 
 
 def _integer_inverse(m) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(adj, det) with m^-1 = adj / det; raises ValueError if m is singular."""
-    inv = linalg.inverse(m)
-    det = lcm(*(x.denominator for row in inv for x in row))
-    return tuple(tuple(int(x * det) for x in row) for row in inv), det
+    """(adj, det) with m^-1 = adj / det; raises ValueError if m is singular.
+
+    With u m v = diag(d_i), m^-1 = v diag(1 / d_i) u.  The last invariant
+    factor det is a multiple of every d_i and is the lcm of the denominators
+    of m^-1, so adj = v diag(det / d_i) u is integral."""
+    d, u, v = linalg.smith_normal_form(m)
+    factors = [d[i][i] for i in range(len(d))]
+    if 0 in factors:
+        raise ValueError("singular matrix")
+    det = factors[-1]
+    scaled = [[det // f * x for x in row] for f, row in zip(factors, u)]
+    return tuple(tuple(sum(map(mul, row, col)) for col in zip(*scaled)) for row in v), det
 
 
 def _lattice_numerators(rd: RootDatum, d: int, n) -> tuple[tuple[int, ...], int]:

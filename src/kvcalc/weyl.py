@@ -1,9 +1,10 @@
 """Weyl group enumeration: lengths, supports, Coxeter elements, cosets.
 
-An element w is encoded by w(2 rho_check), the image of the regular integer
-coweight 2 rho_check in simple-coroot coordinates.  That vector has a trivial
-stabilizer, so its image decides equality.  Each element also stores its
-lexicographically first reduced word.
+An element w is (rd, key, word), its only encoding.  The key is w(2 rho_check)
+in simple-coroot coordinates; 2 rho_check has a trivial stabilizer, so the key
+decides equality.  The word is the lexicographically first reduced word.  w
+acts on coweights, and on roots through the dual datum, by walking its word
+(`_apply_word`); it keeps no matrix, and the identity acts with no work.
 
 The group is built once per datum as a breadth-first orbit table of
 2 rho_check (`enumerate_group`); s_i rewrites one coordinate
@@ -31,15 +32,13 @@ workload is re-recorded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import permutations
+from operator import sub
 
 from . import linalg, rootdata
 from .errors import InvariantViolation, SizeGuardError, UsageError
 from .rootdata import WEYL_ORDER_CAP, Coweight, RootDatum
-
-Matrix = tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)
@@ -68,17 +67,8 @@ class WeylElement:
     def support(self) -> frozenset[int]:
         return frozenset(self.word)
 
-    @cached_property
-    def action(self) -> Matrix:
-        """Matrix of w on coweights (simple-coroot coordinates)."""
-        r = self.rd.rank
-        cols = [_apply_word(self.rd, self.word, tuple(int(i == j) for i in range(r)))
-                for j in range(r)]
-        return tuple(zip(*cols))
-
     def apply(self, v: Coweight) -> Coweight:
-        r = self.rd.rank
-        return tuple(sum(self.action[i][j] * v[j] for j in range(r)) for i in range(r))
+        return _apply_word(self.rd, self.word, v)
 
     def apply_root(self, root) -> tuple[int, ...]:
         """w on a root (simple-root coordinates): the dual datum's Cartan
@@ -208,8 +198,10 @@ def min_double_coset_reps(rd: RootDatum, j1, j2) -> tuple[WeylElement, ...]:
 
 
 def fixed_space_dim(w: WeylElement) -> int:
+    """Dimension of the fixed space of w: the number of zero invariant
+    factors of the integer matrix with rows w(e_j) - e_j."""
     r = w.rd.rank
-    m = tuple(
-        tuple(Fraction(w.action[i][j] - int(i == j)) for j in range(r)) for i in range(r)
-    )
-    return r - linalg.rank(m)
+    units = [tuple(int(i == j) for i in range(r)) for j in range(r)]
+    d, _, _ = linalg.smith_normal_form(
+        [tuple(map(sub, _apply_word(w.rd, w.word, e), e)) for e in units])
+    return sum(d[i][i] == 0 for i in range(r))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from kvcalc import cli, weyl
+from kvcalc import cli, conjugacy, weyl
 
 
 def run(argv):
@@ -137,11 +137,27 @@ class TestMalformedInput:
         {"nu_bar": {"num": [1, 1], "den": 1.5}},
         {"residual": [{"root": [1, 1], "val": {"num": 1.5, "den": 1}}]},
         {"w": [float("inf")]},
+        {"isogeny": [[1, 0], [0, 1.9]]},
     ], ids=["w-float", "e-float", "kappa-float", "residual-root-float", "nu-num-float",
-            "nu-den-float", "residual-num-float", "w-infinite"])
+            "nu-den-float", "residual-num-float", "w-infinite", "isogeny-float"])
     def test_non_integral_number_in_integer_field(self, tmp_path, capsys, fields):
         path = write_class(tmp_path, **fields)
         self.check(["dim", "--class", path, "--lambda", "1,1"], capsys)
+
+    # json reads both 1e400 and Infinity as an infinite float
+    @pytest.mark.parametrize("fields", [
+        {"isogeny": [[1, 0], [0, float("inf")]]},
+        {"residual": [{"root": [1, 1], "val": float("inf")}]},
+        {"nu_bar": [float("inf"), 0]},
+    ], ids=["isogeny-infinite", "residual-val-infinite", "nu-bar-infinite"])
+    def test_infinite_number(self, tmp_path, capsys, fields):
+        path = write_class(tmp_path, **fields)
+        self.check(["dim", "--class", path, "--lambda", "1,1"], capsys)
+
+    def test_infinite_number_in_isogeny_file(self, tmp_path, capsys):
+        path = tmp_path / "isogeny.json"
+        path.write_text("[[1, 0], [0, Infinity]]")
+        self.check(["weyl", "--type", "A2", "--isogeny", f"custom:{path}"], capsys)
 
     def test_integer_strings_still_parse(self, tmp_path):
         path = write_class(tmp_path, w=["1"], e="2", kappa=["0", "0"],
@@ -175,6 +191,25 @@ class TestMalformedInput:
         start = time.perf_counter()
         self.check(["verify", "stratification-disjoint", "--height", "100000"], capsys)
         assert time.perf_counter() - start < 2
+
+    @pytest.mark.parametrize("argv", [
+        ["mult", "--type", "A2", "--lambda", "3000,3000", "--mu", "0,0"],
+        ["strata", "polytope", "--type", "A2", "--lambda", "3000,3000", "--nu", "1/3,1/3"],
+        ["dim", "--class", None, "--lambda", "3000,3000"],
+    ], ids=["mult", "strata-polytope", "dim"])
+    def test_oversized_dominance_interval_is_refused_before_it_starts(
+            self, split_class_file, argv):
+        # in a child with a timeout, so that a walk that does start fails the
+        # test instead of hanging it
+        argv = [split_class_file if a is None else a for a in argv]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "kvcalc.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=20)
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "the dominance interval" in proc.stderr
 
 
 class TestWeyl:
@@ -299,6 +334,14 @@ class TestVerify:
         code, text = run(argv + ["--count", "1"])
         assert code == 0
         assert "A2\tlevi-relation\tpass\n" in text
+
+    def test_dimension_consistency_fails_on_a_disagreement(self, monkeypatch, capsys):
+        # the check runs inside kv.unramified_dimension, which the suite calls
+        r_invariant = conjugacy.r_invariant
+        monkeypatch.setattr(conjugacy, "r_invariant", lambda cd: r_invariant(cd) + 1)
+        code, _ = run(["verify", "dimension-consistency", "--type", "A2", "--height", "1"])
+        assert code == 2
+        assert "dimension formulas disagree" in capsys.readouterr().err
 
     def test_chen_zhu_is_report_only(self):
         code, text = run(["verify", "chen-zhu-compare", "--height", "2"])

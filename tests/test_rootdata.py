@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from kvcalc import linalg, multiplicity, rootdata
 from kvcalc.errors import UsageError
+from oracles import frac_matrix, integer_inverse, inverse, mat_mul
 
 
 def rd(label, isogeny="sc"):
@@ -89,6 +90,10 @@ class TestConstruction:
         assert datum.isogeny == "custom"
         with pytest.raises(UsageError):
             rd("A2", [[1, 0]])  # wrong generator count
+
+    def test_linearly_dependent_generators_refused(self):
+        with pytest.raises(UsageError, match="linearly dependent"):
+            rd("A2", [[1, 0], [2, 0]])
 
     def test_lattice_sandwich(self):
         for label, iso in [("A2", "sc"), ("A2", "adjoint"), ("B2", "sc")]:
@@ -221,12 +226,12 @@ class TestFundamentalGroup:
     def test_order_matches_lattice_index(self):
         datum = rd("A3", "adjoint")
         grp = rootdata.fundamental_group(datum)
-        b = linalg.frac_matrix(datum.lattice_basis)
+        b = frac_matrix(datum.lattice_basis)
         # index = |det(coroot basis in Lambda coords)| = |det C^T| / |det B|
-        cartan_t = linalg.frac_matrix(
+        cartan_t = frac_matrix(
             [[datum.cartan[j][i] for j in range(datum.rank)] for i in range(datum.rank)]
         )
-        rel = linalg.mat_mul(linalg.inverse(b), cartan_t)
+        rel = mat_mul(inverse(b), cartan_t)
         d, _, _ = linalg.smith_normal_form([[int(x) for x in row] for row in rel])
         det = 1
         for i in range(datum.rank):
@@ -279,7 +284,7 @@ def oracle_is_dominant(datum, v):
 
 @lru_cache(maxsize=None)
 def oracle_lattice_basis_inverse(datum):
-    return linalg.inverse(linalg.frac_matrix(datum.lattice_basis))
+    return inverse(frac_matrix(datum.lattice_basis))
 
 
 def oracle_lattice_coords(datum, v):
@@ -346,9 +351,13 @@ def coroot_plus_twice_coweight(label):
         [2 * int(i == j) for j in range(r)] for i in range(r)
     ]
     d, _, v = linalg.smith_normal_form(gens)
-    v_inv = linalg.inverse(v)
+    v_inv = inverse(v)
     return [[int(d[i][i] * x) for x in v_inv[i]] for i in range(r)]
 
+
+# every simple type in its supported rank range, and two products
+SUPPORTED_TYPES = [f"{letter}{n}" for letter, (lo, hi) in rootdata._RANK_RANGE.items()
+                   for n in range(lo, hi + 1)] + ["A1xB2", "A2xG2"]
 
 KERNEL_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "G2", "F4",
                 "A1xB2"]
@@ -400,6 +409,21 @@ class TestIntegerKernelAgainstFractionOracles:
                    else isogeny)
         grp = rootdata.fundamental_group(datum)
         assert (grp.invariant_factors, grp._u) == oracle_fundamental_group(datum)
+
+    @pytest.mark.parametrize("isogeny", ["sc", "adjoint"])
+    @pytest.mark.parametrize("label", SUPPORTED_TYPES)
+    def test_lattice_inverse_matches(self, label, isogeny):
+        datum = rd(label, isogeny)
+        assert datum.lattice_inverse == integer_inverse(datum.lattice_basis)
+        assert rootdata._integer_inverse(datum.cartan) == integer_inverse(datum.cartan)
+
+    # None: the lattice of `coroot_plus_twice_coweight`
+    @pytest.mark.parametrize("label,generators",
+                             [("A1", [[1]])] + [(label, None) for label in KERNEL_TYPES])
+    def test_custom_lattice_inverse_matches(self, label, generators):
+        datum = rd(label, generators or coroot_plus_twice_coweight(label))
+        assert datum.isogeny == "custom"
+        assert datum.lattice_inverse == integer_inverse(datum.lattice_basis)
 
     def test_custom_lattice_lies_strictly_between(self):
         # A3: pi_1 of the custom lattice is Z/2, between sc (trivial) and

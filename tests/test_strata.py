@@ -164,14 +164,15 @@ class TestDisjointness:
 
 
 class TestSizeGuards:
-    """Each grid enumeration predicts its tuple count and refuses, before
-    starting, one over `rootdata.GRID_SIZE_CAP`."""
+    """Each grid enumeration, and the walk of a dominance interval, bounds its
+    tuple count and refuses, before starting, one over `rootdata.GRID_SIZE_CAP`."""
 
     @pytest.mark.parametrize("build", [
         lambda: rootdata.dominant_integral_sweep(rd("A2"), 10**4),
         lambda: strata.rational_grid(rd("A2"), 10**3, 6),
         lambda: kv.chen_zhu_approx(rd("A1", "adjoint"), [10**7]),
-    ], ids=["dominant-sweep", "rational-grid", "chen-zhu-grid"])
+        lambda: multiplicity.dominant_below(rd("A2"), (3000, 3000)),
+    ], ids=["dominant-sweep", "rational-grid", "chen-zhu-grid", "dominance-interval"])
     def test_oversized_grid_refused(self, build):
         with pytest.raises(SizeGuardError):
             build()

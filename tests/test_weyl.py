@@ -1,7 +1,7 @@
 """Weyl group enumeration, Coxeter elements, cosets, fixed spaces.
 
 The brute-force constructions below (parabolic closure, covering-set double
-cosets, coset sizes) multiply action matrices with `linalg.mat_mul`.  They
+cosets, coset sizes) multiply the action matrices of `oracles`.  They
 are the oracles for the descent-mask filters of `weyl`, which never multiply
 matrices.  The masks themselves are checked against descents read off
 `Fraction` pairings (`descent_oracle`).
@@ -12,8 +12,9 @@ from itertools import combinations
 
 import pytest
 
-from kvcalc import linalg, rootdata, weyl
+from kvcalc import rootdata, weyl
 from kvcalc.errors import SizeGuardError, UsageError
+from oracles import action, mat_mul, rank
 
 
 def rd(label, isogeny="sc"):
@@ -26,15 +27,15 @@ def subsets(n):
 
 def parabolic_actions(datum, gens):
     """Action matrices of W_J, by closing the generators under products."""
-    ident = weyl.identity_element(datum).action
+    ident = action(weyl.identity_element(datum))
     seen = {ident}
     frontier = [ident]
-    gens = [weyl.word_to_element(datum, [i]).action for i in sorted(gens)]
+    gens = [action(weyl.word_to_element(datum, [i])) for i in sorted(gens)]
     while frontier:
         nxt = []
         for m in frontier:
             for g in gens:
-                p = linalg.mat_mul(g, m)
+                p = mat_mul(g, m)
                 if p not in seen:
                     seen.add(p)
                     nxt.append(p)
@@ -57,7 +58,7 @@ def descent_oracle(datum, w):
 
 
 def double_coset(left, w, right):
-    return {linalg.mat_mul(linalg.mat_mul(a, w.action), b) for a in left for b in right}
+    return {mat_mul(mat_mul(a, action(w)), b) for a in left for b in right}
 
 
 def covering_reps(datum, j1, j2):
@@ -68,7 +69,7 @@ def covering_reps(datum, j1, j2):
     covered = set()
     reps = []
     for w in sorted(weyl.enumerate_group(datum), key=lambda e: (e.length, e.word)):
-        if w.action in covered:
+        if action(w) in covered:
             continue
         reps.append(w)
         covered |= double_coset(left, w, right)
@@ -93,7 +94,7 @@ def all_reduced_words(datum, element):
                 if cand.length == len(word) + 1:
                     nxt[word + (i,)] = cand
         frontier = nxt
-    return {word for word, w in frontier.items() if w.action == element.action}
+    return {word for word, w in frontier.items() if action(w) == action(element)}
 
 
 class TestEnumeration:
@@ -136,7 +137,7 @@ class TestEnumeration:
             datum = rd(label)
             w0 = weyl.longest_element(datum)
             assert w0.length == datum.num_positive_roots
-            assert linalg.mat_mul(w0.action, w0.action) == weyl.identity_element(datum).action
+            assert mat_mul(action(w0), action(w0)) == action(weyl.identity_element(datum))
 
     def test_iota_matches_w0(self):
         for label in ["A2", "A3", "D4", "G2", "B3"]:
@@ -145,7 +146,7 @@ class TestEnumeration:
                 range(datum.rank)
             )
             # -w0 sends the simple coroot i to the simple coroot iota(i)
-            w0 = weyl.longest_element(datum).action
+            w0 = action(weyl.longest_element(datum))
             for i in range(datum.rank):
                 assert tuple(-w0[j][i] for j in range(datum.rank)) == tuple(
                     int(j == datum.iota[i]) for j in range(datum.rank)
@@ -210,11 +211,11 @@ class TestDoubleCosets:
     def test_reps_are_minimal(self):
         datum = rd("B2")
         sub = parabolic_actions(datum, {0})
-        table = {e.action: e for e in weyl.enumerate_group(datum)}
+        table = {action(e): e for e in weyl.enumerate_group(datum)}
         for w in weyl.min_double_coset_reps(datum, {0}, {0}):
             for a in sub:
                 for b in sub:
-                    other = table[linalg.mat_mul(linalg.mat_mul(a, w.action), b)]
+                    other = table[mat_mul(mat_mul(a, action(w)), b)]
                     assert w.length <= other.length
 
     @pytest.mark.parametrize("label", ["A3", "B3", "G2", "A1xB2"])
@@ -231,7 +232,7 @@ class TestDoubleCosets:
         datum = rd(label)
         for j in subsets(datum.rank):
             sub = [e for e in weyl.enumerate_group(datum) if e.support <= j]
-            assert {e.action for e in sub} == parabolic_actions(datum, j)
+            assert {action(e) for e in sub} == parabolic_actions(datum, j)
             assert len(sub) == len(parabolic_actions(datum, j))
 
     def test_index_out_of_range(self):
@@ -240,10 +241,13 @@ class TestDoubleCosets:
                 weyl.min_double_coset_reps(rd("A2"), j1, j2)
 
 
+# every type with |W| <= 2000
+SMALL_GROUPS = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2",
+                "F4", "A1xA1", "A1xB2", "A2xG2"]
+
+
 class TestDescentMasks:
-    @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4",
-                                       "C3", "C4", "D4", "D5", "G2", "F4", "A1xA1",
-                                       "A1xB2", "A2xG2"])
+    @pytest.mark.parametrize("label", SMALL_GROUPS)
     def test_masks_match_pairing_oracle(self, label):
         datum = rd(label)
         group = weyl.enumerate_group(datum)
@@ -280,3 +284,37 @@ class TestSupportAndFixedSpace:
         datum = rd("B2")
         s = weyl.word_to_element(datum, [0])
         assert weyl.fixed_space_dim(s) == 1
+
+    @pytest.mark.parametrize("label", SMALL_GROUPS)
+    def test_fixed_space_matches_fraction_rank_oracle(self, label):
+        datum = rd(label)
+        r = datum.rank
+        for e in weyl.enumerate_group(datum):
+            m = action(e)
+            minus_one = [[m[i][j] - int(i == j) for j in range(r)] for i in range(r)]
+            assert weyl.fixed_space_dim(e) == r - rank(minus_one)
+
+
+class TestAction:
+    @pytest.mark.parametrize("label", ["A3", "B3", "G2", "A1xB2"])
+    def test_apply_matches_action_matrix(self, label):
+        datum = rd(label)
+        v = tuple(Fraction(2 * i + 1, i + 2) for i in range(datum.rank))
+        for e in weyl.enumerate_group(datum):
+            m = action(e)
+            assert e.apply(v) == tuple(sum(m[i][j] * v[j] for j in range(datum.rank))
+                                       for i in range(datum.rank))
+
+    def test_identity_returns_its_argument(self):
+        v = (Fraction(1, 3), Fraction(2))
+        assert weyl.identity_element(rd("A2")).apply(v) is v
+
+    @pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+    def test_order_matches_matrix_powers(self, label):
+        datum = rd(label)
+        ident = action(weyl.identity_element(datum))
+        for e in weyl.enumerate_group(datum):
+            m, k = action(e), 1
+            while m != ident:
+                m, k = mat_mul(m, action(e)), k + 1
+            assert e.order() == k
