@@ -135,19 +135,13 @@ def cmd_dim(args, out):
 def cmd_components(args, out):
     """The component-count lines of the `dim` report, without its Chen-Zhu set."""
     cd = _load_class(args)
-    rd = cd.rd
-    lam = rootdata.parse_coweight(rd, args.lam)
-    if not kv.nonempty(cd, lam):
+    rep = kv.report(cd, rootdata.parse_coweight(cd.rd, args.lam), chen_zhu=False)
+    if not rep.nonempty:
         print("empty", file=out)
         return
-    mu_star = kv.best_integral_approx(rd, conjugacy.newton_point(cd), lam)
-    kv.dimension(cd, lam)  # raises, as `dim` does, on an inconsistent datum
-    orbits = multiplicity.multiplicity_freudenthal(rd, lam, mu_star)
-    exact = kv.regular_bound_exact(rd, lam, mu_star)
-    kv.extended_disc_valuation(cd, lam)  # likewise
-    print(f"predicted-orbits {orbits}", file=out)
-    print(f"regular-orbit-bound {kv.regular_orbit_bound(rd)}", file=out)
-    print(f"regular-bound-exact {str(exact).lower()}", file=out)
+    print(f"predicted-orbits {rep.predicted_orbits}", file=out)
+    print(f"regular-orbit-bound {rep.regular_orbit_bound}", file=out)
+    print(f"regular-bound-exact {str(rep.regular_bound_exact).lower()}", file=out)
 
 
 def cmd_strata(args, out):
@@ -199,7 +193,7 @@ def verify_lower_bound(args, out) -> tuple[bool, int]:
     checked = 0
     for label in _types(args, DEFAULT_BOUND_TYPES):
         rd = rootdata.build_root_datum(label)
-        bound = kv.regular_orbit_bound(rd)
+        bound = weyl.coxeter_count(rd)
         for lam in rootdata.dominant_integral_sweep(rd, args.height):
             if not all(p > 0 for p in rootdata.simple_pairings(rd, lam)):
                 continue

@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from operator import mul
 
 from . import rootdata, weyl
@@ -216,10 +215,6 @@ def _frac_from_json(obj) -> Fraction:
     return Fraction(obj)
 
 
-def _frac_to_json(x: Fraction):
-    return {"num": x.numerator, "den": x.denominator}
-
-
 def class_from_json(data) -> ClassDatum:
     """Parse a class datum from the JSON schema.
 
@@ -271,21 +266,3 @@ def class_from_json(data) -> ClassDatum:
     except (TypeError, ValueError):
         raise UsageError(f"malformed splitting degree {data['e']!r}") from None
     return make_class(rd, w, nu_bar, residual, kappa, e=e)
-
-
-def class_to_json(cd: ClassDatum) -> dict:
-    num_den = lcm(*(x.denominator for x in cd.nu_bar)) if cd.nu_bar else 1
-    return {
-        "type": cd.rd.label_str,
-        "isogeny": cd.rd.isogeny,
-        "w": [i + 1 for i in cd.w.word],
-        "e": cd.e,
-        "nu_bar": {
-            "num": [int(x * num_den) for x in cd.nu_bar],
-            "den": num_den,
-        },
-        "residual": [
-            {"root": list(root), "val": _frac_to_json(val)} for root, val in cd.residual
-        ],
-        "kappa": list(cd.kappa),
-    }

@@ -3,7 +3,9 @@
 Everything here composes the other modules: nonemptiness from the fundamental-group
 class and Newton point, dimension from the discriminant valuation and the
 split-rank defect, component predictions from weight multiplicities of the
-dual group, and the Coxeter-count bound for regular-locus orbits.
+dual group, and the Coxeter-count bound for regular-locus orbits.  `report`
+is the only place that puts these together: mu* and m_{lambda,mu*} are
+computed there and nowhere else, for `dim` and `components` alike.
 
 The approximations mu* (minimal above the Newton point) and Chen-Zhu
 (maximal below it) compare scaled integers: the candidates are integer
@@ -14,7 +16,6 @@ pairwise filter only to list a tie.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -135,21 +136,6 @@ def chen_zhu_approx(rd: RootDatum, nu):
     return tuple(sorted(tuple(Fraction(x, q) for x in k) for k in maximal))
 
 
-def predicted_components(cd: ClassDatum, lam) -> int:
-    """m_{lambda, mu*} with mu* the best integral approximation of the
-    Newton point: the conjectural orbit count on irreducible components."""
-    lam = _check_lambda(cd.rd, lam)
-    if not nonempty(cd, lam):
-        raise EmptyVarietyError("variety is empty for this class and lambda")
-    mu_star = best_integral_approx(cd.rd, conjugacy.newton_point(cd), lam)
-    return multiplicity.multiplicity_freudenthal(cd.rd, lam, mu_star)
-
-
-def regular_orbit_bound(rd: RootDatum) -> int:
-    """|Cox(W, S)|, counted per simple factor without walking r! orderings."""
-    return weyl.coxeter_count(rd)
-
-
 def regular_bound_exact(rd: RootDatum, lam, mu_star) -> bool:
     """Exactness condition: lambda interior-dominant and lambda - mu*
     interior to the positive coroot cone."""
@@ -180,17 +166,6 @@ def extended_disc_valuation(cd: ClassDatum, lam) -> Fraction:
         if problems:
             raise InvariantViolation("d_+ = 0 but " + "; ".join(problems))
     return Fraction(d_plus)
-
-
-def mv_dimension(rd: RootDatum, lam, mu):
-    """<rho, lambda + mu>: dimension of the relevant cycle spaces."""
-    lam = rootdata.coweight(lam)
-    mu = rootdata.coweight(mu)
-    if not (rootdata.is_dominant(rd, lam) and rootdata.is_dominant(rd, mu)):
-        raise UsageError("lambda and mu must be dominant")
-    if not rootdata.leq_q(rd, mu, lam):
-        raise UsageError("mu must be dominated by lambda")
-    return rootdata.rho_pair(rd, rootdata.add(lam, mu))
 
 
 # ---------------------------------------------------------------------------
@@ -229,37 +204,17 @@ class KVReport:
             "chen_zhu_mu": [cw(v) for v in self.chen_zhu_mu],
         }
 
-    @classmethod
-    def from_json(cls, data) -> "KVReport":
-        if isinstance(data, (str, bytes)):
-            data = json.loads(data)
 
-        def cw(v):
-            return None if v is None else tuple(Fraction(x) for x in v)
-
-        return cls(
-            nonempty=bool(data["nonempty"]),
-            newton=cw(data["newton"]),
-            d=int(data["d"]),
-            c=int(data["c"]),
-            regular_orbit_bound=int(data["regular_orbit_bound"]),
-            dimension=None if data["dimension"] is None else int(data["dimension"]),
-            mu_star=cw(data["mu_star"]),
-            predicted_orbits=(None if data["predicted_orbits"] is None
-                              else int(data["predicted_orbits"])),
-            regular_bound_exact=bool(data["regular_bound_exact"]),
-            d_plus=None if data["d_plus"] is None else Fraction(data["d_plus"]),
-            chen_zhu_mu=tuple(cw(v) for v in data["chen_zhu_mu"]),
-        )
-
-
-def report(cd: ClassDatum, lam) -> KVReport:
+def report(cd: ClassDatum, lam, chen_zhu: bool = True) -> KVReport:
+    """The one composition of the class-report quantities, for `dim` and
+    `components`.  ``chen_zhu=False`` leaves ``chen_zhu_mu`` empty and never
+    builds the Chen-Zhu grid, which `components` does not print."""
     lam = _check_lambda(cd.rd, lam)
     rd = cd.rd
     newton = conjugacy.newton_point(cd)
     d = conjugacy.disc_valuation(cd)
     c = conjugacy.c_invariant(cd)
-    bound = regular_orbit_bound(rd)
+    bound = weyl.coxeter_count(rd)
     if not nonempty(cd, lam):
         return KVReport(nonempty=False, newton=newton, d=int(d), c=c,
                         regular_orbit_bound=bound)
@@ -275,5 +230,5 @@ def report(cd: ClassDatum, lam) -> KVReport:
         predicted_orbits=multiplicity.multiplicity_freudenthal(rd, lam, mu_star),
         regular_bound_exact=regular_bound_exact(rd, lam, mu_star),
         d_plus=extended_disc_valuation(cd, lam),
-        chen_zhu_mu=chen_zhu_approx(rd, newton),
+        chen_zhu_mu=chen_zhu_approx(rd, newton) if chen_zhu else (),
     )

@@ -92,7 +92,14 @@ def weight_system(rd: RootDatum, lam: Coweight) -> MappingProxyType:
         g_alpha = gram_times(alpha)
         strings.append((tuple(d * a for a in alpha), g_alpha, d * sum(map(mul, alpha, g_alpha))))
 
+    # Each alpha-string step reduces y = D mu + k D alpha, whose dominant
+    # representative lies above y; the string ends by the time ht(y) exceeds
+    # ht(D lam), so it takes at most (ht D lam - ht D mu) // (D ht alpha) + 1.
     highest, *rest = interval
+    h = sum(highest)
+    rootdata.guard_grid_size(sum((h - sum(mu)) // sum(step) + 1
+                                 for mu in rest for step, _, _ in strings),
+                             "Freudenthal's recursion")
     top = casimir(highest)
     mult = {highest: 1}
     for mu in rest:
@@ -177,7 +184,7 @@ def multiplicity_kostant(rd: RootDatum, lam, mu) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dominance intervals and orbit sizes
+# dominance intervals
 
 
 @lru_cache(maxsize=None)
@@ -231,33 +238,6 @@ def _interval(rd: RootDatum, lam) -> tuple[int, dict[tuple[int, ...], Coweight]]
     scaled = [(tuple(x.numerator * (d // x.denominator) for x in mu), mu) for mu in coweights]
     scaled.sort(key=lambda item: (-sum(item[0]), item[0]))
     return d, dict(scaled)
-
-
-def weyl_orbit(rd: RootDatum, v) -> set[Coweight]:
-    v0, _ = rootdata.dominant_reduce(rd, rootdata.coweight(v))
-    orbit = {v0}
-    frontier = [v0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for i in range(rd.rank):
-                y = rootdata.reflect(rd, i, x)
-                if y not in orbit:
-                    orbit.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return orbit
-
-
-def orbit_size(rd: RootDatum, v) -> int:
-    return len(weyl_orbit(rd, v))
-
-
-def dimension_sum(rd: RootDatum, lam) -> int:
-    """Sum of m_{lam,mu} * |W.mu| over dominant weights of V(lam); equals
-    the Weyl dimension formula when everything is consistent."""
-    wsys = weight_system(rd, rootdata.coweight(lam))
-    return sum(m * orbit_size(rd, x) for x, m in wsys.items())
 
 
 # ---------------------------------------------------------------------------

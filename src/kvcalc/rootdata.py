@@ -40,7 +40,9 @@ Coweight = tuple[Fraction, ...]
 WEYL_ORDER_CAP = 51840
 
 #: Hard cap on the number of tuples a grid enumeration may visit
-#: (`dominant_integral_sweep`, `strata.rational_grid`, `kv.chen_zhu_approx`).
+#: (`dominant_integral_sweep`, `strata.rational_grid`, `kv.chen_zhu_approx`,
+#: `multiplicity.dominant_below`), on the alpha-string steps of Freudenthal's
+#: recursion, and on the orientations behind `weyl.coxeter_elements`.
 GRID_SIZE_CAP = 2_000_000
 
 _POSITIVE_ROOT_COUNT = {
@@ -465,12 +467,6 @@ def _coroot_coords(inverse, cartan, i) -> tuple[int, ...] | None:
     return None if any(c % det for c in x) else tuple(c // det for c in x)
 
 
-def lattice_coords(rd: RootDatum, v: Coweight):
-    """Coordinates of v in the isogeny-lattice basis (rational in general)."""
-    x, s = _lattice_numerators(rd, *_scale(v))
-    return tuple(Fraction(c, s) for c in x)
-
-
 def is_integral(rd: RootDatum, v: Coweight) -> bool:
     """Membership of v in the chosen coweight lattice Lambda."""
     return _is_integral_ints(rd, *_scale(v))
@@ -548,32 +544,6 @@ def parse_kappa(rd: RootDatum, entries) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Weyl dimension formula (for the Langlands dual group)
-
-
-def weyl_dimension(rd: RootDatum, lam: Coweight) -> int:
-    """dim of the dual-group irreducible with highest weight lam.
-
-    lam is a dominant coweight of rd, read as a dominant weight of the dual
-    group; the product formula runs over the positive roots of the dual.
-    """
-    if not is_dominant(rd, lam):
-        raise UsageError("weyl_dimension needs a dominant coweight")
-    num = Fraction(1)
-    den = Fraction(1)
-    shifted = add(coweight(lam), rd.rho_check)
-    for root in rd.positive_roots:
-        # the positive coroots of the dual group are the positive roots of
-        # rd; one pairs with a dual weight x (coroot coords of rd) as <root, x>.
-        num *= pair_root(rd, root, shifted)
-        den *= pair_root(rd, root, rd.rho_check)
-    val = num / den
-    if val.denominator != 1 or val <= 0:
-        raise InvariantViolation(f"Weyl dimension {val} is not a positive integer")
-    return int(val)
-
-
-# ---------------------------------------------------------------------------
 # parsing helpers shared with the CLI
 
 
@@ -599,7 +569,7 @@ def guard_grid_size(count: int, what: str) -> None:
         )
 
 
-def dominant_integral_sweep(rd: RootDatum, height_cap, interior=False):
+def dominant_integral_sweep(rd: RootDatum, height_cap):
     """Dominant integral coweights with coordinate-sum at most height_cap."""
     r = rd.rank
     out = []
@@ -608,10 +578,7 @@ def dominant_integral_sweep(rd: RootDatum, height_cap, interior=False):
     for coords in product(range(cap + 1), repeat=r):
         if sum(coords) > cap:
             continue
-        pair = _pairings(rd, coords)
-        if interior and not all(p > 0 for p in pair):
-            continue
-        if not all(p >= 0 for p in pair):
+        if not all(p >= 0 for p in _pairings(rd, coords)):
             continue
         if not is_integral(rd, coords):
             continue

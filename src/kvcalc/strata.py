@@ -124,20 +124,6 @@ def rational_grid(rd: RootDatum, height_cap, denominator: int):
 # Steinberg-base strata
 
 
-def generic_char_valuation(rd: RootDatum, mu, i: int) -> Fraction:
-    """min over the weights chi of V(omega_i) of <chi, mu>: the generic
-    valuation of the i-th trace coordinate at a unit times the mu-cocharacter.
-
-    The weights are W-stable, so the minimum is taken at the dominant
-    representative of mu, where the lowest weight w0(omega_i) =
-    -omega_{iota(i)} attains it: -dominant(mu)[iota(i)]."""
-    mu = rootdata.coweight(mu)
-    if not 0 <= i < rd.rank:
-        raise UsageError("fundamental index out of range")
-    dom, _ = rootdata.dominant_reduce(rd, mu)
-    return -dom[rd.iota[i]]
-
-
 def steinberg_stratum(rd: RootDatum, v: ValuationVector, lam) -> Coweight:
     """The unique minimal dominant lattice mu <= lam with
     val(c_{iota(i)}) >= <lambda - mu, omega_i> for every i."""
@@ -165,17 +151,3 @@ def steinberg_stratum(rd: RootDatum, v: ValuationVector, lam) -> Coweight:
         minimal = sorted(interval[mu] for mu in minimal)
         raise UniquenessError(f"Steinberg stratum below {lam} is not unique: {minimal}")
     return interval[minimal[0]]
-
-
-def valuation_vector_for(rd: RootDatum, lam, mu) -> ValuationVector:
-    """The generic valuation vector of a split class with cocharacter mu
-    inside the lambda-twisted base: c_val_j = <lambda, omega_{iota(j)}> +
-    generic_char_valuation(mu, j)."""
-    lam = rootdata.coweight(lam)
-    mu = rootdata.coweight(mu)
-    b_vals = tuple(lam[rd.iota[i]] for i in range(rd.rank))
-    c_vals = tuple(
-        Fraction(lam[rd.iota[j]]) + generic_char_valuation(rd, mu, j)
-        for j in range(rd.rank)
-    )
-    return ValuationVector(b_vals=b_vals, c_vals=c_vals)

@@ -1,4 +1,4 @@
-"""Combinatorics of the extended nilpotent cone and arc-space strata.
+"""Combinatorics of the extended nilpotent cone.
 
 The nilpotent cone is stratified by pairs (J, w) where J is a set of simple
 roots, w runs over minimal-length double-coset representatives for the
@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import multiplicity, rootdata, weyl
-from .errors import InvariantViolation, UsageError
-from .rootdata import Coweight, RootDatum
+from . import weyl
+from .errors import InvariantViolation
+from .rootdata import RootDatum
 
 
 @dataclass(frozen=True)
@@ -83,22 +83,3 @@ def nilcone_report(rd: RootDatum, strata) -> NilconeSummary:
         if not s.is_top and s.dim >= top_dim:
             raise InvariantViolation("non-top stratum reaches the top dimension")
     return NilconeSummary(dim=max_dim, top_count=len(top), strata_count=len(strata))
-
-
-def arc_strata_index(rd: RootDatum, lam) -> tuple[Coweight, ...]:
-    """Index set of the arc-space Cartan strata: dominant mu <= lam."""
-    lam = rootdata.coweight(lam)
-    if not rootdata.is_dominant(rd, lam) or not rootdata.is_integral(rd, lam):
-        raise UsageError("lambda must be dominant and in the isogeny lattice")
-    return multiplicity.dominant_below(rd, lam)
-
-
-def b_constant(rd: RootDatum, lam) -> int:
-    """b(lambda) = max over i of <lambda, omega_i - w0(omega_i)>."""
-    lam = rootdata.coweight(lam)
-    if not rootdata.is_dominant(rd, lam) or not rootdata.is_integral(rd, lam):
-        raise UsageError("lambda must be dominant and in the isogeny lattice")
-    best = max(lam[i] + lam[rd.iota[i]] for i in range(rd.rank))
-    if best < 0 or best.denominator != 1:
-        raise InvariantViolation(f"b(lambda) = {best} is not a nonnegative integer")
-    return int(best)

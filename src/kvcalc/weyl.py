@@ -22,6 +22,10 @@ descent in J2 (Bjorner-Brenti, Combinatorics of Coxeter Groups, section
 2.4): a two-mask test.  `enumerate_group`, `identity_element` and
 `coxeter_elements` build neither map nor masks.
 
+The Coxeter elements are enumerated by orientation of the Coxeter graph, one
+word per orientation (2^edges of them), not by trying all r! orderings of
+the simple reflections.
+
 `vinberg.nilcone_strata` asks for the representatives one J at a time.  An
 enumeration driven by the masks (D_L and D_R inside J, J inside the support)
 would visit only the strata, but perfbench's `nilcone` workload counts the
@@ -33,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from operator import sub
 
 from . import linalg, rootdata
@@ -160,21 +163,32 @@ def word_to_element(rd: RootDatum, word) -> WeylElement:
     return enumerate_group(rd)[_index(rd)[_apply_word(rd, word, _two_rho_check(rd))]]
 
 
-def longest_element(rd: RootDatum) -> WeylElement:
-    return enumerate_group(rd)[-1]
-
-
 @lru_cache(maxsize=None)
 def coxeter_elements(rd: RootDatum) -> tuple[WeylElement, ...]:
-    """Products of all simple reflections in every order, deduplicated by
-    their image of 2 rho_check (no group table needed)."""
-    seen = {}
+    """One product of all simple reflections per orientation of the Coxeter
+    graph, written as the orientation's lexicographically least linear
+    extension; sorted by word.  Two orderings give the same element exactly
+    when they orient every edge alike (Shi, J. Algebraic Combin. 6 (1997)),
+    and a Dynkin diagram is a forest, so every orientation occurs."""
+    rootdata.guard_grid_size(coxeter_count(rd), "the Coxeter elements")
+    r = rd.rank
+    edges = [(i, j) for i in range(r) for j in range(i + 1, r) if rd.cartan[i][j]]
     origin = _two_rho_check(rd)
-    for perm in permutations(range(rd.rank)):
-        key = _apply_word(rd, perm, origin)
-        if key not in seen:
-            seen[key] = WeylElement(rd, key, perm)
-    return tuple(sorted(seen.values(), key=lambda e: e.word))
+    out = []
+    for bits in range(1 << len(edges)):
+        before = [0] * r  # bit i of before[j]: s_i comes before s_j
+        for n, (i, j) in enumerate(edges):
+            if bits >> n & 1:
+                before[i] |= 1 << j
+            else:
+                before[j] |= 1 << i
+        word, done = [], 0
+        while len(word) < r:
+            k = next(k for k in range(r) if not (done >> k & 1 or before[k] & ~done))
+            word.append(k)
+            done |= 1 << k
+        out.append(WeylElement(rd, _apply_word(rd, word, origin), tuple(word)))
+    return tuple(sorted(out, key=lambda e: e.word))
 
 
 def coxeter_count(rd: RootDatum) -> int:

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from kvcalc import cli, conjugacy, weyl
+from kvcalc.errors import InvariantViolation
+from oracles import report_from_json
 
 
 def run(argv):
@@ -211,6 +213,23 @@ class TestMalformedInput:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
         assert "the dominance interval" in proc.stderr
 
+    def test_oversized_freudenthal_recursion_is_refused_before_it_starts(self):
+        # the dominance interval of (300, 300) passes its guard, but its
+        # recursion would take about 28M alpha-string steps
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "kvcalc.cli", "mult", "--type", "A2",
+             "--lambda", "300,300", "--mu", "0,0"],
+            capture_output=True, text=True, env=env, timeout=30)
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: Freudenthal's recursion"), proc.stderr
+
+    def test_oversized_coxeter_enumeration_is_refused(self, capsys):
+        # 2^25 orientations of the Coxeter graph, over the cap
+        self.check(["weyl", "--type", "A6xA6xA6xA6xA6", "--coxeter"], capsys)
+
 
 class TestWeyl:
     def test_order_output(self):
@@ -257,8 +276,7 @@ class TestDim:
         assert code == 0
         data = json.loads(text)
         assert data["nonempty"] is True
-        from kvcalc import kv
-        rep = kv.KVReport.from_json(data)
+        rep = report_from_json(data)
         assert rep.dimension == 3
 
     def test_split_class_builds_no_weyl_table(self, tmp_path):
@@ -289,6 +307,40 @@ class TestDim:
                           "--lambda", "1,1"])
         assert code == 0
         assert text.splitlines()[0] == "predicted-orbits 2"
+
+    COMPONENT_KEYS = ("predicted-orbits", "regular-orbit-bound", "regular-bound-exact")
+
+    @pytest.mark.parametrize("fields,lam", [
+        ({"residual": [{"root": [1, 1], "val": "1"}]}, "1,1"),
+        ({"type": "B2", "nu_bar": [1, 1]}, "4,3"),
+        ({"w": [1, 2], "residual": [{"root": r, "val": "1/3"}
+                                    for r in ([1, 0], [0, 1], [1, 1])]}, "2,1"),
+        ({"type": "A1", "w": [1], "nu_bar": [0], "residual": [{"root": [1], "val": "1/2"}]},
+         "2"),
+        ({"type": "A1", "nu_bar": [2]}, "1"),
+    ], ids=["split", "split-b2", "twisted-coxeter", "twisted-a1", "empty"])
+    def test_components_prints_the_lines_of_dim(self, tmp_path, fields, lam):
+        path = write_class(tmp_path, **fields)
+        code, dim_text = run(["dim", "--class", path, "--lambda", lam])
+        assert code == 0
+        code, text = run(["components", "--class", path, "--lambda", lam])
+        assert code == 0
+        if "nonempty false\n" in dim_text:
+            assert text == "empty\n"
+            return
+        lines = dict(line.split(" ", 1) for line in dim_text.splitlines())
+        assert text == "".join(f"{k} {lines[k]}\n" for k in self.COMPONENT_KEYS)
+
+    def test_components_builds_no_chen_zhu_grid(self, split_class_file, monkeypatch):
+        from kvcalc import kv
+
+        def refuse(rd, nu):
+            raise InvariantViolation("the Chen-Zhu grid was built")
+
+        monkeypatch.setattr(kv, "chen_zhu_approx", refuse)
+        argv = ["--class", split_class_file, "--lambda", "1,1"]
+        assert run(["components", *argv])[0] == 0
+        assert run(["dim", *argv])[0] == 2
 
 
 class TestStrata:

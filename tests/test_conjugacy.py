@@ -6,9 +6,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvcalc import conjugacy, multiplicity, rootdata, weyl
-from kvcalc.errors import UsageError
+from kvcalc.errors import KVError, UsageError
+from oracles import class_to_json
 
 
 def rd(label, isogeny="sc"):
@@ -298,7 +301,7 @@ class TestJsonInterchange:
             datum, cox, [0, 0],
             {(1, 0): Fraction(1, 3), (0, 1): Fraction(1, 3), (1, 1): Fraction(1, 3)},
         )
-        again = conjugacy.class_from_json(conjugacy.class_to_json(cd))
+        again = conjugacy.class_from_json(class_to_json(cd))
         assert again == cd
 
     def test_parse_with_short_kappa(self):
@@ -323,4 +326,59 @@ class TestJsonInterchange:
     def test_split_round_trip_with_residual(self):
         datum = rd("B2")
         cd = conjugacy.split_class(datum, [1, 1], {})
-        assert conjugacy.class_from_json(conjugacy.class_to_json(cd)) == cd
+        assert conjugacy.class_from_json(class_to_json(cd)) == cd
+
+
+# Well-shaped class JSON: the label is drawn first, so that most vectors
+# have its rank; each field then holds a plausible value or any JSON scalar,
+# list or object of the wrong kind, and the optional fields may be absent.
+_junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=3),
+    max_leaves=6,
+)
+_number = (st.integers(-3, 3) | st.sampled_from(["1/2", "-1/3", "2", "x", "1/0", "inf"])
+           | st.floats())
+_fraction = _number | st.fixed_dictionaries({"num": _number}, optional={"den": _number})
+_RANKS = {"A1": 1, "A2": 2, "B2": 2, "G2": 2, "A1xA1": 2, "A3": 3}
+
+
+@st.composite
+def _class_json(draw):
+    label = draw(st.sampled_from(list(_RANKS) + ["Z9", "A0", None]))
+    rank = _RANKS.get(label, 2)
+    if label is None:
+        label = draw(_junk)
+    size = st.integers(rank - 1, rank + 1) | st.just(rank)
+
+    def vector(entries):
+        return size.flatmap(lambda n: st.lists(entries, min_size=max(n, 0), max_size=max(n, 0)))
+
+    fields = {
+        "type": st.just(label),
+        "nu_bar": vector(_number) | st.fixed_dictionaries(
+            {"num": vector(_number)}, optional={"den": _number}) | _junk,
+    }
+    optional = {
+        "isogeny": st.sampled_from(["sc", "adjoint", "other"])
+                   | vector(vector(st.integers(-2, 2))) | _junk,
+        "w": st.lists(st.integers(-1, rank + 1), max_size=4)
+             | st.lists(st.integers(-1, rank + 1) | _number, max_size=4) | _junk,
+        "e": _number | _junk,
+        "residual": st.lists(st.fixed_dictionaries(
+            {"root": vector(st.integers(-1, 2)), "val": _fraction}) | _junk, max_size=3) | _junk,
+        "kappa": vector(st.integers(-2, 2) | _number) | _junk,
+    }
+    return draw(st.fixed_dictionaries(fields, optional=optional))
+
+
+@given(data=_class_json())
+@settings(max_examples=200, deadline=None)
+def test_class_from_json_raises_only_kv_errors(data):
+    """A class file either parses or raises a KVError, which the CLI turns
+    into exit 1 or 2 with one line on stderr; nothing else escapes."""
+    try:
+        conjugacy.class_from_json(data)
+    except KVError:
+        pass

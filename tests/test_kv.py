@@ -8,6 +8,7 @@ import pytest
 
 from kvcalc import conjugacy, kv, multiplicity, rootdata, weyl
 from kvcalc.errors import EmptyVarietyError, UsageError
+from oracles import report_from_json
 
 
 def rd(label, isogeny="sc"):
@@ -177,25 +178,25 @@ class TestChenZhu:
 class TestComponentsAndBounds:
     def test_rigid_prediction_is_one(self):
         cd = conjugacy.split_class(rd("A2"), [1, 1])
-        assert kv.predicted_components(cd, [1, 1]) == 1
+        assert kv.report(cd, [1, 1]).predicted_orbits == 1
 
     def test_unramified_prediction_matches_multiplicity(self):
         datum = rd("A2")
         cd = conjugacy.split_class(datum, [0, 0])
-        assert kv.predicted_components(cd, [1, 1]) == 2
+        assert kv.report(cd, [1, 1]).predicted_orbits == 2
 
     def test_ramified_sl2(self):
         cd = ramified_sl2()
         # best approximation of 0 below 2 alpha-vee is 0; the dual weight
         # space is 1-dimensional
-        assert kv.predicted_components(cd, [2]) == 1
+        assert kv.report(cd, [2]).predicted_orbits == 1
 
     @pytest.mark.parametrize("label,bound", [("A1", 1), ("A2", 2), ("A3", 4), ("G2", 2),
                                              ("F4", 8), ("A2xB3", 8)])
     def test_regular_orbit_bound(self, label, bound):
         # the closed-form count against the brute force over r! orderings
         datum = rd(label)
-        assert kv.regular_orbit_bound(datum) == len(weyl.coxeter_elements(datum)) == bound
+        assert weyl.coxeter_count(datum) == len(weyl.coxeter_elements(datum)) == bound
 
     def test_exactness_flag(self):
         datum = rd("A2")
@@ -232,27 +233,11 @@ class TestExtendedDisc:
                     assert kv.extended_disc_valuation(cd, lam) >= 0
 
 
-class TestMvDimension:
-    def test_diagonal(self):
-        datum = rd("A2")
-        assert kv.mv_dimension(datum, [1, 1], [1, 1]) == 4
-
-    def test_a1(self):
-        assert kv.mv_dimension(rd("A1"), [1], [0]) == 1
-
-    def test_a2_theta(self):
-        assert kv.mv_dimension(rd("A2"), [1, 1], [0, 0]) == 2
-
-    def test_precondition(self):
-        with pytest.raises(UsageError):
-            kv.mv_dimension(rd("A1"), [0], [1])
-
-
 class TestReport:
     def test_json_round_trip(self):
         cd = conjugacy.split_class(rd("A2"), [0, 0], {(1, 1): Fraction(1)})
         rep = kv.report(cd, [2, 1])
-        assert kv.KVReport.from_json(rep.to_json()) == rep
+        assert report_from_json(rep.to_json()) == rep
 
     def test_empty_report(self):
         cd = conjugacy.split_class(rd("A1"), [2])

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvcalc import multiplicity, rootdata, strata
+from kvcalc import multiplicity, rootdata
 from kvcalc.errors import InvariantViolation, UsageError
-from oracles import frac_matrix, inverse
+from oracles import (dimension_sum, frac_matrix, generic_char_valuation, inverse,
+                     orbit_size, weyl_dimension)
 
 
 def rd(label, isogeny="sc"):
@@ -258,7 +259,7 @@ class TestFullWeightOracle:
         grid = [Fraction(-3, 2), Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(2)]
         for mu in product(grid, repeat=datum.rank):
             for i in range(datum.rank):
-                assert strata.generic_char_valuation(datum, mu, i) == oracle_char_valuation(
+                assert generic_char_valuation(datum, mu, i) == oracle_char_valuation(
                     datum, mu, i
                 ), (mu, i)
 
@@ -324,6 +325,37 @@ class TestFreudenthal:
         with pytest.raises(UsageError):
             multiplicity.multiplicity_freudenthal(rd("A2"), (-1, 0), (0, 0))
 
+    @pytest.mark.parametrize("label,isogeny,lam", [
+        ("A1", "adjoint", (Fraction(7, 2),)),
+        ("A2", "sc", (6, 4)),
+        ("B2", "sc", (5, 3)),
+        ("G2", "sc", (7, 4)),
+        ("A3", "adjoint", (Fraction(15, 4), Fraction(9, 2), Fraction(13, 4))),
+    ])
+    def test_step_bound_covers_the_recursion(self, monkeypatch, label, isogeny, lam):
+        """The count passed to the size guard is at least the number of
+        alpha-string steps, one `_reduce_ints` call each."""
+        datum = rd(label, isogeny)
+        lam = cw(*lam)
+        multiplicity._interval(datum, lam)  # walk the interval outside the count
+        multiplicity.weight_system.cache_clear()
+        guard, reduce_ints = rootdata.guard_grid_size, rootdata._reduce_ints
+        guarded, calls = [], []
+        monkeypatch.setattr(rootdata, "guard_grid_size",
+                            lambda count, what: guarded.append((what, count)) or guard(count, what))
+        monkeypatch.setattr(rootdata, "_reduce_ints",
+                            lambda *args: calls.append(args) or reduce_ints(*args))
+        multiplicity.weight_system(datum, lam)
+        multiplicity.weight_system.cache_clear()
+        [(what, bound)] = guarded
+        assert what == "Freudenthal's recursion"
+        assert 0 < len(calls) <= bound
+
+    def test_large_weight_under_the_step_cap_answers(self):
+        # about 1.07M alpha-string steps, under the cap; V(100 theta) of SL3
+        # has a zero weight of multiplicity 101
+        assert multiplicity.multiplicity_freudenthal(rd("A2"), (100, 100), (0, 0)) == 101
+
 
 class TestKostantFormula:
     def test_highest_weight(self):
@@ -354,9 +386,7 @@ class TestWeightSystem:
     def test_dimension_sum_matches_weyl_formula(self, label):
         datum = rd(label)
         for lam in multiplicity.sweep_dominant(datum, 9):
-            assert multiplicity.dimension_sum(datum, lam) == rootdata.weyl_dimension(
-                datum, lam
-            )
+            assert dimension_sum(datum, lam) == weyl_dimension(datum, lam)
 
     def test_dominant_weights_have_positive_multiplicity(self):
         datum = rd("B2")
@@ -400,15 +430,15 @@ class TestDominantBelow:
     def test_orbit_sum_bounds_dimension(self, a, b):
         datum = rd("A2")
         lam, _ = rootdata.dominant_reduce(datum, cw(a, b))
-        total = multiplicity.dimension_sum(datum, lam)
-        assert total == rootdata.weyl_dimension(datum, lam)
+        total = dimension_sum(datum, lam)
+        assert total == weyl_dimension(datum, lam)
 
 
 class TestOrbits:
     def test_regular_orbit_size(self):
-        assert multiplicity.orbit_size(rd("A2"), cw(1, 1)) == 6
+        assert orbit_size(rd("A2"), cw(1, 1)) == 6
 
     def test_singular_orbit_size(self):
         # (2,1) in B2 coroot coordinates lies on one wall: orbit |W|/2
-        assert multiplicity.orbit_size(rd("B2"), cw(2, 1)) == 4
-        assert multiplicity.orbit_size(rd("B2"), cw(0, 0)) == 1
+        assert orbit_size(rd("B2"), cw(2, 1)) == 4
+        assert orbit_size(rd("B2"), cw(0, 0)) == 1

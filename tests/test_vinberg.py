@@ -1,20 +1,13 @@
-"""Nilpotent-cone strata in the graded setting: dimensions, top strata,
-fiber indexing, and the boundedness constant."""
-
-from fractions import Fraction
+"""Nilpotent-cone strata in the graded setting: dimensions and top strata."""
 
 import pytest
 
-from kvcalc import multiplicity, rootdata, vinberg, weyl
+from kvcalc import rootdata, vinberg, weyl
 from oracles import action
 
 
 def rd(label, isogeny="sc"):
     return rootdata.build_root_datum(label, isogeny)
-
-
-def cw(*coords):
-    return rootdata.coweight(coords)
 
 
 class TestLeviDimension:
@@ -72,40 +65,3 @@ class TestNilconeStrata:
         datum = rd(label)
         tops = {action(s.w) for s in vinberg.nilcone_strata(datum) if s.is_top}
         assert tops == {action(e) for e in weyl.coxeter_elements(datum)}
-
-
-class TestArcStrataIndex:
-    def test_zero(self):
-        assert vinberg.arc_strata_index(rd("A2"), cw(0, 0)) == (cw(0, 0),)
-
-    def test_adjoint_minuscule(self):
-        datum = rd("A1", "adjoint")
-        omega = cw(Fraction(1, 2))
-        assert vinberg.arc_strata_index(datum, omega) == (omega,)
-
-    def test_a2_theta(self):
-        assert vinberg.arc_strata_index(rd("A2"), cw(1, 1)) == (cw(0, 0), cw(1, 1))
-
-    def test_matches_dominant_interval(self):
-        datum = rd("B2")
-        lam = cw(2, 1)
-        assert vinberg.arc_strata_index(datum, lam) == multiplicity.dominant_below(
-            datum, lam
-        )
-
-
-class TestBConstant:
-    def test_zero(self):
-        assert vinberg.b_constant(rd("A2"), cw(0, 0)) == 0
-
-    def test_a2_theta(self):
-        assert vinberg.b_constant(rd("A2"), cw(1, 1)) == 2
-
-    def test_a1(self):
-        assert vinberg.b_constant(rd("A1"), cw(1)) == 2
-
-    def test_monotone_in_lambda(self):
-        datum = rd("B2")
-        for lam in rootdata.dominant_integral_sweep(datum, 4):
-            for mu in multiplicity.dominant_below(datum, lam):
-                assert vinberg.b_constant(datum, mu) <= vinberg.b_constant(datum, lam)

@@ -8,7 +8,7 @@ matrices.  The masks themselves are checked against descents read off
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -135,7 +135,7 @@ class TestEnumeration:
     def test_longest_element(self):
         for label in ["A2", "B2", "G2", "A3"]:
             datum = rd(label)
-            w0 = weyl.longest_element(datum)
+            w0 = weyl.enumerate_group(datum)[-1]
             assert w0.length == datum.num_positive_roots
             assert mat_mul(action(w0), action(w0)) == action(weyl.identity_element(datum))
 
@@ -146,7 +146,7 @@ class TestEnumeration:
                 range(datum.rank)
             )
             # -w0 sends the simple coroot i to the simple coroot iota(i)
-            w0 = action(weyl.longest_element(datum))
+            w0 = action(weyl.enumerate_group(datum)[-1])
             for i in range(datum.rank):
                 assert tuple(-w0[j][i] for j in range(datum.rank)) == tuple(
                     int(j == datum.iota[i]) for j in range(datum.rank)
@@ -178,6 +178,26 @@ class TestCoxeterElements:
     def test_coxeter_number(self, label, h):
         for e in weyl.coxeter_elements(rd(label)):
             assert e.order() == h
+
+    @pytest.mark.parametrize("label", [
+        f"{letter}{n}" for letter, (lo, hi) in rootdata._RANK_RANGE.items()
+        for n in range(lo, hi + 1)] + ["A1xA1", "A2xB2", "A1xG2", "A3xA4", "D4xA3", "A2xA2xA3"])
+    def test_orientations_match_all_orderings(self, label):
+        """Oracle: every ordering of the simple reflections, keeping for each
+        element the first ordering that reaches it; rank at most 7."""
+        datum = rd(label)
+        origin = weyl._two_rho_check(datum)
+        first = {}
+        for perm in permutations(range(datum.rank)):
+            first.setdefault(weyl._apply_word(datum, perm, origin), perm)
+        expected = sorted((word, key) for key, word in first.items())
+        assert [(e.word, e.key) for e in weyl.coxeter_elements(datum)] == expected
+
+    def test_large_rank_is_fast_and_too_large_is_refused(self):
+        # 11! orderings of B6xB5 are out of reach; its 2^9 orientations are not
+        assert len(weyl.coxeter_elements(rd("B6xB5"))) == 512
+        with pytest.raises(SizeGuardError):
+            weyl.coxeter_elements(rd("A6xA6xA6xA6xA6"))  # 2^25 orientations
 
 
 class TestDoubleCosets:
