@@ -1,13 +1,19 @@
 """Nilpotent-cone strata in the graded setting: dimensions and top strata."""
 
+from fractions import Fraction
+
 import pytest
 
-from kvcalc import rootdata, vinberg, weyl
+from kvcalc import multiplicity, rootdata, vinberg, weyl
 from oracles import action
 
 
 def rd(label, isogeny="sc"):
     return rootdata.build_root_datum(label, isogeny)
+
+
+def cw(*coords):
+    return rootdata.coweight(coords)
 
 
 class TestLeviDimension:
@@ -65,3 +71,19 @@ class TestNilconeStrata:
         datum = rd(label)
         tops = {action(s.w) for s in vinberg.nilcone_strata(datum) if s.is_top}
         assert tops == {action(e) for e in weyl.coxeter_elements(datum)}
+
+
+class TestArcStrataIndex:
+    """The arc-space Cartan strata in the closure of the lambda-stratum are
+    indexed by the dominance interval: dominant mu <= lambda."""
+
+    def test_zero(self):
+        assert multiplicity.dominant_below(rd("A2"), cw(0, 0)) == (cw(0, 0),)
+
+    def test_adjoint_minuscule(self):
+        datum = rd("A1", "adjoint")
+        omega = cw(Fraction(1, 2))
+        assert multiplicity.dominant_below(datum, omega) == (omega,)
+
+    def test_a2_theta(self):
+        assert multiplicity.dominant_below(rd("A2"), cw(1, 1)) == (cw(0, 0), cw(1, 1))
