@@ -2,19 +2,18 @@
 
 Exit codes: 0 success, 1 usage error, 2 a checked identity failed or an
 input datum is internally inconsistent.  All enumerations are emitted in
-sorted order, so output is byte-deterministic for fixed flags.
+sorted order, so output is byte-deterministic for fixed flags.  Each
+handler imports the modules it uses, so a command loads only its own layers.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
 from fractions import Fraction
 from itertools import combinations
 
-from . import conjugacy, kv, multiplicity, rootdata, strata, vinberg, weyl
+from . import rootdata
 from .errors import InvariantViolation, KVError, UsageError
 
 DEFAULT_NILCONE_TYPES = ["A1", "A2", "B2", "G2", "A3"]
@@ -37,6 +36,7 @@ def _fmt(v) -> str:
 def _build(args) -> rootdata.RootDatum:
     isogeny = args.isogeny
     if isinstance(isogeny, str) and isogeny.startswith("custom:"):
+        import json
         try:
             with open(isogeny[len("custom:"):], encoding="utf-8") as fh:
                 isogeny = json.load(fh)
@@ -48,6 +48,7 @@ def _build(args) -> rootdata.RootDatum:
 
 
 def _parse_cvals(rd, text):
+    from . import strata
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != rd.rank:
         raise UsageError(f"expected {rd.rank} c-valuations, got {len(parts)}")
@@ -68,6 +69,7 @@ def _parse_cvals(rd, text):
 
 
 def cmd_weyl(args, out):
+    from . import weyl
     rd = _build(args)
     if args.coxeter:
         elements = weyl.coxeter_elements(rd)
@@ -81,6 +83,7 @@ def cmd_weyl(args, out):
 
 
 def cmd_mult(args, out):
+    from . import multiplicity
     rd = _build(args)
     if args.sweep is not None:
         rows = []
@@ -95,7 +98,9 @@ def cmd_mult(args, out):
     print(multiplicity.multiplicity_freudenthal(rd, lam, mu), file=out)
 
 
-def _load_class(args) -> conjugacy.ClassDatum:
+def _load_class(args):
+    import json
+    from . import conjugacy
     try:
         with open(args.class_file, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -106,7 +111,7 @@ def _load_class(args) -> conjugacy.ClassDatum:
     return conjugacy.class_from_json(data)
 
 
-def _report_text(rep: kv.KVReport, out):
+def _report_text(rep, out):
     print(f"nonempty {str(rep.nonempty).lower()}", file=out)
     print(f"newton {_fmt(rep.newton)}", file=out)
     print(f"d {rep.d}", file=out)
@@ -123,10 +128,12 @@ def _report_text(rep: kv.KVReport, out):
 
 
 def cmd_dim(args, out):
+    from . import kv
     cd = _load_class(args)
     lam = rootdata.parse_coweight(cd.rd, args.lam)
     rep = kv.report(cd, lam)
     if args.json:
+        import json
         print(json.dumps(rep.to_json(), sort_keys=True), file=out)
     else:
         _report_text(rep, out)
@@ -134,6 +141,7 @@ def cmd_dim(args, out):
 
 def cmd_components(args, out):
     """The component-count lines of the `dim` report, without its Chen-Zhu set."""
+    from . import kv
     cd = _load_class(args)
     rep = kv.report(cd, rootdata.parse_coweight(cd.rd, args.lam), chen_zhu=False)
     if not rep.nonempty:
@@ -145,6 +153,7 @@ def cmd_components(args, out):
 
 
 def cmd_strata(args, out):
+    from . import strata
     rd = _build(args)
     if args.strata_kind == "polytope":
         lam = rootdata.parse_coweight(rd, args.lam)
@@ -167,6 +176,7 @@ def cmd_strata(args, out):
 
 
 def cmd_nilcone(args, out):
+    from . import vinberg
     rd = _build(args)
     strata_list = vinberg.nilcone_strata(rd)
     for s in strata_list:
@@ -189,6 +199,7 @@ def _types(args, default):
 
 
 def verify_lower_bound(args, out) -> tuple[bool, int]:
+    from . import multiplicity, weyl
     ok = True
     checked = 0
     for label in _types(args, DEFAULT_BOUND_TYPES):
@@ -213,6 +224,7 @@ def verify_lower_bound(args, out) -> tuple[bool, int]:
 
 
 def verify_nilcone(args, out) -> tuple[bool, int]:
+    from . import vinberg
     labels = _types(args, DEFAULT_NILCONE_TYPES)
     for label in labels:
         rd = rootdata.build_root_datum(label)
@@ -226,6 +238,7 @@ def verify_nilcone(args, out) -> tuple[bool, int]:
 
 
 def verify_freudenthal_kostant(args, out) -> tuple[bool, int]:
+    from . import multiplicity
     ok = True
     checked = 0
     for label in _types(args, ["A1", "A2", "B2", "G2"]):
@@ -246,6 +259,8 @@ def verify_freudenthal_kostant(args, out) -> tuple[bool, int]:
 
 
 def verify_dimension_consistency(args, out) -> tuple[bool, int]:
+    import random
+    from . import conjugacy, kv, multiplicity
     rng = random.Random(args.seed)
     ok = True
     checked = 0
@@ -284,6 +299,7 @@ def verify_dimension_consistency(args, out) -> tuple[bool, int]:
 
 
 def verify_stratification_disjoint(args, out) -> tuple[bool, int]:
+    from . import strata
     ok = True
     checked = 0
     for label in _types(args, ["A2"]):
@@ -304,6 +320,7 @@ def verify_stratification_disjoint(args, out) -> tuple[bool, int]:
 
 
 def verify_chen_zhu_compare(args, out) -> tuple[bool, int]:
+    from . import kv, strata
     reported = 0
     for label in _types(args, ["A2"]):
         rd = rootdata.build_root_datum(label)

@@ -14,8 +14,6 @@ product, and a Fraction is built only for a value that is returned.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -33,14 +31,18 @@ def _positive(root) -> bool:
     return any(x > 0 for x in root) and all(x >= 0 for x in root)
 
 
-@dataclass(frozen=True)
-class ClassDatum:
-    rd: RootDatum
-    w: weyl.WeylElement
-    e: int
-    nu_bar: Coweight
-    residual: tuple[tuple[tuple[int, ...], Fraction], ...]  # positive roots only
-    kappa: tuple[int, ...]
+class ClassDatum(rootdata.Record):
+    _fields = ("rd", "w", "e", "nu_bar", "residual", "kappa")
+
+    def __init__(self, rd: RootDatum, w: weyl.WeylElement, e: int, nu_bar: Coweight,
+                 residual: tuple[tuple[tuple[int, ...], Fraction], ...],
+                 kappa: tuple[int, ...]):
+        self.rd = rd
+        self.w = w
+        self.e = e
+        self.nu_bar = nu_bar
+        self.residual = residual  # positive roots only
+        self.kappa = kappa
 
     def residual_value(self, root) -> Fraction:
         """r_alpha, with the +/- symmetry applied; unspecified roots are 0."""
@@ -222,6 +224,7 @@ def class_from_json(data) -> ClassDatum:
     positive roots only; a short "kappa" is padded with zeros.
     """
     if isinstance(data, (str, bytes)):
+        import json
         try:
             data = json.loads(data)
         except ValueError as exc:

@@ -16,7 +16,6 @@ pairwise filter only to list a tie.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -172,19 +171,27 @@ def extended_disc_valuation(cd: ClassDatum, lam) -> Fraction:
 # full report
 
 
-@dataclass(frozen=True)
-class KVReport:
-    nonempty: bool
-    newton: Coweight
-    d: int
-    c: int
-    regular_orbit_bound: int
-    dimension: int | None = None
-    mu_star: Coweight | None = None
-    predicted_orbits: int | None = None
-    regular_bound_exact: bool = False
-    d_plus: Fraction | None = None
-    chen_zhu_mu: tuple[Coweight, ...] = ()
+class KVReport(rootdata.Record):
+    __slots__ = _fields = ("nonempty", "newton", "d", "c", "regular_orbit_bound",
+                           "dimension", "mu_star", "predicted_orbits",
+                           "regular_bound_exact", "d_plus", "chen_zhu_mu")
+
+    def __init__(self, nonempty: bool, newton: Coweight, d: int, c: int,
+                 regular_orbit_bound: int, dimension: int | None = None,
+                 mu_star: Coweight | None = None, predicted_orbits: int | None = None,
+                 regular_bound_exact: bool = False, d_plus: Fraction | None = None,
+                 chen_zhu_mu: tuple[Coweight, ...] = ()):
+        self.nonempty = nonempty
+        self.newton = newton
+        self.d = d
+        self.c = c
+        self.regular_orbit_bound = regular_orbit_bound
+        self.dimension = dimension
+        self.mu_star = mu_star
+        self.predicted_orbits = predicted_orbits
+        self.regular_bound_exact = regular_bound_exact
+        self.d_plus = d_plus
+        self.chen_zhu_mu = chen_zhu_mu
 
     def to_json(self) -> dict:
         def cw(v):

@@ -24,7 +24,6 @@ The layers above share two private kernels on such scaled integers:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -165,21 +164,45 @@ def _root_closure(cartan):
 _DUAL_LETTER = {"A": "A", "B": "C", "C": "B", "D": "D", "E": "E", "F": "F", "G": "G"}
 
 
-@dataclass(frozen=True)
-class RootDatum:
-    label: tuple[tuple[str, int], ...]
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[tuple[int, ...], ...]
-    positive_coroots: tuple[tuple[int, ...], ...]
-    rho_check: Coweight  # half-sum of positive coroots, simple-coroot coords
-    isogeny: str
-    lattice_basis: tuple[tuple[int, ...], ...]  # columns = generators of Lambda
-    # in fundamental-coweight coordinates
+class Record:
+    """Value semantics from the field names in ``_fields``: equal only to an
+    object of the same class with equal fields, and hashed as the field
+    tuple.  Fields are set once, in ``__init__``."""
 
-    @property
-    def label_str(self) -> str:
-        return "x".join(f"{l}{n}" for l, n in self.label)
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class RootDatum(Record):
+    _fields = ("label", "rank", "cartan", "positive_roots", "positive_coroots",
+               "rho_check", "isogeny", "lattice_basis")
+
+    def __init__(self, label, rank, cartan, positive_roots, positive_coroots, rho_check,
+                 isogeny, lattice_basis):
+        self.label = label  # ((letter, n), ...)
+        self.rank = rank
+        self.cartan = cartan
+        self.positive_roots = positive_roots
+        self.positive_coroots = positive_coroots
+        self.rho_check = rho_check  # half-sum of positive coroots, simple-coroot coords
+        self.isogeny = isogeny
+        # columns = generators of Lambda, in fundamental-coweight coordinates
+        self.lattice_basis = lattice_basis
 
     @property
     def num_positive_roots(self) -> int:
@@ -220,7 +243,7 @@ class RootDatum:
 
     @cached_property
     def _hash(self) -> int:
-        return hash(tuple(getattr(self, f.name) for f in fields(self)))
+        return hash(self._values())
 
     def __hash__(self) -> int:
         # Every lru_cache keyed on a datum hashes it on each lookup; the
@@ -476,18 +499,13 @@ def is_integral(rd: RootDatum, v: Coweight) -> bool:
 # fundamental group
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
-    invariant_factors: tuple[int, ...]
-    _u: tuple[tuple[int, ...], ...]
-    rd: RootDatum
+class FiniteAbelianGroup(Record):
+    __slots__ = _fields = ("invariant_factors", "_u", "rd")
 
-    @property
-    def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+    def __init__(self, invariant_factors, _u, rd):
+        self.invariant_factors = invariant_factors
+        self._u = _u
+        self.rd = rd
 
     def zero(self) -> tuple[int, ...]:
         return tuple(0 for _ in self.invariant_factors)

@@ -14,7 +14,6 @@ one pass and runs the pairwise filter only when that fails, to list the tie.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -44,20 +43,20 @@ def is_infinite(x) -> bool:
     return x is INFINITE
 
 
-@dataclass(frozen=True)
-class ValuationVector:
+class ValuationVector(rootdata.Record):
     """Valuations of the extended Steinberg-base coordinates.
 
     b_vals are the abelianization coordinates (finite, >= 0, determined by
     lambda); c_vals are the twisted trace coordinates, INFINITE allowed.
     """
 
-    b_vals: tuple[Fraction, ...]
-    c_vals: tuple  # Fractions and/or INFINITE
+    __slots__ = _fields = ("b_vals", "c_vals")
 
-    def __post_init__(self):
-        if any(x < 0 for x in self.b_vals):
+    def __init__(self, b_vals: tuple[Fraction, ...], c_vals: tuple):
+        if any(x < 0 for x in b_vals):
             raise UsageError("b-valuations must be nonnegative")
+        self.b_vals = b_vals
+        self.c_vals = c_vals  # Fractions and/or INFINITE
 
 
 # ---------------------------------------------------------------------------

@@ -9,20 +9,21 @@ against the Coxeter-element count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from . import weyl
+from . import rootdata, weyl
 from .errors import InvariantViolation
 from .rootdata import RootDatum
 
 
-@dataclass(frozen=True)
-class NilconeStratum:
-    j: frozenset[int]
-    w: weyl.WeylElement
-    dim: int
-    is_top: bool
+class NilconeStratum(rootdata.Record):
+    __slots__ = _fields = ("j", "w", "dim", "is_top")
+
+    def __init__(self, j: frozenset[int], w: weyl.WeylElement, dim: int, is_top: bool):
+        self.j = j
+        self.w = w
+        self.dim = dim
+        self.is_top = is_top
 
 
 def levi_dimension(rd: RootDatum, subset: frozenset[int]) -> int:
@@ -54,11 +55,13 @@ def nilcone_strata(rd: RootDatum) -> tuple[NilconeStratum, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class NilconeSummary:
-    dim: int
-    top_count: int
-    strata_count: int
+class NilconeSummary(rootdata.Record):
+    __slots__ = _fields = ("dim", "top_count", "strata_count")
+
+    def __init__(self, dim: int, top_count: int, strata_count: int):
+        self.dim = dim
+        self.top_count = top_count
+        self.strata_count = strata_count
 
 
 def nilcone_report(rd: RootDatum, strata) -> NilconeSummary:

@@ -35,7 +35,6 @@ workload is re-recorded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import sub
 
@@ -56,11 +55,13 @@ def _apply_word(rd: RootDatum, word, v):
     return v
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    rd: RootDatum
-    key: tuple[int, ...]  # w(2 rho_check), simple-coroot coordinates
-    word: tuple[int, ...]  # a reduced word, application order left-to-right
+class WeylElement(rootdata.Record):
+    __slots__ = _fields = ("rd", "key", "word")
+
+    def __init__(self, rd: RootDatum, key: tuple[int, ...], word: tuple[int, ...]):
+        self.rd = rd
+        self.key = key  # w(2 rho_check), simple-coroot coordinates
+        self.word = word  # a reduced word, application order left-to-right
 
     @property
     def length(self) -> int:

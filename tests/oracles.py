@@ -189,7 +189,7 @@ def _frac_to_json(x: Fraction):
 def class_to_json(cd) -> dict:
     num_den = lcm(*(x.denominator for x in cd.nu_bar)) if cd.nu_bar else 1
     return {
-        "type": cd.rd.label_str,
+        "type": "x".join(f"{letter}{n}" for letter, n in cd.rd.label),
         "isogeny": cd.rd.isogeny,
         "w": [i + 1 for i in cd.w.word],
         "e": cd.e,

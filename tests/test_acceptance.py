@@ -151,7 +151,7 @@ def test_08_steinberg_equals_best_approx_equals_mu():
         v = valuation_vector_for(datum, lam, mu)
         s = strata.steinberg_stratum(datum, v, lam)
         b = kv.best_integral_approx(datum, mu, lam)
-        assert s == b == mu, (datum.label_str, lam, mu, s, b)
+        assert s == b == mu, (datum.label, lam, mu, s, b)
     _report("steinberg stratum = best integral approx = mu on 100 split classes")
 
 

@@ -6,9 +6,13 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kvcalc import cli, conjugacy, weyl
 from kvcalc.errors import InvariantViolation
@@ -429,3 +433,156 @@ def test_invariant_violation_survives_python_O(inconsistent_class_file):
     )
     assert proc.returncode == 2, proc.stderr
     assert any(line.startswith("invariant violated:") for line in proc.stderr.splitlines())
+
+
+# ---------------------------------------------------------------------------
+# start-up: what `import kvcalc.cli` and one command load
+
+
+@lru_cache(maxsize=None)
+def _loaded(code: str = "") -> frozenset:
+    """The modules in sys.modules after `code` ran in a fresh interpreter.
+    With no code this is the interpreter's own baseline (`python -c pass`),
+    which `site` may already have filled with `.pth` imports."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    probe = f"{code}\nimport sys\nprint('\\n'.join(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return frozenset(proc.stdout.split())
+
+
+def _added(code: str) -> frozenset:
+    return _loaded(code) - _loaded()
+
+
+class TestStartup:
+    def test_import_loads_no_heavy_stdlib_module(self):
+        heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "json", "random"}
+        assert not _added("import kvcalc.cli") & heavy
+
+    def test_import_loads_only_the_base_layers(self):
+        layers = {m for m in _added("import kvcalc.cli") if m.startswith("kvcalc")}
+        assert layers <= {"kvcalc", "kvcalc.cli", "kvcalc.errors", "kvcalc.rootdata",
+                          "kvcalc.linalg"}
+
+    def test_weyl_loads_no_other_layer(self):
+        added = _added("import io\nfrom kvcalc import cli\n"
+                       "assert cli.run(['weyl', '--type', 'A2'], io.StringIO()) == 0")
+        assert "kvcalc.weyl" in added
+        unused = ("vinberg", "strata", "kv", "conjugacy", "multiplicity")
+        assert not added & {f"kvcalc.{m}" for m in unused}
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: whatever the arguments, exit 0, 1 or 2 and never a traceback
+
+_RANKS = {"A1": 1, "A2": 2, "A3": 3, "B2": 2, "B3": 3, "C3": 3, "G2": 2, "A1xA1": 2,
+          "A1xA2": 3, "A1xG2": 3}
+# no "-h": argparse's help action raises SystemExit out of `cli.run`
+_JUNK = st.sampled_from(["", "x", "Z9", "A0", "A2xQ1", "1,,2", "1/0", "inf", "nan",
+                         "1e999", "-1", "--", "\u00e9"])
+_FLAGS = {
+    "weyl": ["--type", "--isogeny", "--coxeter"],
+    "mult": ["--type", "--isogeny", "--lambda", "--mu", "--sweep"],
+    "dim": ["--class", "--lambda", "--json"],
+    "components": ["--class", "--lambda"],
+    "strata": ["--type", "--isogeny", "--lambda", "--lambda2", "--nu", "--cvals"],
+    "nilcone": ["--type", "--isogeny"],
+    "verify": ["--type", "--seed"],
+}
+
+
+@st.composite
+def _argv(draw):
+    """An argv of a small command, mostly well formed: each token is junk
+    with probability 1/10, and coordinates come in the rank of the type."""
+    def value(strategy):
+        return draw(_JUNK if draw(st.integers(0, 9)) == 9 else strategy)
+
+    command = value(st.sampled_from(sorted(_FLAGS)))
+    label = value(st.sampled_from(sorted(_RANKS)))
+    # the class files of `fuzz_files` are of type A2; "{name}" stands for one
+    rank = 2 if command in ("dim", "components") else _RANKS.get(label, 2)
+
+    def coords(*extra):
+        entry = st.sampled_from(["0", "1", "2", "3", "-1", "1/2", *extra])
+        return st.lists(entry, min_size=rank, max_size=rank).map(",".join)
+
+    small = st.integers(-1, 3).map(str)
+    values = {
+        "--type": st.just(label),
+        "--isogeny": st.sampled_from(["sc", "sc", "adjoint", "adjoint", "custom:{isogeny}",
+                                      "custom:{missing}", "custom:{malformed}"]),
+        "--class": st.sampled_from(["{split}", "{split}", "{split}", "{inconsistent}",
+                                    "{malformed}", "{missing}"]),
+        "--lambda": coords(), "--lambda2": coords(), "--mu": coords(), "--nu": coords("-2/3"),
+        "--cvals": coords("inf"), "--sweep": small, "--seed": small, "--count": small,
+        # heights above 1 make stratification-disjoint take seconds on rank 3
+        "--height": st.integers(-1, 1).map(str),
+        "--coxeter": None, "--json": None,
+    }
+    argv = [command]
+    if command == "strata":
+        argv.append(value(st.sampled_from(["polytope", "steinberg"])))
+    if command == "verify":
+        argv.append(value(st.sampled_from(sorted(cli.VERIFY_SUITES))))
+    flags = [f for f in _FLAGS.get(command, []) if draw(st.integers(0, 4)) < 4]
+    if command == "verify":  # the defaults (6 and 20) are too slow to fuzz
+        flags += ["--height", "--count"]
+    if draw(st.integers(0, 9)) == 9:  # a flag of another command
+        flags.append(draw(st.sampled_from(sorted(values))))
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        if values[flag] is not None:
+            argv.append(value(values[flag]))
+    if draw(st.integers(0, 9)) == 9:
+        argv.append(draw(_JUNK | st.just("--bogus")))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    contents = {
+        "split": {"type": "A2", "nu_bar": [0, 0], "residual": [{"root": [1, 1], "val": "1"}]},
+        "inconsistent": {"type": "A1", "w": [1], "nu_bar": [0],
+                         "residual": [{"root": [1], "val": "1"}]},
+        "isogeny": [[1, 0], [0, 1]],
+    }
+    files = {"missing": str(root / "missing.json"), "malformed": str(root / "malformed.json")}
+    (root / "malformed.json").write_text("{not json")
+    for name, data in contents.items():
+        files[name] = str(root / f"{name}.json")
+        Path(files[name]).write_text(json.dumps(data))
+    return files
+
+
+# one valid command per handler, so that every deferred import runs
+@example(["weyl", "--type", "A2"])
+@example(["weyl", "--type", "B2", "--coxeter", "--isogeny", "custom:{isogeny}"])
+@example(["mult", "--type", "A2", "--lambda", "2,1", "--mu", "0,0"])
+@example(["mult", "--type", "G2", "--sweep", "2"])
+@example(["dim", "--class", "{split}", "--lambda", "2,1"])
+@example(["dim", "--class", "{split}", "--lambda", "2,1", "--json"])
+@example(["dim", "--class", "{inconsistent}", "--lambda", "1"])
+@example(["components", "--class", "{split}", "--lambda", "2,1"])
+@example(["strata", "polytope", "--type", "A2", "--lambda", "2,1", "--nu", "1/2,1/2"])
+@example(["strata", "polytope", "--type", "A2", "--lambda", "2,1", "--lambda2", "1,1"])
+@example(["strata", "steinberg", "--type", "A2", "--lambda", "2,1", "--cvals", "1,inf"])
+@example(["nilcone", "--type", "B2"])
+@example(["verify", "lower-bound", "--type", "A2", "--height", "2"])
+@example(["verify", "nilcone", "--type", "A2"])
+@example(["verify", "freudenthal-kostant", "--type", "A2", "--height", "2"])
+@example(["verify", "dimension-consistency", "--type", "A2", "--height", "1", "--count", "1"])
+@example(["verify", "stratification-disjoint", "--type", "A2", "--height", "1"])
+@example(["verify", "chen-zhu-compare", "--type", "A2", "--height", "1"])
+@given(argv=_argv())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_argv_exits_cleanly(fuzz_files, argv):
+    argv = [a.format(**fuzz_files) if "{" in a else a for a in argv]
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = cli.run(argv, out=io.StringIO())
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())

@@ -1,6 +1,7 @@
 """Class data: validation, Newton points, discriminant valuations, Levi
 invariants, and the JSON interchange format."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -327,6 +328,13 @@ class TestJsonInterchange:
         datum = rd("B2")
         cd = conjugacy.split_class(datum, [1, 1], {})
         assert conjugacy.class_from_json(class_to_json(cd)) == cd
+
+    def test_parse_from_text(self):
+        # the string branch imports json itself; the CLI passes parsed data
+        cd = conjugacy.split_class(rd("B2"), [1, 1], {})
+        assert conjugacy.class_from_json(json.dumps(class_to_json(cd))) == cd
+        with pytest.raises(UsageError, match="malformed class JSON"):
+            conjugacy.class_from_json("{not json")
 
 
 # Well-shaped class JSON: the label is drawn first, so that most vectors

@@ -2,12 +2,13 @@
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvcalc import linalg, multiplicity, rootdata
+from kvcalc import conjugacy, kv, linalg, multiplicity, rootdata, strata, vinberg, weyl
 from kvcalc.errors import UsageError
 from oracles import frac_matrix, integer_inverse, inverse, mat_mul, weyl_dimension
 
@@ -118,6 +119,29 @@ class TestHash:
         again = multiplicity.weight_system.cache_info()
         assert (again.hits, again.misses) == (info.hits + 1, info.misses)
 
+    def test_value_classes_compare_and_hash_their_fields(self):
+        datum = rd("A2")
+        cd = conjugacy.make_class(datum, weyl.identity_element(datum), (0, 0))
+        nilcone = vinberg.nilcone_strata(datum)
+        objects = [
+            datum,
+            rootdata.fundamental_group(datum),
+            weyl.enumerate_group(datum)[3],
+            cd,
+            kv.report(cd, rootdata.coweight((2, 1))),
+            nilcone[0],
+            vinberg.nilcone_report(datum, nilcone),
+            strata.ValuationVector((), (Fraction(1), strata.INFINITE)),
+        ]
+        assert len({type(a) for a in objects}) == 8
+        for a in objects:
+            fields = tuple(getattr(a, f) for f in a._fields)
+            b = type(a)(*fields)  # the same fields, in the order of __init__
+            assert a is not b and a == b and hash(a) == hash(b)
+            assert type(a)(*fields[:-1], object()) != a
+            assert a != fields and fields != a
+            assert all(a != c for c in objects if c is not a)
+
 
 class TestDominance:
     def test_single_reflection(self):
@@ -203,7 +227,7 @@ class TestDominance:
 class TestFundamentalGroup:
     def test_sl2_trivial(self):
         grp = rootdata.fundamental_group(rd("A1"))
-        assert grp.order == 1
+        assert prod(grp.invariant_factors) == 1
 
     def test_pgl2_z2(self):
         grp = rootdata.fundamental_group(rd("A1", "adjoint"))
@@ -212,7 +236,7 @@ class TestFundamentalGroup:
     def test_pgl3_z3(self):
         grp = rootdata.fundamental_group(rd("A2", "adjoint"))
         assert grp.invariant_factors == (1, 3)
-        assert grp.order == 3
+        assert prod(grp.invariant_factors) == 3
 
     @pytest.mark.parametrize("label,iso", [("A2", "adjoint"), ("B2", "adjoint"),
                                            ("A3", "adjoint"), ("A1", "sc")])
@@ -236,7 +260,7 @@ class TestFundamentalGroup:
         det = 1
         for i in range(datum.rank):
             det *= d[i][i]
-        assert grp.order == det == 4
+        assert prod(grp.invariant_factors) == det == 4
 
     def test_kappa_padding(self):
         datum = rd("A2")
@@ -441,4 +465,4 @@ class TestIntegerKernelAgainstFractionOracles:
         # A3: pi_1 of the custom lattice is Z/2, between sc (trivial) and
         # adjoint (Z/4); the lattice index over the coroots says so
         datum = rd("A3", coroot_plus_twice_coweight("A3"))
-        assert rootdata.fundamental_group(datum).order == 2
+        assert prod(rootdata.fundamental_group(datum).invariant_factors) == 2
