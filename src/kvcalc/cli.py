@@ -432,7 +432,13 @@ def run(argv=None, out=None) -> int:
     out = out or sys.stdout
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        stdout, sys.stdout = sys.stdout, out  # argparse prints --help to sys.stdout
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --help printed, then argparse exited
+            return exc.code
+        finally:
+            sys.stdout = stdout
         if getattr(args, "func", None) in (cmd_weyl, cmd_mult, cmd_strata, cmd_nilcone):
             if not args.type:
                 raise UsageError("--type is required")

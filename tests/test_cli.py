@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import time
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 from pathlib import Path
 
@@ -89,6 +89,13 @@ class TestExitCodes:
     def test_mult_needs_operands(self):
         code, _ = run(["mult", "--type", "A2"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["weyl", "-h"]])
+    def test_help_is_written_to_out(self, argv, capsys):
+        code, text = run(argv)
+        assert code == 0
+        assert text.startswith("usage: kv-calc")
+        assert capsys.readouterr().out == ""
 
 
 def write_class(tmp_path, **fields):
@@ -475,13 +482,13 @@ class TestStartup:
 
 
 # ---------------------------------------------------------------------------
-# argv fuzz: whatever the arguments, exit 0, 1 or 2 and never a traceback
+# argv fuzz: whatever the arguments, exit 0, 1 or 2, print only to `out`, and
+# never a traceback
 
 _RANKS = {"A1": 1, "A2": 2, "A3": 3, "B2": 2, "B3": 3, "C3": 3, "G2": 2, "A1xA1": 2,
           "A1xA2": 3, "A1xG2": 3}
-# no "-h": argparse's help action raises SystemExit out of `cli.run`
 _JUNK = st.sampled_from(["", "x", "Z9", "A0", "A2xQ1", "1,,2", "1/0", "inf", "nan",
-                         "1e999", "-1", "--", "\u00e9"])
+                         "1e999", "-1", "--", "-h", "\u00e9"])
 _FLAGS = {
     "weyl": ["--type", "--isogeny", "--coxeter"],
     "mult": ["--type", "--isogeny", "--lambda", "--mu", "--sweep"],
@@ -581,8 +588,9 @@ def fuzz_files(tmp_path_factory):
 @settings(max_examples=200, deadline=None)
 def test_fuzzed_argv_exits_cleanly(fuzz_files, argv):
     argv = [a.format(**fuzz_files) if "{" in a else a for a in argv]
-    err = io.StringIO()
-    with redirect_stderr(err):
+    err, stdout = io.StringIO(), io.StringIO()
+    with redirect_stderr(err), redirect_stdout(stdout):
         code = cli.run(argv, out=io.StringIO())
     assert code in (0, 1, 2), (argv, code)
+    assert stdout.getvalue() == "", (argv, "printed to sys.stdout, not to out")
     assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
