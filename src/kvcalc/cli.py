@@ -33,7 +33,8 @@ def _fmt(v) -> str:
     return rootdata.format_coweight(v)
 
 
-def _build(args) -> rootdata.RootDatum:
+def _build(args, label=None) -> rootdata.RootDatum:
+    """The datum of ``label`` (by default ``--type``) under ``--isogeny``."""
     isogeny = args.isogeny
     if isinstance(isogeny, str) and isogeny.startswith("custom:"):
         import json
@@ -44,7 +45,7 @@ def _build(args) -> rootdata.RootDatum:
             raise UsageError(f"cannot read isogeny file: {exc}") from None
         except json.JSONDecodeError as exc:
             raise UsageError(f"malformed isogeny JSON: {exc}") from None
-    return rootdata.build_root_datum(args.type, isogeny)
+    return rootdata.build_root_datum(args.type if label is None else label, isogeny)
 
 
 def _parse_cvals(rd, text):
@@ -203,7 +204,7 @@ def verify_lower_bound(args, out) -> tuple[bool, int]:
     ok = True
     checked = 0
     for label in _types(args, DEFAULT_BOUND_TYPES):
-        rd = rootdata.build_root_datum(label)
+        rd = _build(args, label)
         bound = weyl.coxeter_count(rd)
         for lam in rootdata.dominant_integral_sweep(rd, args.height):
             if not all(p > 0 for p in rootdata.simple_pairings(rd, lam)):
@@ -227,7 +228,7 @@ def verify_nilcone(args, out) -> tuple[bool, int]:
     from . import vinberg
     labels = _types(args, DEFAULT_NILCONE_TYPES)
     for label in labels:
-        rd = rootdata.build_root_datum(label)
+        rd = _build(args, label)
         summary = vinberg.nilcone_report(rd, vinberg.nilcone_strata(rd))  # raises on violation
         print(
             f"{label}\tdim {summary.dim}\ttop {summary.top_count}\t"
@@ -242,7 +243,7 @@ def verify_freudenthal_kostant(args, out) -> tuple[bool, int]:
     ok = True
     checked = 0
     for label in _types(args, ["A1", "A2", "B2", "G2"]):
-        rd = rootdata.build_root_datum(label)
+        rd = _build(args, label)
         for lam in multiplicity.sweep_dominant(rd, args.height):
             wsys = multiplicity.weight_system(rd, lam)
             for mu, a in sorted(wsys.items()):
@@ -265,7 +266,7 @@ def verify_dimension_consistency(args, out) -> tuple[bool, int]:
     ok = True
     checked = 0
     for label in _types(args, ["A2", "A3"]):
-        rd = rootdata.build_root_datum(label)
+        rd = _build(args, label)
         for lam in rootdata.dominant_integral_sweep(rd, args.height):
             for mu in multiplicity.dominant_below(rd, lam):
                 residual = {
@@ -303,12 +304,13 @@ def verify_stratification_disjoint(args, out) -> tuple[bool, int]:
     ok = True
     checked = 0
     for label in _types(args, ["A2"]):
-        rd = rootdata.build_root_datum(label)
+        rd = _build(args, label)
         lam_cap = args.height + 2 * rd.rank
-        lams = rootdata.dominant_integral_sweep(rd, lam_cap)
-        for nu in strata.rational_grid(rd, args.height, 6):
-            hits = [lam for lam in lams
-                    if strata.polytope_member(rd, nu, lam, open_stratum=True)]
+        d = 6  # the grid's denominators divide d, and every lam is an integer tuple
+        lams = [tuple(d * int(x) for x in lam)
+                for lam in rootdata.dominant_integral_sweep(rd, lam_cap)]
+        for nu in strata.rational_grid(rd, args.height, d):
+            hits = strata.open_strata(rd, d, tuple(int(d * x) for x in nu), lams)
             line_ok = len(hits) == 1
             ok = ok and line_ok
             checked += 1
@@ -323,7 +325,7 @@ def verify_chen_zhu_compare(args, out) -> tuple[bool, int]:
     from . import kv, strata
     reported = 0
     for label in _types(args, ["A2"]):
-        rd = rootdata.build_root_datum(label)
+        rd = _build(args, label)
         lam_cap = args.height + 2 * rd.rank
         lams = rootdata.dominant_integral_sweep(rd, lam_cap)
         for nu in strata.rational_grid(rd, args.height, 4):

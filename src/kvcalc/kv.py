@@ -38,7 +38,11 @@ def _check_lambda(rd: RootDatum, lam) -> Coweight:
 
 def nonempty(cd: ClassDatum, lam) -> bool:
     """Fundamental-group class match plus Newton point dominated by lambda."""
-    lam = _check_lambda(cd.rd, lam)
+    return _nonempty(cd, _check_lambda(cd.rd, lam))
+
+
+def _nonempty(cd: ClassDatum, lam: Coweight) -> bool:
+    """``nonempty`` for a checked lambda."""
     grp = rootdata.fundamental_group(cd.rd)
     if grp.project(lam) != cd.kappa:
         return False
@@ -48,8 +52,13 @@ def nonempty(cd: ClassDatum, lam) -> bool:
 def dimension(cd: ClassDatum, lam) -> int:
     """<rho, lambda> + (d - c)/2; asserted to be a nonnegative integer."""
     lam = _check_lambda(cd.rd, lam)
-    if not nonempty(cd, lam):
+    if not _nonempty(cd, lam):
         raise EmptyVarietyError("variety is empty for this class and lambda")
+    return _dimension(cd, lam)
+
+
+def _dimension(cd: ClassDatum, lam: Coweight) -> int:
+    """``dimension`` for a checked lambda on a nonempty variety."""
     d = conjugacy.disc_valuation(cd)
     c = conjugacy.c_invariant(cd)
     dim = rootdata.rho_pair(cd.rd, lam) + Fraction(d - c, 2)
@@ -69,9 +78,9 @@ def unramified_dimension(rd: RootDatum, mu, residual, lam):
         raise UsageError("mu must be dominant and in the isogeny lattice")
     grp = rootdata.fundamental_group(rd)
     cd = conjugacy.split_class(rd, mu, residual, grp.project(mu))
-    if not nonempty(cd, lam):
+    if not _nonempty(cd, lam):
         raise EmptyVarietyError("variety is empty for this class and lambda")
-    dim_a = dimension(cd, lam)
+    dim_a = _dimension(cd, lam)
     r_gamma = conjugacy.r_invariant(cd)
     dim_b = rootdata.rho_pair(rd, rootdata.sub(lam, mu)) + r_gamma
     if dim_a != dim_b:
@@ -149,8 +158,13 @@ def extended_disc_valuation(cd: ClassDatum, lam) -> Fraction:
     """d_+ = <2 rho, lambda> + d(gamma); nonnegative whenever the variety is
     nonempty, and zero exactly in the split rigid case nu = lambda."""
     lam = _check_lambda(cd.rd, lam)
-    if not nonempty(cd, lam):
+    if not _nonempty(cd, lam):
         raise EmptyVarietyError("variety is empty for this class and lambda")
+    return _d_plus(cd, lam)
+
+
+def _d_plus(cd: ClassDatum, lam: Coweight) -> Fraction:
+    """``extended_disc_valuation`` for a checked lambda on a nonempty variety."""
     d_plus = 2 * rootdata.rho_pair(cd.rd, lam) + conjugacy.disc_valuation(cd)
     if d_plus < 0:
         raise InvariantViolation(f"d_+ = {d_plus} is negative on a nonempty variety")
@@ -160,7 +174,7 @@ def extended_disc_valuation(cd: ClassDatum, lam) -> Fraction:
             problems.append("class is not split")
         if conjugacy.newton_point(cd) != lam:
             problems.append("Newton point differs from lambda")
-        if dimension(cd, lam) != 0:
+        if _dimension(cd, lam) != 0:
             problems.append("dimension is nonzero")
         if problems:
             raise InvariantViolation("d_+ = 0 but " + "; ".join(problems))
@@ -216,26 +230,27 @@ def report(cd: ClassDatum, lam, chen_zhu: bool = True) -> KVReport:
     """The one composition of the class-report quantities, for `dim` and
     `components`.  ``chen_zhu=False`` leaves ``chen_zhu_mu`` empty and never
     builds the Chen-Zhu grid, which `components` does not print."""
-    lam = _check_lambda(cd.rd, lam)
     rd = cd.rd
+    is_nonempty = nonempty(cd, lam)  # the one check of lambda
+    lam = rootdata.coweight(lam)
     newton = conjugacy.newton_point(cd)
     d = conjugacy.disc_valuation(cd)
     c = conjugacy.c_invariant(cd)
     bound = weyl.coxeter_count(rd)
-    if not nonempty(cd, lam):
+    if not is_nonempty:
         return KVReport(nonempty=False, newton=newton, d=int(d), c=c,
                         regular_orbit_bound=bound)
-    mu_star = best_integral_approx(rd, newton, lam)
+    mu_star = _best_integral_approx(rd, newton, lam)
     return KVReport(
         nonempty=True,
         newton=newton,
         d=int(d),
         c=c,
         regular_orbit_bound=bound,
-        dimension=dimension(cd, lam),
+        dimension=_dimension(cd, lam),
         mu_star=mu_star,
         predicted_orbits=multiplicity.multiplicity_freudenthal(rd, lam, mu_star),
         regular_bound_exact=regular_bound_exact(rd, lam, mu_star),
-        d_plus=extended_disc_valuation(cd, lam),
+        d_plus=_d_plus(cd, lam),
         chen_zhu_mu=chen_zhu_approx(rd, newton) if chen_zhu else (),
     )

@@ -6,18 +6,22 @@ Steinberg-base strata classify valuation vectors of the characteristic
 coordinates (a_i, b_i); the classifying coweight is recovered as a unique
 minimal element, never by tie-breaking.
 
-Both minimal elements (the open-stratum test through ``kv``, and the
-Steinberg stratum here) are found among the dominance interval scaled to
-integers: ``rootdata._extremes`` confirms the lowest candidate by height in
-one pass and runs the pairwise filter only when that fails, to list the tie.
+Polytope membership decides on nu and lambda scaled once to integers.  Its
+open stratum walks no interval: by Stembridge (Adv. Math. 136, 1998) each
+dominant mu that lambda covers is lambda - beta, beta a positive coroot, so
+nu lies in it exactly when nu <= lambda and no dominant lambda - beta is
+above nu.  The Steinberg stratum is the minimal element of a part of the
+dominance interval scaled to integers, found by ``rootdata._extremes``,
+which runs the pairwise filter only to list a tie.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from operator import le
 
-from . import kv, multiplicity, rootdata
+from . import multiplicity, rootdata
 from .errors import InvariantViolation, UniquenessError, UsageError
 from .rootdata import Coweight, RootDatum
 
@@ -65,16 +69,35 @@ class ValuationVector(rootdata.Record):
 
 def polytope_member(rd: RootDatum, nu, lam, open_stratum: bool = False) -> bool:
     """Membership of nu in P_lambda (closed) or its open stratum."""
-    nu = rootdata.coweight(nu)
-    lam = rootdata.coweight(lam)
-    if not rootdata.is_dominant(rd, lam) or not rootdata.is_integral(rd, lam):
+    d, n = rootdata._scale(rootdata.coweight(nu) + rootdata.coweight(lam))
+    nu, lam = n[:rd.rank], n[rd.rank:]
+    if not _dominant(rd, lam) or not rootdata._is_integral_ints(rd, d, lam):
         raise UsageError("lambda must be dominant and in the isogeny lattice")
-    if not rootdata.is_dominant(rd, nu) or not rootdata.leq_q(rd, nu, lam):
+    return _member(rd, d, nu, lam, open_stratum) and _dominant(rd, nu)
+
+
+def open_strata(rd: RootDatum, d: int, nu, lams) -> list:
+    """The lam in ``lams`` whose open stratum contains nu, all scaled by d to
+    integer tuples: nu dominant, each lam a dominant lattice coweight."""
+    return [lam for lam in lams if _member(rd, d, nu, lam, True)]
+
+
+def _dominant(rd: RootDatum, n) -> bool:
+    return min(rootdata._pairings(rd, n)) >= 0
+
+
+def _member(rd: RootDatum, d: int, nu, lam, open_stratum: bool) -> bool:
+    """nu <= lam and, for the open stratum, no dominant lam - beta above nu:
+    membership for nu dominant and lam dominant and in the lattice, scaled by d."""
+    if not all(map(le, nu, lam)):
         return False
     if not open_stratum:
         return True
-    # lambda, nu and nu <= lambda are checked above
-    return kv._best_integral_approx(rd, nu, lam) == lam
+    for beta in rd.positive_coroots:
+        mu = tuple(x - d * b for x, b in zip(lam, beta))
+        if all(map(le, nu, mu)) and _dominant(rd, mu):
+            return False
+    return True
 
 
 def polytope_intersection(rd: RootDatum, lam1, lam2) -> Coweight:

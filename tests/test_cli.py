@@ -118,6 +118,12 @@ class TestMalformedInput:
     def test_missing_isogeny_file(self, capsys):
         self.check(["weyl", "--type", "A2", "--isogeny", "custom:/missing.json"], capsys)
 
+    @pytest.mark.parametrize("isogeny", ["garbage", "custom:/no/such.json"])
+    @pytest.mark.parametrize("suite", sorted(cli.VERIFY_SUITES))
+    def test_verify_suite_refuses_a_bad_isogeny(self, suite, isogeny, capsys):
+        argv = ["verify", suite, "--type", "A2", "--height", "3", "--count", "1"]
+        self.check(argv + ["--isogeny", isogeny], capsys)
+
     def test_non_string_type(self, tmp_path, capsys):
         path = write_class(tmp_path, type=5)
         self.check(["dim", "--class", path, "--lambda", "1,1"], capsys)
@@ -207,9 +213,8 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("argv", [
         ["mult", "--type", "A2", "--lambda", "3000,3000", "--mu", "0,0"],
-        ["strata", "polytope", "--type", "A2", "--lambda", "3000,3000", "--nu", "1/3,1/3"],
         ["dim", "--class", None, "--lambda", "3000,3000"],
-    ], ids=["mult", "strata-polytope", "dim"])
+    ], ids=["mult", "dim"])
     def test_oversized_dominance_interval_is_refused_before_it_starts(
             self, split_class_file, argv):
         # in a child with a timeout, so that a walk that does start fails the
@@ -367,6 +372,20 @@ class TestStrata:
         assert code == 0
         assert text == "intersection 1,1\n"
 
+    def test_polytope_membership_walks_no_dominance_interval(self):
+        # the open stratum is decided by the covers lambda - beta; the interval
+        # below (3000, 3000) would be over the grid cap.  In a child with a
+        # timeout, so that a walk that does start fails the test.
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "kvcalc.cli", "strata", "polytope", "--type", "A2",
+             "--lambda", "3000,3000", "--nu", "1/3,1/3"],
+            capture_output=True, text=True, env=env, timeout=20)
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "closed true\nopen false\n"
+
     def test_steinberg(self):
         code, text = run(["strata", "steinberg", "--type", "A1",
                           "--lambda", "2", "--cvals", "inf"])
@@ -405,6 +424,16 @@ class TestVerify:
         code, _ = run(["verify", "dimension-consistency", "--type", "A2", "--height", "1"])
         assert code == 2
         assert "dimension formulas disagree" in capsys.readouterr().err
+
+    def test_suites_build_the_datum_under_the_isogeny(self):
+        # the adjoint lattice holds the fundamental coweights, which sit under 3/4,3/4
+        argv = ["verify", "chen-zhu-compare", "--type", "A2", "--height", "2"]
+        code, sc = run(argv)
+        assert code == 0
+        assert "A2\t3/4,3/4\tmin-above 1,1\tmax-below 0,0\tdiffer\n" in sc
+        code, adjoint = run(argv + ["--isogeny", "adjoint"])
+        assert code == 0
+        assert "A2\t3/4,3/4\tmin-above 1,1\tmax-below 1/3,2/3 2/3,1/3\tdiffer\n" in adjoint
 
     def test_chen_zhu_is_report_only(self):
         code, text = run(["verify", "chen-zhu-compare", "--height", "2"])
@@ -480,6 +509,13 @@ class TestStartup:
         unused = ("vinberg", "strata", "kv", "conjugacy", "multiplicity")
         assert not added & {f"kvcalc.{m}" for m in unused}
 
+    def test_strata_polytope_loads_neither_kv_nor_conjugacy(self):
+        added = _added("import io\nfrom kvcalc import cli\n"
+                       "assert cli.run(['strata', 'polytope', '--type', 'A2', '--lambda',"
+                       " '2,1', '--nu', '1/2,1/2'], io.StringIO()) == 0")
+        assert "kvcalc.strata" in added
+        assert not added & {"kvcalc.kv", "kvcalc.conjugacy"}
+
 
 # ---------------------------------------------------------------------------
 # argv fuzz: whatever the arguments, exit 0, 1 or 2, print only to `out`, and
@@ -496,7 +532,7 @@ _FLAGS = {
     "components": ["--class", "--lambda"],
     "strata": ["--type", "--isogeny", "--lambda", "--lambda2", "--nu", "--cvals"],
     "nilcone": ["--type", "--isogeny"],
-    "verify": ["--type", "--seed"],
+    "verify": ["--type", "--isogeny", "--seed"],
 }
 
 

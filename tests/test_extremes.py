@@ -97,7 +97,7 @@ def outcome(fn, *args):
 
 # (type, height of the nu grids, pairing cap of the lambdas); rank 3 smaller
 GRID_TYPES = [("A1", 3, 6), ("A2", 2, 5), ("B2", 2, 4), ("G2", 2, 3), ("A3", 1, 3),
-              ("A1xB2", 1, 3)]
+              ("B3", 1, 3), ("A1xB2", 1, 3)]
 
 
 @pytest.mark.parametrize("isogeny", ["sc", "adjoint"])

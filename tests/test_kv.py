@@ -252,3 +252,20 @@ class TestReport:
         assert rep.dimension == kv.dimension(cd, [2])
         assert rep.predicted_orbits >= 1
         assert rep.d_plus == kv.extended_disc_valuation(cd, [2])
+
+    def test_lambda_is_checked_once_and_nonemptiness_tested_once(self, monkeypatch):
+        calls = {"_check_lambda": 0, "nonempty": 0}
+
+        def counted(name):
+            real = getattr(kv, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(kv, name, counted(name))
+        cd = conjugacy.split_class(rd("A2"), [0, 0], {(1, 1): Fraction(1)})
+        assert kv.report(cd, [2, 1]).nonempty
+        assert calls == {"_check_lambda": 1, "nonempty": 1}

@@ -9,6 +9,7 @@ import pytest
 from kvcalc import kv, multiplicity, rootdata, strata
 from kvcalc.errors import SizeGuardError, UsageError
 from oracles import generic_char_valuation, valuation_vector_for
+from test_multiplicity import dominant_lattice_weights
 
 
 def rd(label, isogeny="sc"):
@@ -37,6 +38,31 @@ class TestPolytopeMember:
     def test_non_dominant_point_not_member(self):
         datum = rd("A2")
         assert not strata.polytope_member(datum, [1, -1], [1, 1])
+
+
+class TestCovers:
+    """The open-stratum test assumes Stembridge's lemma: every dominant mu
+    that lambda covers is lambda - beta for a positive coroot beta.  Here the
+    covers are read off the dominance interval, whichever they are."""
+
+    # (type, pairing cap): every dominant lattice lambda up to the cap,
+    # fractional coroot coordinates included under the adjoint isogeny
+    COVER_TYPES = [("A2", 6), ("B2", 6), ("G2", 5), ("A3", 4), ("B3", 4), ("C3", 4),
+                   ("D4", 3), ("A1xA2", 4)]
+
+    @pytest.mark.parametrize("isogeny", ["sc", "adjoint"])
+    @pytest.mark.parametrize("label,cap", COVER_TYPES)
+    def test_every_cover_is_lambda_minus_a_positive_coroot(self, label, cap, isogeny):
+        datum = rd(label, isogeny)
+        coroots = set(datum.positive_coroots)
+        covers = 0
+        for lam in dominant_lattice_weights(datum, cap):
+            below = [mu for mu in multiplicity.dominant_below(datum, lam) if mu != lam]
+            for mu in below:
+                if not any(m != mu and rootdata.leq_q(datum, mu, m) for m in below):
+                    assert rootdata.sub(lam, mu) in coroots, (lam, mu)
+                    covers += 1
+        assert covers > 0
 
 
 class TestPolytopeIntersection:
