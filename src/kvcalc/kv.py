@@ -139,7 +139,7 @@ def chen_zhu_approx(rd: RootDatum, nu):
     sizes = [int(x * q) + 1 for x in nu]
     rootdata.guard_grid_size(prod(sizes), "the Chen-Zhu grid")
     candidates = [k for k in product(*map(range, sizes))
-                  if rootdata.is_dominant(rd, k) and rootdata._is_integral_ints(rd, q, k)]
+                  if rootdata._dominant(rd, k) and rootdata._is_integral_ints(rd, q, k)]
     maximal = rootdata._extremes(candidates, highest=True)
     return tuple(sorted(tuple(Fraction(x, q) for x in k) for k in maximal))
 

@@ -10,17 +10,18 @@ is a positive multiple of the form that symmetrizes the Cartan matrix, and
 Freudenthal's formula holds for any such form.
 
 Freudenthal's recursion runs over the dominant weights of V(lam) only (the
-dominance interval ``dominant_below``), reading the multiplicity of each
-mu + k alpha at its dominant representative.  Kostant's alternating sum over
-the Weyl group of the literal dual datum (with a brute-force partition
-function) is an independent oracle kept for tests.
+dominance interval), reading the multiplicity of each mu + k alpha at its
+dominant representative.  Kostant's alternating sum over the Weyl group of
+the literal dual datum (with a brute-force partition function) is an
+independent oracle kept for tests.
 
-Freudenthal's recursion and the interval walk run on integers: lam and the
-weights below it are scaled once by D, the lcm of lam's denominators, and
-walked, reduced to dominant and summed in the Gram form as integers.
-``_interval`` caches the scaled interval per (rd, lam) beside the Fraction
-coweights it stands for, which are built once and are the keys every caller
-sees.
+The dominance interval is walked once per (rd, lam), by ``_interval``, and
+cached there: lam is scaled by D, the lcm of its denominators, and the walk
+steps down along covers, each a positive coroot, through dominant integer
+tuples only.  Freudenthal's recursion, mu* (``kv``) and the Steinberg strata
+read that one cache; ``dominant_below`` is its sorted view.  The Fraction
+coweights beside the scaled keys are built once and are the ones every
+caller sees.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from operator import add, le, mul
+from operator import add, mul, sub
 from types import MappingProxyType
 
-from . import rootdata, weyl
+from . import rootdata
 from .errors import InvariantViolation, UsageError
 from .rootdata import Coweight, RootDatum
 
@@ -61,7 +62,7 @@ def weight_system(rd: RootDatum, lam: Coweight) -> MappingProxyType:
     multiplicities, as a read-only mapping.
 
     lam and the weights are in simple-coroot coordinates of rd.  Freudenthal's
-    recursion visits ``dominant_below(rd, lam)`` in decreasing height and reads
+    recursion visits ``_interval(rd, lam)`` in decreasing height and reads
     m(mu + k alpha) as m of its dominant representative.  A dict lookup is
     enough, for two reasons: that representative is at least mu + k alpha in
     dominance, so it is higher than mu and already computed; and the weights on
@@ -167,6 +168,8 @@ def _kp(beta, roots, idx) -> int:
 
 def multiplicity_kostant(rd: RootDatum, lam, mu) -> int:
     """Kostant's formula: sum over W of (-1)^l(w) P(w(lam+rho)-(mu+rho))."""
+    from . import weyl
+
     lam = _check_weight(rd, lam)
     mu = _check_weight(rd, mu)
     # lam + rho and mu + rho over one denominator D, so W acts on integers
@@ -188,56 +191,45 @@ def multiplicity_kostant(rd: RootDatum, lam, mu) -> int:
 
 
 @lru_cache(maxsize=None)
-def dominant_below(rd: RootDatum, lam) -> tuple[Coweight, ...]:
-    """Dominant lattice coweights mu with lam - mu a nonnegative integer
-    combination of simple coroots (this forces matching pi_1 classes).
+def _interval(rd: RootDatum, lam) -> tuple[int, dict[tuple[int, ...], Coweight]]:
+    """(D, {D mu: mu}) over the dominant lattice coweights mu <= lam, by
+    decreasing height, lam first; D is the lcm of lam's denominators, so
+    every D mu is an integer tuple.
 
-    The walk steps down by simple coroots from lam scaled by D, the lcm of its
-    denominators, keeping a step whose dominant representative stays below
-    lam; every coordinate stays a nonnegative integer.  Coordinate i of a
-    visited tuple lies between 0 and D lam_i and is congruent to D lam_i mod
-    D, so the walk visits at most prod(floor(lam_i) + 1) tuples.
+    The walk steps down from D lam by D beta, beta a positive coroot, and
+    keeps the dominant results.  By Stembridge (*The partial order of
+    dominant weights*, Adv. Math. 136, 1998) every dominant mu that a
+    dominant nu covers is nu - beta, so the covers reach the whole interval.
+    A dominant coweight has nonnegative coordinates, so coordinate i of D mu
+    lies between 0 and D lam_i and is congruent to D lam_i mod D: the
+    interval holds at most prod(floor(lam_i) + 1) points.
     """
     lam = _check_weight(rd, lam)
     d, top = rootdata._scale(lam)
     rootdata.guard_grid_size(prod(t // d + 1 for t in top), "the dominance interval")
-    out = []
-    visited = {top}
+    steps = [tuple(d * b for b in beta) for beta in rd.positive_coroots]
+    seen = {top}
     stack = [top]
     while stack:
         v = stack.pop()
-        if rootdata.is_dominant(rd, v):
-            out.append(v)
-        for i in range(rd.rank):
-            if v[i] < d:
-                continue
-            w = v[:i] + (v[i] - d,) + v[i + 1:]
-            if w in visited:
-                continue
-            if all(map(le, rootdata._reduce_ints(rd, w)[0], top)):
-                visited.add(w)
+        for step in steps:
+            w = tuple(map(sub, v, step))
+            if w not in seen and rootdata._dominant(rd, w):
+                seen.add(w)
                 stack.append(w)
-    out.sort()
-    out = tuple(tuple(Fraction(x, d) for x in v) for v in out)
     # every lattice point below lam stays in the lattice (coroot steps)
-    if not all(rootdata.is_integral(rd, v) for v in out):
+    if not all(rootdata._is_integral_ints(rd, d, v) for v in seen):
         raise InvariantViolation(f"a coweight below {lam} left the isogeny lattice")
-    return out
+    return d, {v: tuple(Fraction(x, d) for x in v)
+               for v in sorted(seen, key=lambda v: (-sum(v), v))}
 
 
-@lru_cache(maxsize=None)
-def _interval(rd: RootDatum, lam) -> tuple[int, dict[tuple[int, ...], Coweight]]:
-    """(D, {D mu: mu}) over mu in ``dominant_below(rd, lam)`` by decreasing
-    height, lam first; D is the lcm of lam's denominators, so every D mu is an
-    integer tuple.  It reads ``dominant_below``, so that every interval is
-    walked in that one function, once, and passes through its cache and its
-    per-layer work count whichever caller asks first; the Fraction coweights
-    are the public ones, not copies."""
-    coweights = dominant_below(rd, lam)
-    d, _ = rootdata._scale(rootdata.coweight(lam))
-    scaled = [(tuple(x.numerator * (d // x.denominator) for x in mu), mu) for mu in coweights]
-    scaled.sort(key=lambda item: (-sum(item[0]), item[0]))
-    return d, dict(scaled)
+def dominant_below(rd: RootDatum, lam) -> tuple[Coweight, ...]:
+    """Dominant lattice coweights mu with lam - mu a nonnegative integer
+    combination of simple coroots (this forces matching pi_1 classes), in
+    increasing order: a sorted view of ``_interval``."""
+    _, interval = _interval(rd, lam)
+    return tuple(interval[v] for v in sorted(interval))
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ lattice membership, rational dominance ``leq_q``, root pairings and
 integer data cached per datum (the Cartan columns, and the inverse of
 ``lattice_basis`` as an integer matrix ``adj`` over a scale ``det``).
 Fractions are built only at the boundary, for the values a function returns.
-The layers above share two private kernels on such scaled integers:
-``_reduce_ints`` (the reflection loop of ``dominant_reduce``) and
-``_extremes`` (the minimal or maximal elements of a set of scaled coweights).
+The layers above share three private kernels on such scaled integers:
+``_dominant`` (the dominance test of ``is_dominant``), ``_reduce_ints`` (the
+reflection loop of ``dominant_reduce``) and ``_extremes`` (the minimal or
+maximal elements of a set of scaled coweights).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import re
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from math import lcm
+from math import factorial, lcm
 from operator import ge, le, mul
 
 from . import linalg
@@ -40,7 +41,7 @@ WEYL_ORDER_CAP = 51840
 
 #: Hard cap on the number of tuples a grid enumeration may visit
 #: (`dominant_integral_sweep`, `strata.rational_grid`, `kv.chen_zhu_approx`,
-#: `multiplicity.dominant_below`), on the alpha-string steps of Freudenthal's
+#: `multiplicity._interval`), on the alpha-string steps of Freudenthal's
 #: recursion, and on the orientations behind `weyl.coxeter_elements`.
 GRID_SIZE_CAP = 2_000_000
 
@@ -55,23 +56,16 @@ _POSITIVE_ROOT_COUNT = {
 }
 
 _WEYL_ORDER = {
-    "A": lambda n: _factorial(n + 1),
-    "B": lambda n: 2**n * _factorial(n),
-    "C": lambda n: 2**n * _factorial(n),
-    "D": lambda n: 2 ** (n - 1) * _factorial(n),
+    "A": lambda n: factorial(n + 1),
+    "B": lambda n: 2**n * factorial(n),
+    "C": lambda n: 2**n * factorial(n),
+    "D": lambda n: 2 ** (n - 1) * factorial(n),
     "E": lambda n: 51840,
     "F": lambda n: 1152,
     "G": lambda n: 12,
 }
 
 _RANK_RANGE = {"A": (1, 6), "B": (2, 6), "C": (2, 6), "D": (4, 6), "E": (6, 6), "F": (4, 4), "G": (2, 2)}
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def parse_label(label: str) -> tuple[tuple[str, int], ...]:
@@ -375,14 +369,18 @@ def rho_pair(rd: RootDatum, v: Coweight):
 
 
 def is_dominant(rd: RootDatum, v: Coweight) -> bool:
-    _, n = _scale(v)
-    return all(sum(map(mul, col, n)) >= 0 for col in rd.cartan_columns)
+    return _dominant(rd, _scale(v)[1])
 
 
 def reflect(rd: RootDatum, i: int, v: Coweight) -> Coweight:
     """s_i(v) = v - <alpha_i, v> alpha_i^vee: one pairing, one coordinate."""
     p = sum(map(mul, rd.cartan_columns[i], v))
     return v[:i] + (v[i] - p,) + v[i + 1:]
+
+
+def _dominant(rd: RootDatum, n) -> bool:
+    """Dominance of the integer tuple n (a coweight scaled by any D > 0)."""
+    return min(_pairings(rd, n)) >= 0
 
 
 def _reduce_ints(rd: RootDatum, n: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -596,7 +594,7 @@ def dominant_integral_sweep(rd: RootDatum, height_cap):
     for coords in product(range(cap + 1), repeat=r):
         if sum(coords) > cap:
             continue
-        if not all(p >= 0 for p in _pairings(rd, coords)):
+        if not _dominant(rd, coords):
             continue
         if not is_integral(rd, coords):
             continue

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 from operator import le
 
-from . import multiplicity, rootdata
+from . import rootdata
 from .errors import InvariantViolation, UniquenessError, UsageError
 from .rootdata import Coweight, RootDatum
 
@@ -71,19 +71,15 @@ def polytope_member(rd: RootDatum, nu, lam, open_stratum: bool = False) -> bool:
     """Membership of nu in P_lambda (closed) or its open stratum."""
     d, n = rootdata._scale(rootdata.coweight(nu) + rootdata.coweight(lam))
     nu, lam = n[:rd.rank], n[rd.rank:]
-    if not _dominant(rd, lam) or not rootdata._is_integral_ints(rd, d, lam):
+    if not rootdata._dominant(rd, lam) or not rootdata._is_integral_ints(rd, d, lam):
         raise UsageError("lambda must be dominant and in the isogeny lattice")
-    return _member(rd, d, nu, lam, open_stratum) and _dominant(rd, nu)
+    return _member(rd, d, nu, lam, open_stratum) and rootdata._dominant(rd, nu)
 
 
 def open_strata(rd: RootDatum, d: int, nu, lams) -> list:
     """The lam in ``lams`` whose open stratum contains nu, all scaled by d to
     integer tuples: nu dominant, each lam a dominant lattice coweight."""
     return [lam for lam in lams if _member(rd, d, nu, lam, True)]
-
-
-def _dominant(rd: RootDatum, n) -> bool:
-    return min(rootdata._pairings(rd, n)) >= 0
 
 
 def _member(rd: RootDatum, d: int, nu, lam, open_stratum: bool) -> bool:
@@ -95,7 +91,7 @@ def _member(rd: RootDatum, d: int, nu, lam, open_stratum: bool) -> bool:
         return True
     for beta in rd.positive_coroots:
         mu = tuple(x - d * b for x, b in zip(lam, beta))
-        if all(map(le, nu, mu)) and _dominant(rd, mu):
+        if all(map(le, nu, mu)) and rootdata._dominant(rd, mu):
             return False
     return True
 
@@ -136,7 +132,7 @@ def rational_grid(rd: RootDatum, height_cap, denominator: int):
     for coords in product(range(steps + 1), repeat=rd.rank):
         if sum(coords) > limit:
             continue
-        if rootdata.is_dominant(rd, coords):
+        if rootdata._dominant(rd, coords):
             out.append(coords)
     out.sort()
     return [tuple(Fraction(k, denominator) for k in coords) for coords in out]
@@ -149,6 +145,8 @@ def rational_grid(rd: RootDatum, height_cap, denominator: int):
 def steinberg_stratum(rd: RootDatum, v: ValuationVector, lam) -> Coweight:
     """The unique minimal dominant lattice mu <= lam with
     val(c_{iota(i)}) >= <lambda - mu, omega_i> for every i."""
+    from . import multiplicity
+
     lam = rootdata.coweight(lam)
     if not rootdata.is_dominant(rd, lam) or not rootdata.is_integral(rd, lam):
         raise UsageError("lambda must be dominant and in the isogeny lattice")

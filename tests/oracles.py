@@ -5,10 +5,12 @@ The package answers its lattice questions with one integer Smith normal form
 `Fraction` Gaussian eliminations and the action matrices below are
 independent of both, and the tests compare the package against them.
 
-The rest were public functions of the package until nothing but the tests
-called them: the Weyl dimension formula with the orbit-size sum it checks
-`weight_system` against, the generic valuation vector of a split class, and
-the JSON writers of a class datum and of a `dim --json` report.
+`oracle_dominant_below` is the coroot-step walk of the dominance interval
+that the package replaced by a walk along covers.  The rest were public
+functions of the package until nothing but the tests called them: the Weyl
+dimension formula with the orbit-size sum it checks `weight_system` against,
+the generic valuation vector of a split class, and the JSON writers of a
+class datum and of a `dim --json` report.
 """
 
 import json
@@ -144,6 +146,35 @@ def dimension_sum(rd, lam) -> int:
     the Weyl dimension formula when everything is consistent."""
     wsys = multiplicity.weight_system(rd, rootdata.coweight(lam))
     return sum(m * orbit_size(rd, x) for x, m in wsys.items())
+
+
+# ---------------------------------------------------------------------------
+# dominance intervals
+
+
+def oracle_dominant_below(rd, lam):
+    """The dominance interval by the coroot-step walk that the package used
+    before it walked by covers: unit simple-coroot steps down from lam, kept
+    while the dominant representative stays below lam.  It assumes nothing
+    about covers, so the tests read covers off it."""
+    lam = rootdata.coweight(lam)
+    out = []
+    visited = {lam}
+    stack = [lam]
+    while stack:
+        v = stack.pop()
+        if rootdata.is_dominant(rd, v):
+            out.append(v)
+        for i in range(rd.rank):
+            w = tuple(x - int(i == j) for j, x in enumerate(v))
+            if w in visited or any(x < 0 for x in w):
+                continue
+            dom, _ = rootdata.dominant_reduce(rd, w)
+            if rootdata.leq_q(rd, dom, lam):
+                visited.add(w)
+                stack.append(w)
+    out.sort()
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -516,6 +516,20 @@ class TestStartup:
         assert "kvcalc.strata" in added
         assert not added & {"kvcalc.kv", "kvcalc.conjugacy"}
 
+    def test_strata_polytope_loads_neither_multiplicity_nor_weyl(self):
+        added = _added("import io\nfrom kvcalc import cli\n"
+                       "assert cli.run(['strata', 'polytope', '--type', 'A2', '--lambda',"
+                       " '2,1', '--nu', '1/2,1/2'], io.StringIO()) == 0")
+        assert "kvcalc.strata" in added
+        assert not added & {"kvcalc.multiplicity", "kvcalc.weyl"}
+
+    def test_mult_loads_no_weyl(self):
+        added = _added("import io\nfrom kvcalc import cli\n"
+                       "assert cli.run(['mult', '--type', 'A2', '--lambda', '2,1',"
+                       " '--mu', '0,0'], io.StringIO()) == 0")
+        assert "kvcalc.multiplicity" in added
+        assert "kvcalc.weyl" not in added
+
 
 # ---------------------------------------------------------------------------
 # argv fuzz: whatever the arguments, exit 0, 1 or 2, print only to `out`, and

@@ -153,13 +153,11 @@ def tied_interval(monkeypatch):
     """A2, lambda = (2, 2), with the interval cut to (1,2), (2,1), (2,2):
     two minimal elements, which no true interval has."""
     lam = cw(2, 2)
-    tied = (cw(1, 2), cw(2, 1), lam)
-    real = multiplicity.dominant_below
-    monkeypatch.setattr(multiplicity, "dominant_below",
+    tied = (1, {(2, 2): lam, (1, 2): cw(1, 2), (2, 1): cw(2, 1)})
+    real = multiplicity._interval
+    monkeypatch.setattr(multiplicity, "_interval",
                         lambda datum, v: tied if tuple(v) == lam else real(datum, v))
-    multiplicity._interval.cache_clear()
     yield rd("A2"), lam
-    multiplicity._interval.cache_clear()
 
 
 def test_tie_raises_the_oracle_message(tied_interval):

@@ -8,7 +8,7 @@ import pytest
 
 from kvcalc import kv, multiplicity, rootdata, strata
 from kvcalc.errors import SizeGuardError, UsageError
-from oracles import generic_char_valuation, valuation_vector_for
+from oracles import generic_char_valuation, oracle_dominant_below, valuation_vector_for
 from test_multiplicity import dominant_lattice_weights
 
 
@@ -41,9 +41,10 @@ class TestPolytopeMember:
 
 
 class TestCovers:
-    """The open-stratum test assumes Stembridge's lemma: every dominant mu
-    that lambda covers is lambda - beta for a positive coroot beta.  Here the
-    covers are read off the dominance interval, whichever they are."""
+    """The open-stratum test and the interval walk assume Stembridge's lemma:
+    every dominant mu that lambda covers is lambda - beta for a positive
+    coroot beta.  Here the covers are read off the coroot-step oracle of the
+    dominance interval, which does not assume the lemma."""
 
     # (type, pairing cap): every dominant lattice lambda up to the cap,
     # fractional coroot coordinates included under the adjoint isogeny
@@ -57,7 +58,7 @@ class TestCovers:
         coroots = set(datum.positive_coroots)
         covers = 0
         for lam in dominant_lattice_weights(datum, cap):
-            below = [mu for mu in multiplicity.dominant_below(datum, lam) if mu != lam]
+            below = [mu for mu in oracle_dominant_below(datum, lam) if mu != lam]
             for mu in below:
                 if not any(m != mu and rootdata.leq_q(datum, mu, m) for m in below):
                     assert rootdata.sub(lam, mu) in coroots, (lam, mu)
