@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 usage error, 2 a checked identity failed or an
 input datum is internally inconsistent.  All enumerations are emitted in
 sorted order, so output is byte-deterministic for fixed flags.  Each
 handler imports the modules it uses, so a command loads only its own layers.
+A verify suite yields one tab-separated row per checked case; `cmd_verify`
+builds every datum first, then prints, counts and judges the rows.
 """
 
 from __future__ import annotations
@@ -192,19 +194,16 @@ def cmd_nilcone(args, out):
 
 
 # ---------------------------------------------------------------------------
-# verification suites: each returns (all cases passed, number of cases checked)
+# verification suites: per checked case, the fields of a row, label first, verdict last
 
 
-def _types(args, default):
-    return args.type.split(",") if args.type else default
+def _verdict(ok) -> str:
+    return "pass" if ok else "FAIL"
 
 
-def verify_lower_bound(args, out) -> tuple[bool, int]:
+def verify_lower_bound(args, data):
     from . import multiplicity, weyl
-    ok = True
-    checked = 0
-    for label in _types(args, DEFAULT_BOUND_TYPES):
-        rd = _build(args, label)
+    for label, rd in data:
         bound = weyl.coxeter_count(rd)
         for lam in rootdata.dominant_integral_sweep(rd, args.height):
             if not all(p > 0 for p in rootdata.simple_pairings(rd, lam)):
@@ -213,60 +212,32 @@ def verify_lower_bound(args, out) -> tuple[bool, int]:
                 if not all(x > 0 for x in rootdata.sub(lam, mu)):
                     continue
                 m = multiplicity.multiplicity_freudenthal(rd, lam, mu)
-                line_ok = m >= bound
-                ok = ok and line_ok
-                checked += 1
-                print(
-                    f"{label}\t{_fmt(lam)}\t{_fmt(mu)}\t{m}\t{bound}\t"
-                    f"{'pass' if line_ok else 'FAIL'}",
-                    file=out,
-                )
-    return ok, checked
+                yield label, _fmt(lam), _fmt(mu), m, bound, _verdict(m >= bound)
 
 
-def verify_nilcone(args, out) -> tuple[bool, int]:
+def verify_nilcone(args, data):
     from . import vinberg
-    labels = _types(args, DEFAULT_NILCONE_TYPES)
-    for label in labels:
-        rd = _build(args, label)
+    for label, rd in data:
         summary = vinberg.nilcone_report(rd, vinberg.nilcone_strata(rd))  # raises on violation
-        print(
-            f"{label}\tdim {summary.dim}\ttop {summary.top_count}\t"
-            f"strata {summary.strata_count}\tpass",
-            file=out,
-        )
-    return True, len(labels)
+        yield (label, f"dim {summary.dim}", f"top {summary.top_count}",
+               f"strata {summary.strata_count}", "pass")
 
 
-def verify_freudenthal_kostant(args, out) -> tuple[bool, int]:
+def verify_freudenthal_kostant(args, data):
     from . import multiplicity
-    ok = True
-    checked = 0
-    for label in _types(args, ["A1", "A2", "B2", "G2"]):
-        rd = _build(args, label)
+    for label, rd in data:
         for lam in multiplicity.sweep_dominant(rd, args.height):
-            wsys = multiplicity.weight_system(rd, lam)
-            for mu, a in sorted(wsys.items()):
+            for mu, a in sorted(multiplicity.weight_system(rd, lam).items()):
                 b = multiplicity.multiplicity_kostant(rd, lam, mu)
-                line_ok = a == b
-                ok = ok and line_ok
-                checked += 1
-                print(
-                    f"{label}\t{_fmt(lam)}\t{_fmt(mu)}\t{a}\t{b}\t"
-                    f"{'pass' if line_ok else 'FAIL'}",
-                    file=out,
-                )
-    return ok, checked
+                yield label, _fmt(lam), _fmt(mu), a, b, _verdict(a == b)
 
 
-def verify_dimension_consistency(args, out) -> tuple[bool, int]:
+def verify_dimension_consistency(args, data):
+    """One `rng` draws across all types, so each type's cases depend on those before."""
     import random
     from . import conjugacy, kv, multiplicity
     rng = random.Random(args.seed)
-    ok = True
-    checked = 0
-    for label in _types(args, ["A2", "A3"]):
-        rd = _build(args, label)
+    for label, rd in data:
         for lam in rootdata.dominant_integral_sweep(rd, args.height):
             for mu in multiplicity.dominant_below(rd, lam):
                 residual = {
@@ -276,9 +247,9 @@ def verify_dimension_consistency(args, out) -> tuple[bool, int]:
                 }
                 # raises InvariantViolation when <rho, lam - mu> + r(gamma) disagrees
                 dim, _ = kv.unramified_dimension(rd, mu, residual, lam)
-                checked += 1
-                print(f"{label}\t{_fmt(lam)}\t{_fmt(mu)}\tdim {dim}\tpass", file=out)
-        # Levi relation on randomized residual data with nu_bar = 0
+                yield label, _fmt(lam), _fmt(mu), f"dim {dim}", "pass"
+        # Levi relation on randomized residual data with nu_bar = 0: a relation
+        # that holds prints nothing, and one line per type sums the trials up
         zero = rootdata.zero_coweight(rd)
         levi_ok = True
         for trial in range(args.count):
@@ -289,84 +260,70 @@ def verify_dimension_consistency(args, out) -> tuple[bool, int]:
             for size in range(rd.rank + 1):
                 for levi in combinations(range(rd.rank), size):
                     _, relation = conjugacy.r_levi(cd, frozenset(levi))
-                    levi_ok = levi_ok and relation
-                    checked += 1
                     if not relation:
-                        print(f"{label}\tlevi {levi}\ttrial {trial}\tFAIL", file=out)
-        ok = ok and levi_ok
+                        levi_ok = False
+                        yield label, f"levi {levi}", f"trial {trial}", "FAIL"
         if args.count > 0:
-            print(f"{label}\tlevi-relation\t{'pass' if levi_ok else 'FAIL'}", file=out)
-    return ok, checked
+            yield label, "levi-relation", _verdict(levi_ok)
 
 
-def verify_stratification_disjoint(args, out) -> tuple[bool, int]:
+def verify_stratification_disjoint(args, data):
     from . import strata
-    ok = True
-    checked = 0
-    for label in _types(args, ["A2"]):
-        rd = _build(args, label)
+    for label, rd in data:
         lam_cap = args.height + 2 * rd.rank
         d = 6  # the grid's denominators divide d, and every lam is an integer tuple
         lams = [tuple(d * int(x) for x in lam)
                 for lam in rootdata.dominant_integral_sweep(rd, lam_cap)]
         for nu in strata.rational_grid(rd, args.height, d):
             hits = strata.open_strata(rd, d, tuple(int(d * x) for x in nu), lams)
-            line_ok = len(hits) == 1
-            ok = ok and line_ok
-            checked += 1
-            print(
-                f"{label}\t{_fmt(nu)}\t{len(hits)}\t{'pass' if line_ok else 'FAIL'}",
-                file=out,
-            )
-    return ok, checked
+            yield label, _fmt(nu), len(hits), _verdict(len(hits) == 1)
 
 
-def verify_chen_zhu_compare(args, out) -> tuple[bool, int]:
+def verify_chen_zhu_compare(args, data):
+    """Report only: mu* from the largest lam above nu against the maximal mu below nu."""
     from . import kv, strata
-    reported = 0
-    for label in _types(args, ["A2"]):
-        rd = _build(args, label)
-        lam_cap = args.height + 2 * rd.rank
-        lams = rootdata.dominant_integral_sweep(rd, lam_cap)
+    for label, rd in data:
+        lams = rootdata.dominant_integral_sweep(rd, args.height + 2 * rd.rank)
         for nu in strata.rational_grid(rd, args.height, 4):
             above = [lam for lam in lams if rootdata.leq_q(rd, nu, lam)]
             if not above:
                 continue
-            big = max(above, key=lambda v: sum(v))
-            mu_star = kv.best_integral_approx(rd, nu, big)
+            mu_star = kv.best_integral_approx(rd, nu, max(above, key=sum))
             below = kv.chen_zhu_approx(rd, nu)
             czs = " ".join(_fmt(v) for v in below) or "-"
             same = len(below) == 1 and below[0] == mu_star
-            print(f"{label}\t{_fmt(nu)}\tmin-above {_fmt(mu_star)}\tmax-below {czs}\t"
-                  f"{'equal' if same else 'differ'}", file=out)
-            reported += 1
-    return True, reported  # report only, never a failure
+            yield (label, _fmt(nu), f"min-above {_fmt(mu_star)}", f"max-below {czs}",
+                   "equal" if same else "differ")
 
 
-VERIFY_SUITES = {
-    "lower-bound": verify_lower_bound,
-    "nilcone": verify_nilcone,
-    "freudenthal-kostant": verify_freudenthal_kostant,
-    "dimension-consistency": verify_dimension_consistency,
-    "stratification-disjoint": verify_stratification_disjoint,
-    "chen-zhu-compare": verify_chen_zhu_compare,
+VERIFY_SUITES = {  # name -> (suite, default types)
+    "lower-bound": (verify_lower_bound, DEFAULT_BOUND_TYPES),
+    "nilcone": (verify_nilcone, DEFAULT_NILCONE_TYPES),
+    "freudenthal-kostant": (verify_freudenthal_kostant, ["A1", "A2", "B2", "G2"]),
+    "dimension-consistency": (verify_dimension_consistency, ["A2", "A3"]),
+    "stratification-disjoint": (verify_stratification_disjoint, ["A2"]),
+    "chen-zhu-compare": (verify_chen_zhu_compare, ["A2"]),
 }
 
 
 def cmd_verify(args, out):
-    suite = VERIFY_SUITES.get(args.suite)
-    if suite is None:
-        raise UsageError(
-            f"unknown suite {args.suite!r}; choose from {sorted(VERIFY_SUITES)}"
-        )
-    ok, checked = suite(args, out)
+    if args.suite not in VERIFY_SUITES:
+        raise UsageError(f"unknown suite {args.suite!r}; choose from {sorted(VERIFY_SUITES)}")
+    suite, default_types = VERIFY_SUITES[args.suite]
+    labels = args.type.split(",") if args.type else default_types
+    data = [(label, _build(args, label)) for label in labels]  # refuse before any output
+    checked = failed = 0
+    for row in suite(args, data):
+        print("\t".join(map(str, row)), file=out)
+        checked += 1
+        failed += row[-1] == "FAIL"
     if checked == 0:
         raise UsageError(f"verification suite {args.suite} checked no cases")
-    if args.suite == "chen-zhu-compare":
+    if args.suite == "chen-zhu-compare":  # report only, never a failure
         print("REPORT", file=out)
         return
-    print("PASS" if ok else "FAIL", file=out)
-    if not ok:
+    print("FAIL" if failed else "PASS", file=out)
+    if failed:
         raise InvariantViolation(f"verification suite {args.suite} failed")
 
 
@@ -444,14 +401,22 @@ def run(argv=None, out=None) -> int:
         if getattr(args, "func", None) in (cmd_weyl, cmd_mult, cmd_strata, cmd_nilcone):
             if not args.type:
                 raise UsageError("--type is required")
-        if getattr(args, "func", None) is cmd_mult and args.sweep is None:
-            if args.lam is None or args.mu is None:
+        if getattr(args, "func", None) is cmd_mult:
+            if args.sweep is None and (args.lam is None or args.mu is None):
                 raise UsageError("mult needs --lambda and --mu (or --sweep)")
+            if args.sweep is not None and (args.lam is not None or args.mu is not None):
+                raise UsageError("mult --sweep takes no --lambda or --mu")
         if getattr(args, "func", None) is cmd_strata:
             if args.strata_kind == "polytope" and args.nu is None and args.lam2 is None:
                 raise UsageError("polytope needs --nu or --lambda2")
+            if args.strata_kind == "polytope" and args.nu is not None and args.lam2 is not None:
+                raise UsageError("polytope takes --nu or --lambda2, not both")
+            if args.strata_kind == "polytope" and args.cvals is not None:
+                raise UsageError("polytope takes no --cvals")
             if args.strata_kind == "steinberg" and args.cvals is None:
                 raise UsageError("steinberg needs --cvals")
+            if args.strata_kind == "steinberg" and (args.nu is not None or args.lam2 is not None):
+                raise UsageError("steinberg takes no --nu or --lambda2")
         args.func(args, out)
         return 0
     except InvariantViolation as exc:

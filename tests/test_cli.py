@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: exit codes, exact output, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -124,6 +125,20 @@ class TestMalformedInput:
         argv = ["verify", suite, "--type", "A2", "--height", "3", "--count", "1"]
         self.check(argv + ["--isogeny", isogeny], capsys)
 
+    # A2 comes first and yields rows at this height; each datum is built, and
+    # the bad one refused, before the first row is printed
+    @pytest.mark.parametrize("suite", sorted(cli.VERIFY_SUITES))
+    def test_verify_suite_refuses_a_bad_later_type_before_any_row(self, suite, capsys):
+        self.check(["verify", suite, "--type", "A2,Z9", "--height", "3", "--count", "1"], capsys)
+
+    @pytest.mark.parametrize("suite", sorted(cli.VERIFY_SUITES))
+    def test_verify_suite_refuses_a_later_type_off_the_isogeny_file_before_any_row(
+            self, suite, tmp_path, capsys):
+        path = tmp_path / "isogeny.json"
+        path.write_text(json.dumps([[1, 0], [0, 1]]))  # two generators: a lattice for A2, not A3
+        argv = ["verify", suite, "--type", "A2,A3", "--height", "3", "--count", "1"]
+        self.check(argv + ["--isogeny", f"custom:{path}"], capsys)
+
     def test_non_string_type(self, tmp_path, capsys):
         path = write_class(tmp_path, type=5)
         self.check(["dim", "--class", path, "--lambda", "1,1"], capsys)
@@ -202,6 +217,23 @@ class TestMalformedInput:
     def test_non_numeric_cvals(self, capsys):
         self.check(["strata", "steinberg", "--type", "A2", "--lambda", "1,1",
                     "--cvals", "abc,1"], capsys)
+
+    @pytest.mark.parametrize("operand", [["--lambda", "1,1"], ["--mu", "0,0"]])
+    def test_mult_sweep_refuses_a_single_query_operand(self, operand, capsys):
+        self.check(["mult", "--type", "A2", "--sweep", "2", *operand], capsys)
+
+    def test_strata_polytope_refuses_both_nu_and_lambda2(self, capsys):
+        self.check(["strata", "polytope", "--type", "A2", "--lambda", "2,1",
+                    "--nu", "1/2,1/2", "--lambda2", "1,1"], capsys)
+
+    def test_strata_polytope_refuses_cvals(self, capsys):
+        self.check(["strata", "polytope", "--type", "A2", "--lambda", "2,1",
+                    "--nu", "1/2,1/2", "--cvals", "1,inf"], capsys)
+
+    @pytest.mark.parametrize("operand", [["--nu", "1/2,1/2"], ["--lambda2", "1,1"]])
+    def test_strata_steinberg_refuses_a_polytope_operand(self, operand, capsys):
+        self.check(["strata", "steinberg", "--type", "A2", "--lambda", "2,1",
+                    "--cvals", "1,inf", *operand], capsys)
 
     def test_suite_checking_nothing_fails(self, capsys):
         self.check(["verify", "lower-bound", "--height", "-3"], capsys)
@@ -434,6 +466,32 @@ class TestVerify:
         code, adjoint = run(argv + ["--isogeny", "adjoint"])
         assert code == 0
         assert "A2\t3/4,3/4\tmin-above 1,1\tmax-below 1/3,2/3 2/3,1/3\tdiffer\n" in adjoint
+
+    # one small run of each suite over two types: its flags and the sha256 of its stdout
+    TWO_TYPE_RUNS = {
+        "lower-bound": (["--type", "A2,B2", "--height", "6"],
+                        "a2448a851c7cbc2d79e28a9877828d56b0028faaa8c8c9ee894672943df0264e"),
+        "nilcone": (["--type", "A1,B2", "--isogeny", "adjoint"],
+                    "5f2b4817434ad0683658c716a70d5801bad4f538c24b05d560f40f3783795336"),
+        "freudenthal-kostant": (["--type", "A1,B2", "--height", "5", "--isogeny", "adjoint"],
+                                "409a4c827067d51452bb7134e2669505c91ff8bcd0f601b335fe94f990bc462f"),
+        "dimension-consistency": (["--type", "A2,A3", "--height", "2", "--count", "2"],
+                                  "f752e73ba474109d6f43107733a80fd80c803267180eecb01153e9a04f31de93"),
+        "stratification-disjoint": (["--type", "A2,B2", "--height", "1"],
+                                    "d18179fa1995dc48f962137f0d3154c2d0f69ed79558c648acaf2cebeceba9c9"),
+        "chen-zhu-compare": (["--type", "A2,G2", "--height", "2", "--isogeny", "adjoint"],
+                             "0247898a6b3a5f3e0a0feef14763c5e7b5ecfcea30339225af4d4688670234f7"),
+    }
+
+    @pytest.mark.parametrize("suite", TWO_TYPE_RUNS)
+    def test_run_over_two_types_is_byte_identical(self, suite):
+        flags, digest = self.TWO_TYPE_RUNS[suite]
+        code, text = run(["verify", suite, *flags])
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_every_suite_has_a_two_type_run(self):
+        assert sorted(self.TWO_TYPE_RUNS) == sorted(cli.VERIFY_SUITES)
 
     def test_chen_zhu_is_report_only(self):
         code, text = run(["verify", "chen-zhu-compare", "--height", "2"])
