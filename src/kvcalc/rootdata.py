@@ -133,25 +133,25 @@ def _block_diag(blocks: list[list[list[int]]]) -> tuple[tuple[int, ...], ...]:
 
 
 def _root_closure(cartan):
-    """All (root, coroot) pairs, each in simple-root / simple-coroot coords."""
+    """All (root, coroot) pairs, each in simple-root / simple-coroot coords.
+    s_i moves coordinate i only: by Cartan row i on a root, by column i on its
+    coroot, which is computed only for a root not seen before."""
     r = len(cartan)
-    seen = {}
+    columns = tuple(zip(*cartan))
     frontier = [(tuple(int(i == j) for j in range(r)),) * 2 for i in range(r)]
-    for pair in frontier:
-        seen[pair[0]] = pair[1]
+    seen = dict(frontier)
     while frontier:
         nxt = []
         for root, coroot in frontier:
             for i in range(r):
-                p = sum(cartan[i][j] * root[j] for j in range(r))
-                new_root = tuple(root[j] - p * int(i == j) for j in range(r))
-                q = sum(cartan[j][i] * coroot[j] for j in range(r))
-                new_coroot = tuple(coroot[j] - q * int(i == j) for j in range(r))
+                p = sum(map(mul, cartan[i], root))
+                new_root = root[:i] + (root[i] - p,) + root[i + 1:]
                 if new_root not in seen:
-                    seen[new_root] = new_coroot
-                    nxt.append((new_root, new_coroot))
+                    q = sum(map(mul, columns[i], coroot))
+                    seen[new_root] = coroot[:i] + (coroot[i] - q,) + coroot[i + 1:]
+                    nxt.append((new_root, seen[new_root]))
         frontier = nxt
-    positives = sorted(rt for rt in seen if all(x >= 0 for x in rt))
+    positives = sorted(rt for rt in seen if min(rt) >= 0)
     return tuple(positives), tuple(seen[rt] for rt in positives)
 
 

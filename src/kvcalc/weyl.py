@@ -6,21 +6,20 @@ decides equality.  The word is the lexicographically first reduced word.  w
 acts on coweights, and on roots through the dual datum, by walking its word
 (`_apply_word`); it keeps no matrix, and the identity acts with no work.
 
-The group is built once per datum as a breadth-first orbit table of
-2 rho_check (`enumerate_group`); s_i rewrites one coordinate
-(`rootdata.reflect`).  One key -> index map per datum (`_index`) finds an
-element in that table, for `word_to_element` and for the descent masks.
+The group is built once per datum by walking the orbit of 2 rho_check along
+ascents (`enumerate_group`; Casselman, Invent. Math. 116 (1994)): s_i w > w
+exactly when c_i = <alpha_i, w(2 rho_check)> > 0 (Humphreys, Reflection
+Groups and Coxeter Groups, 1.6-1.7).  One key -> index map per datum
+(`_index`) finds an element in it, for `word_to_element` and the masks.
 
 The descents of every element are two integer bitmasks, built once per
-datum on first use (`_descent_masks`).  Bit i of the left mask is set when
-s_i w, looked up in the map, is shorter than w; these lookups are the
-left-multiplication rows of the table.  The right mask of w is the left mask
-of w^-1, found by walking the reversed word of w through those rows from the
-identity, with integer lookups only.  The minimal representatives of
-W_J1 \\ W / W_J2 are the elements with no left descent in J1 and no right
-descent in J2 (Bjorner-Brenti, Combinatorics of Coxeter Groups, section
-2.4): a two-mask test.  `enumerate_group`, `identity_element` and
-`coxeter_elements` build neither map nor masks.
+datum on first use (`_descent_masks`).  The left mask of w is the sign
+pattern of the c_i.  The right mask of w is the left mask of w^-1, found by
+walking the reversed word of w through the left-multiplication rows.  The
+minimal representatives of W_J1 \\ W / W_J2 are the elements with no left
+descent in J1 and no right descent in J2 (Bjorner-Brenti, Combinatorics of
+Coxeter Groups, section 2.4): a two-mask test.  `enumerate_group`,
+`identity_element` and `coxeter_elements` build neither map nor masks.
 
 The Coxeter elements are enumerated by orientation of the Coxeter graph, one
 word per orientation (2^edges of them), not by trying all r! orderings of
@@ -28,15 +27,14 @@ the simple reflections.
 
 `vinberg.nilcone_strata` asks for the representatives one J at a time.  An
 enumeration driven by the masks (D_L and D_R inside J, J inside the support)
-would visit only the strata, but perfbench's `nilcone` workload counts the
-calls of `min_double_coset_reps`, so the per-J loop stays until that
-workload is re-recorded.
+would visit only the strata, but perfbench's `test_traced_counts_repeat_exactly`
+asserts that `min_double_coset_reps` is called, so the per-J loop stays.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import sub
+from operator import mul, sub
 
 from . import linalg, rootdata
 from .errors import InvariantViolation, SizeGuardError, UsageError
@@ -100,28 +98,36 @@ def identity_element(rd: RootDatum) -> WeylElement:
 
 @lru_cache(maxsize=None)
 def enumerate_group(rd: RootDatum) -> tuple[WeylElement, ...]:
-    """Full Weyl group as the orbit table of 2 rho_check: breadth-first from
-    the identity, by length, then by word."""
+    """Full Weyl group as the orbit of 2 rho_check walked by ascents:
+    breadth-first from the identity, by length, then by word."""
     if rd.weyl_order > WEYL_ORDER_CAP:
         raise SizeGuardError(
             f"|W| = {rd.weyl_order} exceeds the enumeration cap {WEYL_ORDER_CAP}"
         )
+    # s_i moves c_j = <alpha_j, key> by -c_i <alpha_j, alpha_i^vee>: at i and its neighbours.
+    nbrs = [[(j, a) for j, a in enumerate(row) if a] for row in rd.cartan]
     ident = identity_element(rd)
-    seen = {ident.key}
     out = [ident]
-    frontier = [ident]
-    while frontier:
-        # The frontier is sorted by word, so each level is found in word
-        # order and keeps the lexicographically first reduced words.
-        nxt = []
-        for w in frontier:
-            for i in range(rd.rank):
-                key = rootdata.reflect(rd, i, w.key)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(WeylElement(rd, key, w.word + (i,)))
-        out.extend(nxt)
-        frontier = nxt
+    level, pairings = [ident], [(2,) * rd.rank]
+    while level:
+        # A level is sorted by word, so the next keeps the lexicographically
+        # first reduced words; ascents lead one level down, so it dedups only
+        # against itself.  Pairings stay tuples apart from the elements: a list
+        # or pair per element would share their size class and scatter the table.
+        nxt, new = {}, []
+        for w, c in zip(level, pairings):
+            key = w.key
+            for i, p in enumerate(c):
+                if p > 0:
+                    k = key[:i] + (key[i] - p,) + key[i + 1:]
+                    if k not in nxt:
+                        d = list(c)
+                        for j, a in nbrs[i]:
+                            d[j] -= p * a
+                        nxt[k] = tuple(d)
+                        new.append(WeylElement(rd, k, w.word + (i,)))
+        level, pairings = new, nxt.values()
+        out += new
     if len(out) != rd.weyl_order:
         raise InvariantViolation(
             f"orbit of 2 rho_check has {len(out)} points, |W| = {rd.weyl_order}"
@@ -138,20 +144,29 @@ def _index(rd: RootDatum) -> dict[tuple[int, ...], int]:
 @lru_cache(maxsize=None)
 def _descent_masks(rd: RootDatum) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(left, right): per element of `enumerate_group(rd)`, the bitmask of
-    the i with s_i w shorter than w, and that of the i with w s_i shorter."""
+    the i with s_i w shorter than w (a negative pairing of its key), and that
+    of the i with w s_i shorter.  One lookup per ascent fills two rows."""
     group = enumerate_group(rd)
     index = _index(rd)
-    length = [e.length for e in group]
-    rows = [[index[rootdata.reflect(rd, i, e.key)] for i in range(rd.rank)] for e in group]
-    left = tuple(sum(1 << i for i, m in enumerate(row) if length[m] < length[n])
-                 for n, row in enumerate(rows))
+    rows = [[0] * rd.rank for _ in group]
+    left = []
+    for n, e in enumerate(group):
+        key, mask = e.key, 0
+        for i, col in enumerate(rd.cartan_columns):
+            p = sum(map(mul, col, key))
+            if p < 0:
+                mask |= 1 << i
+            else:
+                m = rows[n][i] = index[key[:i] + (key[i] - p,) + key[i + 1:]]
+                rows[m][i] = n
+        left.append(mask)
     right = []
     for e in group:
         n = 0  # the identity; w^-1 = s_{a_1} ... s_{a_l} for the word a of w
         for i in reversed(e.word):
             n = rows[n][i]
         right.append(left[n])
-    return left, tuple(right)
+    return tuple(left), tuple(right)
 
 
 def word_to_element(rd: RootDatum, word) -> WeylElement:

@@ -6,11 +6,15 @@ The package answers its lattice questions with one integer Smith normal form
 independent of both, and the tests compare the package against them.
 
 `oracle_dominant_below` is the coroot-step walk of the dominance interval
-that the package replaced by a walk along covers.  The rest were public
-functions of the package until nothing but the tests called them: the Weyl
-dimension formula with the orbit-size sum it checks `weight_system` against,
-the generic valuation vector of a split class, and the JSON writers of a
-class datum and of a `dim --json` report.
+that the package replaced by a walk along covers.  `oracle_enumerate_group`
+and `oracle_root_closure` are the breadth-first passes that the package
+replaced by walks along ascents: they reflect every element by every s_i with
+a full pairing and keep one set of everything seen, so they assume nothing
+about which reflections lengthen.  The rest were public functions of the
+package until nothing but the tests called them: the Weyl dimension formula
+with the orbit-size sum it checks `weight_system` against, the generic
+valuation vector of a split class, and the JSON writers of a class datum and
+of a `dim --json` report.
 """
 
 import json
@@ -93,6 +97,54 @@ def integer_inverse(m) -> tuple[tuple[tuple[int, ...], ...], int]:
     det = lcm(*(x.denominator for row in inv for x in row))
     return tuple(tuple(int(x * det) for x in row) for row in inv), det
 
+
+
+# ---------------------------------------------------------------------------
+# Weyl group and root system by full breadth-first passes
+
+
+def oracle_enumerate_group(rd) -> tuple:
+    """The Weyl group breadth-first from the identity, every s_i w tried and
+    kept when its key was never seen: by length, then by word."""
+    ident = weyl.identity_element(rd)
+    seen = {ident.key}
+    out = [ident]
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in range(rd.rank):
+                key = rootdata.reflect(rd, i, w.key)
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(weyl.WeylElement(rd, key, w.word + (i,)))
+        out.extend(nxt)
+        frontier = nxt
+    return tuple(out)
+
+
+def oracle_root_closure(cartan):
+    """All (root, coroot) pairs, each in simple-root / simple-coroot coords,
+    every root reflected by every s_i with full pairings."""
+    r = len(cartan)
+    seen = {}
+    frontier = [(tuple(int(i == j) for j in range(r)),) * 2 for i in range(r)]
+    for pair in frontier:
+        seen[pair[0]] = pair[1]
+    while frontier:
+        nxt = []
+        for root, coroot in frontier:
+            for i in range(r):
+                p = sum(cartan[i][j] * root[j] for j in range(r))
+                new_root = tuple(root[j] - p * int(i == j) for j in range(r))
+                q = sum(cartan[j][i] * coroot[j] for j in range(r))
+                new_coroot = tuple(coroot[j] - q * int(i == j) for j in range(r))
+                if new_root not in seen:
+                    seen[new_root] = new_coroot
+                    nxt.append((new_root, new_coroot))
+        frontier = nxt
+    positives = sorted(rt for rt in seen if all(x >= 0 for x in rt))
+    return tuple(positives), tuple(seen[rt] for rt in positives)
 
 
 # ---------------------------------------------------------------------------

@@ -292,9 +292,15 @@ class TestWeyl:
 
     def test_weyl_order_builds_no_descent_masks(self):
         weyl._descent_masks.cache_clear()
+        weyl._index.cache_clear()
         code, text = run(["weyl", "--type", "F4"])
         assert code == 0 and text == "order 1152\nlongest-length 24\n"
         assert weyl._descent_masks.cache_info().misses == 0
+        assert weyl._index.cache_info().misses == 0
+
+    def test_order_at_the_enumeration_cap(self):
+        code, text = run(["weyl", "--type", "E6"])
+        assert code == 0 and text == "order 51840\nlongest-length 36\n"
 
 
 class TestMult:

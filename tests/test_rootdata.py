@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from kvcalc import conjugacy, kv, linalg, multiplicity, rootdata, strata, vinberg, weyl
 from kvcalc.errors import UsageError
-from oracles import frac_matrix, integer_inverse, inverse, mat_mul, weyl_dimension
+from oracles import (frac_matrix, integer_inverse, inverse, mat_mul, oracle_root_closure,
+                     weyl_dimension)
 
 
 def rd(label, isogeny="sc"):
@@ -396,6 +397,13 @@ def test_cartan_matrix_matches_sympy(label):
     m = CartanMatrix(label)
     theirs = tuple(tuple(int(x) for x in m.row(i)) for i in range(m.rows))
     assert rd(label).cartan in (theirs, tuple(zip(*theirs)))
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_root_closure_matches_breadth_first_oracle(label):
+    cartan = rootdata._block_diag([rootdata._simple_cartan(letter, n)
+                                   for letter, n in rootdata.parse_label(label)])
+    assert rootdata._root_closure(cartan) == oracle_root_closure(cartan)
 
 
 def rationals(size):

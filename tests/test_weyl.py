@@ -14,11 +14,19 @@ import pytest
 
 from kvcalc import rootdata, weyl
 from kvcalc.errors import SizeGuardError, UsageError
-from oracles import action, mat_mul, rank
+from oracles import action, mat_mul, oracle_enumerate_group, rank
 
 
 def rd(label, isogeny="sc"):
     return rootdata.build_root_datum(label, isogeny)
+
+
+# every type with |W| <= 2000
+SMALL_GROUPS = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2",
+                "F4", "A1xA1", "A1xB2", "A2xG2"]
+
+# A3 under the lattice of the coweights (a, b, c) with a + c even: pi_1 = Z/2
+A3_MIDDLE_LATTICE = [[1, 0, 1], [0, 1, 0], [0, 0, 2]]
 
 
 def subsets(n):
@@ -104,11 +112,19 @@ class TestEnumeration:
         assert len(weyl.enumerate_group(rd(label))) == order
 
     @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4",
-                                       "B5", "C3", "D4", "D5", "F4", "G2"])
+                                       "B5", "C3", "D4", "D5", "D6", "E6", "F4", "G2"])
     def test_group_orders_match_sympy(self, label):
         from sympy.liealgebras.weyl_group import WeylGroup
 
         assert len(weyl.enumerate_group(rd(label))) == WeylGroup(label).group_order()
+
+    @pytest.mark.parametrize("label,isogeny",
+                             [(label, "sc") for label in SMALL_GROUPS + ["B5"]]
+                             + [("D4", "adjoint"), ("A3", A3_MIDDLE_LATTICE)])
+    def test_ascent_walk_matches_breadth_first_oracle(self, label, isogeny):
+        datum = rd(label, isogeny)
+        assert [(w.key, w.word) for w in weyl.enumerate_group(datum)] == [
+            (w.key, w.word) for w in oracle_enumerate_group(datum)]
 
     def test_a2_length_multiset(self):
         lengths = sorted(e.length for e in weyl.enumerate_group(rd("A2")))
@@ -259,11 +275,6 @@ class TestDoubleCosets:
         for j1, j2 in [({2}, set()), (set(), {-1})]:
             with pytest.raises(UsageError):
                 weyl.min_double_coset_reps(rd("A2"), j1, j2)
-
-
-# every type with |W| <= 2000
-SMALL_GROUPS = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2",
-                "F4", "A1xA1", "A1xB2", "A2xG2"]
 
 
 class TestDescentMasks:
