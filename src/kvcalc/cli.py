@@ -82,7 +82,7 @@ def cmd_weyl(args, out):
     else:
         group = weyl.enumerate_group(rd)
         print(f"order {len(group)}", file=out)
-        print(f"longest-length {max(e.length for e in group)}", file=out)
+        print(f"longest-length {group[-1].length}", file=out)  # sorted by length
 
 
 def cmd_mult(args, out):

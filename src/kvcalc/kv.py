@@ -7,11 +7,12 @@ dual group, and the Coxeter-count bound for regular-locus orbits.  `report`
 is the only place that puts these together: mu* and m_{lambda,mu*} are
 computed there and nowhere else, for `dim` and `components` alike.
 
-The approximations mu* (minimal above the Newton point) and Chen-Zhu
-(maximal below it) compare scaled integers: the candidates are integer
-tuples over one denominator, and ``rootdata._extremes`` confirms the lowest
-(highest) one by height against every other in one pass, falling back to the
-pairwise filter only to list a tie.
+The approximations mu* (minimal above the Newton point, found by
+``multiplicity.minimal_above``) and Chen-Zhu (maximal below it) compare
+scaled integers: the candidates are integer tuples over one denominator, and
+``rootdata._extremes`` confirms the lowest (highest) one by height against
+every other in one pass, falling back to the pairwise filter only to list a
+tie.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import prod
-from operator import le
 
 from . import conjugacy, multiplicity, rootdata, weyl
 from .conjugacy import ClassDatum
@@ -106,23 +106,15 @@ def best_integral_approx(rd: RootDatum, nu, lam) -> Coweight:
 
 def _best_integral_approx(rd: RootDatum, nu: Coweight, lam: Coweight) -> Coweight:
     """``best_integral_approx`` for a dominant nu <= lam, lam dominant and in
-    the lattice, unchecked.
-
-    With the interval scaled by D, mu >= nu exactly when D mu >= ceil(D nu)
-    coordinatewise, since D mu is an integer tuple."""
-    d, interval = multiplicity._interval(rd, lam)
-    dn, n = rootdata._scale(nu)
-    low = tuple(-(-x * d // dn) for x in n)  # ceil(D nu)
-    candidates = [mu for mu in interval if all(map(le, low, mu))]
-    if not candidates:
+    the lattice, unchecked."""
+    minimal = multiplicity.minimal_above(rd, lam, nu)
+    if not minimal:
         raise InvariantViolation(f"lambda {lam} is not a candidate above {nu}")
-    minimal = rootdata._extremes(candidates)
     if len(minimal) != 1:
-        minimal = sorted(interval[mu] for mu in minimal)
         raise UniquenessError(
             f"minimal dominant approximations of {nu} below {lam} are not unique: {minimal}"
         )
-    return interval[minimal[0]]
+    return minimal[0]
 
 
 def chen_zhu_approx(rd: RootDatum, nu):

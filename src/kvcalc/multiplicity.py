@@ -11,17 +11,20 @@ Freudenthal's formula holds for any such form.
 
 Freudenthal's recursion runs over the dominant weights of V(lam) only (the
 dominance interval), reading the multiplicity of each mu + k alpha at its
-dominant representative.  Kostant's alternating sum over the Weyl group of
-the literal dual datum (with a brute-force partition function) is an
-independent oracle kept for tests.
+dominant representative.  Kostant's alternating sum over the Weyl group
+(with a brute-force partition function) is an independent check of it, run
+by the verify suite: it reads the dual group off rd as Freudenthal does, its
+W the cached table of ``weyl.enumerate_group(rd)`` acting on coweights and
+its positive roots the positive coroots.  The tests check both readings
+against the literal dual datum, built from the transposed Cartan matrix.
 
 The dominance interval is walked once per (rd, lam), by ``_interval``, and
 cached there: lam is scaled by D, the lcm of its denominators, and the walk
 steps down along covers, each a positive coroot, through dominant integer
-tuples only.  Freudenthal's recursion, mu* (``kv``) and the Steinberg strata
-read that one cache; ``dominant_below`` is its sorted view.  The Fraction
-coweights beside the scaled keys are built once and are the ones every
-caller sees.
+tuples only.  Freudenthal's recursion and ``minimal_above`` (mu* in ``kv``,
+the Steinberg strata) read that one cache; ``dominant_below`` is its sorted
+view.  The Fraction coweights beside the scaled keys are built once and are
+the ones every caller sees.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from operator import add, mul, sub
+from operator import add, le, mul, sub
 from types import MappingProxyType
 
 from . import rootdata
@@ -145,8 +148,7 @@ def kostant_partition(rd: RootDatum, beta: tuple[int, ...]) -> int:
     integers) as an N-combination of positive roots of the dual group."""
     if any(b < 0 for b in beta):
         return 0
-    dual = rd.dual()
-    roots = tuple(sorted(dual.positive_roots, key=lambda a: (-sum(a), a)))
+    roots = tuple(sorted(rd.positive_coroots, key=lambda a: (-sum(a), a)))
     return _kp(tuple(int(b) for b in beta), roots, 0)
 
 
@@ -176,8 +178,8 @@ def multiplicity_kostant(rd: RootDatum, lam, mu) -> int:
     d, n = rootdata._scale(rootdata.add(lam, rd.rho_check) + rootdata.add(mu, rd.rho_check))
     lam_rho, mu_rho = n[:rd.rank], n[rd.rank:]
     total = 0
-    for w in weyl.enumerate_group(rd.dual()):
-        diff = rootdata.sub(w.apply_root(lam_rho), mu_rho)
+    for w in weyl.enumerate_group(rd):
+        diff = rootdata.sub(w.apply(lam_rho), mu_rho)
         if any(x % d or x < 0 for x in diff):
             continue
         total += (-1) ** w.length * kostant_partition(rd, tuple(x // d for x in diff))
@@ -230,6 +232,16 @@ def dominant_below(rd: RootDatum, lam) -> tuple[Coweight, ...]:
     increasing order: a sorted view of ``_interval``."""
     _, interval = _interval(rd, lam)
     return tuple(interval[v] for v in sorted(interval))
+
+
+def minimal_above(rd: RootDatum, lam, low) -> list[Coweight]:
+    """The minimal elements, sorted, of the dominant lattice coweights mu <= lam
+    with mu_i >= low_i for every i.  In the interval scaled by D, mu_i >= low_i
+    exactly when D mu_i >= ceil(D low_i), since D mu_i is an integer."""
+    d, interval = _interval(rd, lam)
+    low = tuple(-(-x.numerator * d // x.denominator) for x in low)
+    minimal = rootdata._extremes([mu for mu in interval if all(map(le, low, mu))])
+    return sorted(interval[mu] for mu in minimal)
 
 
 # ---------------------------------------------------------------------------

@@ -155,9 +155,6 @@ def _root_closure(cartan):
     return tuple(positives), tuple(seen[rt] for rt in positives)
 
 
-_DUAL_LETTER = {"A": "A", "B": "C", "C": "B", "D": "D", "E": "E", "F": "F", "G": "G"}
-
-
 class Record:
     """Value semantics from the field names in ``_fields``: equal only to an
     object of the same class with equal fields, and hashed as the field
@@ -212,9 +209,6 @@ class RootDatum(Record):
         for letter, n in self.label:
             out *= _WEYL_ORDER[letter](n)
         return out
-
-    def dual(self, isogeny: str = "sc") -> "RootDatum":
-        return _dual_datum(self, isogeny)
 
     @cached_property
     def iota(self) -> tuple[int, ...]:
@@ -309,15 +303,6 @@ def _build(factors, cartan, isogeny) -> RootDatum:
         isogeny=iso_name,
         lattice_basis=basis,
     )
-
-
-@lru_cache(maxsize=None)
-def _dual_datum(rd: RootDatum, isogeny: str = "sc") -> RootDatum:
-    """Dual root datum: literally the transposed Cartan matrix, so simple
-    coroots of rd are exactly the simple roots of the dual (same indexing)."""
-    factors = tuple((_DUAL_LETTER[l], n) for l, n in rd.label)
-    cartan_t = tuple(tuple(rd.cartan[j][i] for j in range(rd.rank)) for i in range(rd.rank))
-    return _build(factors, cartan_t, isogeny)
 
 
 # ---------------------------------------------------------------------------
@@ -586,18 +571,10 @@ def guard_grid_size(count: int, what: str) -> None:
 
 
 def dominant_integral_sweep(rd: RootDatum, height_cap):
-    """Dominant integral coweights with coordinate-sum at most height_cap."""
-    r = rd.rank
-    out = []
+    """Dominant integral coweights with coordinate-sum at most height_cap, in
+    increasing order.  Every one lies in Lambda: `_build` refuses a lattice
+    that does not contain the coroot lattice."""
     cap = int(height_cap)
-    guard_grid_size(max(cap + 1, 0) ** r, "the dominant sweep")
-    for coords in product(range(cap + 1), repeat=r):
-        if sum(coords) > cap:
-            continue
-        if not _dominant(rd, coords):
-            continue
-        if not is_integral(rd, coords):
-            continue
-        out.append(coords)
-    out.sort()
-    return [coweight(v) for v in out]
+    guard_grid_size(max(cap + 1, 0) ** rd.rank, "the dominant sweep")
+    return [coweight(v) for v in product(range(cap + 1), repeat=rd.rank)
+            if sum(v) <= cap and _dominant(rd, v)]

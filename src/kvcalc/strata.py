@@ -11,8 +11,7 @@ open stratum walks no interval: by Stembridge (Adv. Math. 136, 1998) each
 dominant mu that lambda covers is lambda - beta, beta a positive coroot, so
 nu lies in it exactly when nu <= lambda and no dominant lambda - beta is
 above nu.  The Steinberg stratum is the minimal element of a part of the
-dominance interval scaled to integers, found by ``rootdata._extremes``,
-which runs the pairwise filter only to list a tie.
+dominance interval, found by ``multiplicity.minimal_above`` as mu* is.
 """
 
 from __future__ import annotations
@@ -154,20 +153,12 @@ def steinberg_stratum(rd: RootDatum, v: ValuationVector, lam) -> Coweight:
         raise UsageError("need one c-valuation per fundamental coordinate")
     if v.b_vals and tuple(v.b_vals) != tuple(lam[rd.iota[i]] for i in range(rd.rank)):
         raise UsageError("b-valuations are inconsistent with lambda")
-    # mu_i >= lam_i - a_i, in the interval scaled by D: D mu_i >= D lam_i - floor(D a_i)
-    d, interval = multiplicity._interval(rd, lam)
-    top = next(iter(interval))
-    bounds = []
-    for i in range(rd.rank):
-        a_i = v.c_vals[rd.iota[i]]
-        if not is_infinite(a_i):
-            a_i = Fraction(a_i)
-            bounds.append((i, top[i] - a_i.numerator * d // a_i.denominator))
-    candidates = [mu for mu in interval if all(mu[i] >= low for i, low in bounds)]
-    if not candidates:
+    # mu_i >= lam_i - a_i; an infinite a_i bounds nothing, and dominant mu_i >= 0
+    low = [0 if is_infinite(a) else x - Fraction(a)
+           for x, a in zip(lam, (v.c_vals[j] for j in rd.iota))]
+    minimal = multiplicity.minimal_above(rd, lam, low)
+    if not minimal:
         raise UsageError("valuation vector matches no stratum below lambda")
-    minimal = rootdata._extremes(candidates)
     if len(minimal) != 1:
-        minimal = sorted(interval[mu] for mu in minimal)
         raise UniquenessError(f"Steinberg stratum below {lam} is not unique: {minimal}")
-    return interval[minimal[0]]
+    return minimal[0]

@@ -3,8 +3,9 @@
 An element w is (rd, key, word), its only encoding.  The key is w(2 rho_check)
 in simple-coroot coordinates; 2 rho_check has a trivial stabilizer, so the key
 decides equality.  The word is the lexicographically first reduced word.  w
-acts on coweights, and on roots through the dual datum, by walking its word
-(`_apply_word`); it keeps no matrix, and the identity acts with no work.
+acts by walking its word (`_apply_word`): on coweights s_i pairs with Cartan
+column i, on roots with Cartan row i, so the dual group needs no datum of its
+own.  w keeps no matrix, and the identity acts with no work.
 
 The group is built once per datum by walking the orbit of 2 rho_check along
 ascents (`enumerate_group`; Casselman, Invent. Math. 116 (1994)): s_i w > w
@@ -46,10 +47,11 @@ def _two_rho_check(rd: RootDatum) -> tuple[int, ...]:
     return tuple(int(2 * x) for x in rd.rho_check)
 
 
-def _apply_word(rd: RootDatum, word, v):
-    """Apply the word to v, letters in application order (left to right)."""
+def _apply_word(vectors, word, v):
+    """Apply the word to v, letters in application order (left to right):
+    s_i subtracts the pairing of v with vectors[i] from coordinate i."""
     for i in word:
-        v = rootdata.reflect(rd, i, v)
+        v = v[:i] + (v[i] - sum(map(mul, vectors[i], v)),) + v[i + 1:]
     return v
 
 
@@ -70,12 +72,11 @@ class WeylElement(rootdata.Record):
         return frozenset(self.word)
 
     def apply(self, v: Coweight) -> Coweight:
-        return _apply_word(self.rd, self.word, v)
+        return _apply_word(self.rd.cartan_columns, self.word, v)
 
     def apply_root(self, root) -> tuple[int, ...]:
-        """w on a root (simple-root coordinates): the dual datum's Cartan
-        matrix is the transpose, so its coweights are our roots."""
-        return _apply_word(self.rd.dual(), self.word, tuple(root))
+        """w on a root (simple-root coordinates)."""
+        return _apply_word(self.rd.cartan, self.word, tuple(root))
 
     def order(self) -> int:
         origin = _two_rho_check(self.rd)
@@ -176,7 +177,7 @@ def word_to_element(rd: RootDatum, word) -> WeylElement:
     for i in word:
         if not 0 <= i < rd.rank:
             raise UsageError(f"reflection index {i} out of range for rank {rd.rank}")
-    return enumerate_group(rd)[_index(rd)[_apply_word(rd, word, _two_rho_check(rd))]]
+    return enumerate_group(rd)[_index(rd)[_apply_word(rd.cartan_columns, word, _two_rho_check(rd))]]
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +204,7 @@ def coxeter_elements(rd: RootDatum) -> tuple[WeylElement, ...]:
             k = next(k for k in range(r) if not (done >> k & 1 or before[k] & ~done))
             word.append(k)
             done |= 1 << k
-        out.append(WeylElement(rd, _apply_word(rd, word, origin), tuple(word)))
+        out.append(WeylElement(rd, _apply_word(rd.cartan_columns, word, origin), tuple(word)))
     return tuple(sorted(out, key=lambda e: e.word))
 
 
@@ -233,5 +234,5 @@ def fixed_space_dim(w: WeylElement) -> int:
     r = w.rd.rank
     units = [tuple(int(i == j) for i in range(r)) for j in range(r)]
     d, _, _ = linalg.smith_normal_form(
-        [tuple(map(sub, _apply_word(w.rd, w.word, e), e)) for e in units])
+        [tuple(map(sub, w.apply(e), e)) for e in units])
     return sum(d[i][i] == 0 for i in range(r))

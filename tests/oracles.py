@@ -5,6 +5,12 @@ The package answers its lattice questions with one integer Smith normal form
 `Fraction` Gaussian eliminations and the action matrices below are
 independent of both, and the tests compare the package against them.
 
+`dual_datum` is the literal Langlands dual root datum, built from the
+transposed Cartan matrix.  The package reads the dual group off rd instead:
+its positive roots are rd's positive coroots and its Weyl group is W acting
+on coweights.  The partition-count and full-weight oracles use the literal
+datum, so they check that reading.
+
 `oracle_dominant_below` is the coroot-step walk of the dominance interval
 that the package replaced by a walk along covers.  `oracle_enumerate_group`
 and `oracle_root_closure` are the breadth-first passes that the package
@@ -86,7 +92,7 @@ def inverse(m) -> Matrix:
 def action(w) -> tuple[tuple[int, ...], ...]:
     """Matrix of the Weyl element w on coweights (simple-coroot coordinates)."""
     r = w.rd.rank
-    cols = [weyl._apply_word(w.rd, w.word, tuple(int(i == j) for i in range(r)))
+    cols = [weyl._apply_word(w.rd.cartan_columns, w.word, tuple(int(i == j) for i in range(r)))
             for j in range(r)]
     return tuple(zip(*cols))
 
@@ -97,6 +103,22 @@ def integer_inverse(m) -> tuple[tuple[tuple[int, ...], ...], int]:
     det = lcm(*(x.denominator for row in inv for x in row))
     return tuple(tuple(int(x * det) for x in row) for row in inv), det
 
+
+
+# ---------------------------------------------------------------------------
+# the Langlands dual root datum
+
+
+_DUAL_LETTER = {"A": "A", "B": "C", "C": "B", "D": "D", "E": "E", "F": "F", "G": "G"}
+
+
+@lru_cache(maxsize=None)
+def dual_datum(rd, isogeny="sc"):
+    """Dual root datum: literally the transposed Cartan matrix, so simple
+    coroots of rd are exactly the simple roots of the dual (same indexing)."""
+    factors = tuple((_DUAL_LETTER[l], n) for l, n in rd.label)
+    cartan_t = tuple(tuple(rd.cartan[j][i] for j in range(rd.rank)) for i in range(rd.rank))
+    return rootdata._build(factors, cartan_t, isogeny)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvcalc import multiplicity, rootdata
+from kvcalc import multiplicity, rootdata, weyl
 from kvcalc.errors import InvariantViolation, UsageError
-from oracles import (dimension_sum, frac_matrix, generic_char_valuation, inverse,
+from oracles import (dimension_sum, dual_datum, frac_matrix, generic_char_valuation, inverse,
                      oracle_dominant_below, orbit_size, weyl_dimension)
 
 
@@ -25,7 +25,7 @@ def cw(*coords):
 
 def naive_partition_count(datum, beta):
     """Independent oracle: iterate over all bounded coefficient vectors."""
-    dual = datum.dual()
+    dual = dual_datum(datum)
     roots = dual.positive_roots
     caps = []
     for a in roots:
@@ -84,7 +84,7 @@ def _inner(dual, d, a, b):
 @lru_cache(maxsize=None)
 def _dual_rho(rd):
     """rho of the dual group in the dual's simple-root coordinates."""
-    dual = rd.dual()
+    dual = dual_datum(rd)
     s = [Fraction(0)] * rd.rank
     for root in dual.positive_roots:
         for j in range(rd.rank):
@@ -104,7 +104,7 @@ def _dual_pairing(dual, x, coroot_idx):
 def full_weight_system(rd, lam):
     """All weights of the dual-group irreducible V(lam) with multiplicities."""
     lam = rootdata.coweight(lam)
-    dual = rd.dual()
+    dual = dual_datum(rd)
     r = rd.rank
     weights = {lam}
     frontier = [lam]
@@ -160,7 +160,7 @@ def fundamental_weight_root_coords(rd, i):
 def oracle_char_valuation(rd, mu, i):
     """min over every weight chi of V(omega_i) of <chi, mu>, with V(omega_i)
     built by the full-weight oracle on the adjoint dual datum."""
-    wsys = full_weight_system(rd.dual("adjoint"), fundamental_weight_root_coords(rd, i))
+    wsys = full_weight_system(dual_datum(rd, "adjoint"), fundamental_weight_root_coords(rd, i))
     return min(Fraction(rootdata.pair_root(rd, chi, rootdata.coweight(mu))) for chi in wsys)
 
 
@@ -362,6 +362,31 @@ class TestKostantFormula:
             for mu in wsys:
                 if rootdata.is_dominant(datum, mu):
                     assert wsys[mu] == multiplicity.multiplicity_kostant(datum, lam, mu)
+
+    # B3 and C3 are each other's duals, and the dual of F4 is F4 numbered in
+    # reverse: on each, the transposed Cartan matrix differs from rd's own
+    @pytest.mark.parametrize("label,cap", [("B3", 14), ("C3", 14), ("F4", 18)])
+    def test_oracle_agreement_rank_three_and_four(self, label, cap):
+        datum = rd(label)
+        checked = 0
+        for lam in multiplicity.sweep_dominant(datum, cap):
+            for mu, m in multiplicity.weight_system(datum, lam).items():
+                assert m == multiplicity.multiplicity_kostant(datum, lam, mu), (lam, mu)
+                checked += 1
+        assert checked >= 15
+
+    def test_sums_over_the_cached_weyl_table(self):
+        """Kostant builds no second Weyl table: the one it sums over is
+        ``enumerate_group(rd)``, which every other caller reads."""
+        datum = rd("F4")
+        lam = multiplicity.sweep_dominant(datum, 14)[-1]
+        weyl.enumerate_group.cache_clear()
+        assert multiplicity.multiplicity_kostant(datum, lam, lam) == 1
+        assert weyl.enumerate_group.cache_info().currsize == 1
+        hits = weyl.enumerate_group.cache_info().hits
+        weyl.enumerate_group(datum)
+        info = weyl.enumerate_group.cache_info()
+        assert (info.hits, info.currsize) == (hits + 1, 1)
 
 
 class TestWeightSystem:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import prod
 
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from kvcalc import conjugacy, kv, linalg, multiplicity, rootdata, strata, vinberg, weyl
 from kvcalc.errors import UsageError
-from oracles import (frac_matrix, integer_inverse, inverse, mat_mul, oracle_root_closure,
-                     weyl_dimension)
+from oracles import (dual_datum, frac_matrix, integer_inverse, inverse, mat_mul,
+                     oracle_root_closure, weyl_dimension)
+from test_weyl import A3_MIDDLE_LATTICE
 
 
 def rd(label, isogeny="sc"):
@@ -404,6 +406,30 @@ def test_root_closure_matches_breadth_first_oracle(label):
     cartan = rootdata._block_diag([rootdata._simple_cartan(letter, n)
                                    for letter, n in rootdata.parse_label(label)])
     assert rootdata._root_closure(cartan) == oracle_root_closure(cartan)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_positive_coroots_are_the_dual_positive_roots(label):
+    """The dual group's positive roots, read off rd, against the literal
+    dual datum built from the transposed Cartan matrix."""
+    datum = rd(label)
+    assert set(datum.positive_coroots) == set(dual_datum(datum).positive_roots)
+
+
+@pytest.mark.parametrize("label,isogeny",
+                         [(label, iso) for label in ["A2", "A3", "B2", "G2", "D4", "A1xB2"]
+                          for iso in ("sc", "adjoint")] + [("A3", A3_MIDDLE_LATTICE)])
+def test_dominant_sweep_matches_lattice_filtered_grid(label, isogeny):
+    """The sweep tests no lattice membership: Lambda contains the coroot
+    lattice, so every integer tuple lies in it."""
+    datum = rd(label, isogeny)
+    cap = 6
+    grid = [c for c in product(range(cap + 1), repeat=datum.rank)
+            if sum(c) <= cap and rootdata.is_dominant(datum, c)
+            and rootdata.is_integral(datum, c)]
+    sweep = rootdata.dominant_integral_sweep(datum, cap)
+    assert sweep == sorted(rootdata.coweight(c) for c in grid)
+    assert all(type(x) is Fraction for v in sweep for x in v)
 
 
 def rationals(size):

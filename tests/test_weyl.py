@@ -14,7 +14,7 @@ import pytest
 
 from kvcalc import rootdata, weyl
 from kvcalc.errors import SizeGuardError, UsageError
-from oracles import action, mat_mul, oracle_enumerate_group, rank
+from oracles import action, dual_datum, mat_mul, oracle_enumerate_group, rank
 
 
 def rd(label, isogeny="sc"):
@@ -144,6 +144,24 @@ class TestEnumeration:
                     1 for x in images if all(c <= 0 for c in x) and any(c < 0 for c in x)
                 )
 
+    @pytest.mark.parametrize("label", ["B3", "C3", "F4", "G2"])
+    def test_apply_root_is_the_dual_coweight_action(self, label):
+        """Oracle: the literal dual datum's group has the same words, and each
+        acts on the dual's coweights (our roots) by ``rootdata.reflect``
+        through the transposed Cartan matrix.  Both actions are linear, so
+        the simple roots decide them."""
+        datum = rd(label)
+        dual = dual_datum(datum)
+        group = weyl.enumerate_group(datum)
+        assert [e.word for e in weyl.enumerate_group(dual)] == [e.word for e in group]
+        simple = [tuple(int(i == j) for j in range(datum.rank)) for i in range(datum.rank)]
+        for e in group:
+            for root in simple:
+                v = root
+                for i in e.word:
+                    v = rootdata.reflect(dual, i, v)
+                assert e.apply_root(root) == v, (e.word, root)
+
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
             weyl.enumerate_group(rd("B6xB5"))
@@ -205,7 +223,7 @@ class TestCoxeterElements:
         origin = weyl._two_rho_check(datum)
         first = {}
         for perm in permutations(range(datum.rank)):
-            first.setdefault(weyl._apply_word(datum, perm, origin), perm)
+            first.setdefault(weyl._apply_word(datum.cartan_columns, perm, origin), perm)
         expected = sorted((word, key) for key, word in first.items())
         assert [(e.word, e.key) for e in weyl.coxeter_elements(datum)] == expected
 
