@@ -270,21 +270,21 @@ def verify_dimension_consistency(args, data):
 def verify_stratification_disjoint(args, data):
     from . import strata
     for label, rd in data:
-        lam_cap = args.height + 2 * rd.rank
-        d = 6  # the grid's denominators divide d, and every lam is an integer tuple
-        lams = [tuple(d * int(x) for x in lam)
-                for lam in rootdata.dominant_integral_sweep(rd, lam_cap)]
-        for nu in strata.rational_grid(rd, args.height, d):
-            hits = strata.open_strata(rd, d, tuple(int(d * x) for x in nu), lams)
-            yield label, _fmt(nu), len(hits), _verdict(len(hits) == 1)
+        d = 6  # nu = k / d over the grid, and every lam is d times an integer tuple
+        lams = [tuple(d * x for x in k)
+                for k in rootdata.dominant_grid(rd, args.height + 2 * rd.rank, 1)]
+        for k in rootdata.dominant_grid(rd, args.height, d):
+            hits = strata.open_strata(rd, d, k, lams)
+            yield label, _fmt(Fraction(x, d) for x in k), len(hits), _verdict(len(hits) == 1)
 
 
 def verify_chen_zhu_compare(args, data):
     """Report only: mu* from the largest lam above nu against the maximal mu below nu."""
-    from . import kv, strata
+    from . import kv
     for label, rd in data:
         lams = rootdata.dominant_integral_sweep(rd, args.height + 2 * rd.rank)
-        for nu in strata.rational_grid(rd, args.height, 4):
+        for k in rootdata.dominant_grid(rd, args.height, 4):
+            nu = tuple(Fraction(x, 4) for x in k)
             above = [lam for lam in lams if rootdata.leq_q(rd, nu, lam)]
             if not above:
                 continue

@@ -189,7 +189,8 @@ def r_levi(cd: ClassDatum, levi: frozenset[int] | set[int]):
     levi = frozenset(int(i) for i in levi)
     if any(not 0 <= i < rd.rank for i in levi):
         raise UsageError("Levi index out of range")
-    phi_n = [a for a in rd.positive_roots if any(a[i] != 0 for i in range(rd.rank) if i not in levi)]
+    in_levi = set(rootdata.levi_roots(rd, levi))
+    phi_n = [a for a in rd.positive_roots if a not in in_levi]
     r_n = sum((val_one_minus(cd, a) for a in phi_n), Fraction(0))
     relation = disc_valuation(cd) == levi_disc_valuation(cd, levi) + 2 * r_n
     return r_n, relation
@@ -198,13 +199,8 @@ def r_levi(cd: ClassDatum, levi: frozenset[int] | set[int]):
 def levi_disc_valuation(cd: ClassDatum, levi) -> Fraction:
     """d_M: val(1 - alpha(gamma)) summed over the roots alpha of the Levi M
     with simple roots I, both signs."""
-    levi = frozenset(int(i) for i in levi)
-    rd = cd.rd
-    total = Fraction(0)
-    for a in rd.positive_roots:
-        if all(a[i] == 0 for i in range(rd.rank) if i not in levi):
-            total += val_one_minus(cd, a) + val_one_minus(cd, _neg(a))
-    return total
+    roots = rootdata.levi_roots(cd.rd, {int(i) for i in levi})
+    return sum((val_one_minus(cd, a) + val_one_minus(cd, _neg(a)) for a in roots), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

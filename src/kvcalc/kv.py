@@ -28,12 +28,7 @@ from .rootdata import Coweight, RootDatum
 
 
 def _check_lambda(rd: RootDatum, lam) -> Coweight:
-    lam = rootdata.coweight(lam)
-    if not rootdata.is_dominant(rd, lam):
-        raise UsageError("lambda must be dominant")
-    if not rootdata.is_integral(rd, lam):
-        raise UsageError("lambda is not in the isogeny lattice")
-    return lam
+    return rootdata.check_dominant(rd, lam, "lambda")
 
 
 def nonempty(cd: ClassDatum, lam) -> bool:
@@ -72,10 +67,8 @@ def _dimension(cd: ClassDatum, lam: Coweight) -> int:
 def unramified_dimension(rd: RootDatum, mu, residual, lam):
     """Dimension and orbit count for a split class with integral Newton
     point mu: <rho, lambda - mu> + r(gamma), with m_{lambda,mu} orbits."""
-    mu = rootdata.coweight(mu)
     lam = _check_lambda(rd, lam)
-    if not (rootdata.is_dominant(rd, mu) and rootdata.is_integral(rd, mu)):
-        raise UsageError("mu must be dominant and in the isogeny lattice")
+    mu = rootdata.check_dominant(rd, mu, "mu")
     grp = rootdata.fundamental_group(rd)
     cd = conjugacy.split_class(rd, mu, residual, grp.project(mu))
     if not _nonempty(cd, lam):

@@ -36,17 +36,8 @@ from operator import add, le, mul, sub
 from types import MappingProxyType
 
 from . import rootdata
-from .errors import InvariantViolation, UsageError
+from .errors import InvariantViolation
 from .rootdata import Coweight, RootDatum
-
-
-def _check_weight(rd: RootDatum, v) -> Coweight:
-    v = rootdata.coweight(v)
-    if not rootdata.is_integral(rd, v):
-        raise UsageError("coweight is not in the isogeny lattice")
-    if not rootdata.is_dominant(rd, v):
-        raise UsageError("coweight must be dominant")
-    return v
 
 
 @lru_cache(maxsize=None)
@@ -77,15 +68,14 @@ def weight_system(rd: RootDatum, lam: Coweight) -> MappingProxyType:
     Freudenthal's m = 2 sum m(y) (y, alpha) / (C(lam) - C(mu)) becomes
     2 D sum m(Y) (Y, alpha) / (C(D lam) - C(D mu)), all in integers.
     """
-    lam = _check_weight(rd, lam)
+    lam = rootdata.check_dominant(rd, lam, "lambda")
     d, interval = _interval(rd, lam)
     g = _gram(rd)
 
     def gram_times(x):
         return tuple(sum(map(mul, row, x)) for row in g)
 
-    two_rho = tuple(int(2 * x) for x in rd.rho_check)
-    g_two_rho = gram_times(two_rho)
+    g_two_rho = gram_times(rd.two_rho_check)
 
     def casimir(x):
         return sum(map(mul, x, gram_times(x))) + d * sum(map(mul, x, g_two_rho))
@@ -133,8 +123,8 @@ def weight_system(rd: RootDatum, lam: Coweight) -> MappingProxyType:
 
 def multiplicity_freudenthal(rd: RootDatum, lam, mu) -> int:
     """m_{lam,mu} for the dual group; 0 when mu is not a weight of V(lam)."""
-    lam = _check_weight(rd, lam)
-    mu = _check_weight(rd, mu)
+    lam = rootdata.check_dominant(rd, lam, "lambda")
+    mu = rootdata.check_dominant(rd, mu, "mu")
     return weight_system(rd, lam).get(mu, 0)
 
 
@@ -172,8 +162,8 @@ def multiplicity_kostant(rd: RootDatum, lam, mu) -> int:
     """Kostant's formula: sum over W of (-1)^l(w) P(w(lam+rho)-(mu+rho))."""
     from . import weyl
 
-    lam = _check_weight(rd, lam)
-    mu = _check_weight(rd, mu)
+    lam = rootdata.check_dominant(rd, lam, "lambda")
+    mu = rootdata.check_dominant(rd, mu, "mu")
     # lam + rho and mu + rho over one denominator D, so W acts on integers
     d, n = rootdata._scale(rootdata.add(lam, rd.rho_check) + rootdata.add(mu, rd.rho_check))
     lam_rho, mu_rho = n[:rd.rank], n[rd.rank:]
@@ -206,7 +196,7 @@ def _interval(rd: RootDatum, lam) -> tuple[int, dict[tuple[int, ...], Coweight]]
     lies between 0 and D lam_i and is congruent to D lam_i mod D: the
     interval holds at most prod(floor(lam_i) + 1) points.
     """
-    lam = _check_weight(rd, lam)
+    lam = rootdata.check_dominant(rd, lam, "lambda")
     d, top = rootdata._scale(lam)
     rootdata.guard_grid_size(prod(t // d + 1 for t in top), "the dominance interval")
     steps = [tuple(d * b for b in beta) for beta in rd.positive_coroots]

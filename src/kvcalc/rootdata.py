@@ -19,7 +19,10 @@ Fractions are built only at the boundary, for the values a function returns.
 The layers above share three private kernels on such scaled integers:
 ``_dominant`` (the dominance test of ``is_dominant``), ``_reduce_ints`` (the
 reflection loop of ``dominant_reduce``) and ``_extremes`` (the minimal or
-maximal elements of a set of scaled coweights).
+maximal elements of a set of scaled coweights).  Five rules have their one
+owner here: ``check_dominant`` (dominant and in Lambda), ``dominant_grid``
+(the dominant k / denominator under a height cap), ``_apply_word`` (the word
+walk), ``RootDatum.two_rho_check`` and ``levi_roots`` (a standard Levi).
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ Coweight = tuple[Fraction, ...]
 WEYL_ORDER_CAP = 51840
 
 #: Hard cap on the number of tuples a grid enumeration may visit
-#: (`dominant_integral_sweep`, `strata.rational_grid`, `kv.chen_zhu_approx`,
-#: `multiplicity._interval`), on the alpha-string steps of Freudenthal's
-#: recursion, and on the orientations behind `weyl.coxeter_elements`.
+#: (`dominant_grid`, `kv.chen_zhu_approx`, `multiplicity._interval`), on the
+#: alpha-string steps of Freudenthal's recursion, and on the orientations
+#: behind `weyl.coxeter_elements`.
 GRID_SIZE_CAP = 2_000_000
 
 _POSITIVE_ROOT_COUNT = {
@@ -215,19 +218,19 @@ class RootDatum(Record):
         """Involution with omega_{iota(i)} = -w0(omega_i), read off
         -w0(alpha_i^vee) = alpha_{iota(i)}^vee; w0 is the word that takes
         -2 rho_check to 2 rho_check."""
-        _, w0 = dominant_reduce(self, tuple(-2 * x for x in self.rho_check))
-        out = []
-        for i in range(self.rank):
-            v = tuple(-int(i == j) for j in range(self.rank))
-            for k in w0:
-                v = reflect(self, k, v)
-            out.append(v.index(1))
-        return tuple(out)
+        _, w0 = _reduce_ints(self, tuple(-x for x in self.two_rho_check))
+        units = [tuple(-int(i == j) for j in range(self.rank)) for i in range(self.rank)]
+        return tuple(_apply_word(self.cartan_columns, w0, v).index(1) for v in units)
 
     @cached_property
     def cartan_columns(self) -> tuple[tuple[int, ...], ...]:
         """Column i of the Cartan matrix: <alpha_i, v> = sum_j col[j] v[j]."""
         return tuple(zip(*self.cartan))
+
+    @cached_property
+    def two_rho_check(self) -> tuple[int, ...]:
+        """2 rho_check, the sum of the positive coroots, as integers."""
+        return tuple(int(2 * x) for x in self.rho_check)
 
     @cached_property
     def _hash(self) -> int:
@@ -357,10 +360,12 @@ def is_dominant(rd: RootDatum, v: Coweight) -> bool:
     return _dominant(rd, _scale(v)[1])
 
 
-def reflect(rd: RootDatum, i: int, v: Coweight) -> Coweight:
-    """s_i(v) = v - <alpha_i, v> alpha_i^vee: one pairing, one coordinate."""
-    p = sum(map(mul, rd.cartan_columns[i], v))
-    return v[:i] + (v[i] - p,) + v[i + 1:]
+def _apply_word(vectors, word, v):
+    """Apply the word to v, letters in application order (left to right):
+    s_i subtracts the pairing of v with vectors[i] from coordinate i."""
+    for i in word:
+        v = v[:i] + (v[i] - sum(map(mul, vectors[i], v)),) + v[i + 1:]
+    return v
 
 
 def _dominant(rd: RootDatum, n) -> bool:
@@ -478,6 +483,24 @@ def is_integral(rd: RootDatum, v: Coweight) -> bool:
     return _is_integral_ints(rd, *_scale(v))
 
 
+def check_dominant(rd: RootDatum, v, what: str) -> Coweight:
+    """v as a coweight; unless it is dominant and in Lambda, a UsageError naming ``what``."""
+    v = coweight(v)
+    d, n = _scale(v)
+    if not _dominant(rd, n):
+        raise UsageError(f"{what} must be dominant")
+    if not _is_integral_ints(rd, d, n):
+        raise UsageError(f"{what} is not in the isogeny lattice")
+    return v
+
+
+def levi_roots(rd: RootDatum, subset) -> tuple[tuple[int, ...], ...]:
+    """The positive roots of the standard Levi on the simple roots in subset:
+    those supported on subset."""
+    outside = [i for i in range(rd.rank) if i not in subset]
+    return tuple(a for a in rd.positive_roots if not any(a[i] for i in outside))
+
+
 # ---------------------------------------------------------------------------
 # fundamental group
 
@@ -570,11 +593,17 @@ def guard_grid_size(count: int, what: str) -> None:
         )
 
 
+def dominant_grid(rd: RootDatum, height_cap, denominator: int) -> list[tuple[int, ...]]:
+    """The integer tuples k, in increasing order, with k / denominator a
+    dominant coweight (exactly when k is) of coordinate-sum at most height_cap."""
+    limit = height_cap * denominator
+    steps = int(limit)
+    guard_grid_size(max(steps + 1, 0) ** rd.rank, "the dominant grid")
+    return [k for k in product(range(steps + 1), repeat=rd.rank)
+            if sum(k) <= limit and _dominant(rd, k)]
+
+
 def dominant_integral_sweep(rd: RootDatum, height_cap):
-    """Dominant integral coweights with coordinate-sum at most height_cap, in
-    increasing order.  Every one lies in Lambda: `_build` refuses a lattice
-    that does not contain the coroot lattice."""
-    cap = int(height_cap)
-    guard_grid_size(max(cap + 1, 0) ** rd.rank, "the dominant sweep")
-    return [coweight(v) for v in product(range(cap + 1), repeat=rd.rank)
-            if sum(v) <= cap and _dominant(rd, v)]
+    """`dominant_grid` at denominator 1, as coweights.  Every one lies in
+    Lambda: `_build` refuses a lattice without the coroot lattice."""
+    return [coweight(k) for k in dominant_grid(rd, height_cap, 1)]

@@ -17,7 +17,6 @@ dominance interval, found by ``multiplicity.minimal_above`` as mu* is.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from operator import le
 
 from . import rootdata
@@ -68,10 +67,9 @@ class ValuationVector(rootdata.Record):
 
 def polytope_member(rd: RootDatum, nu, lam, open_stratum: bool = False) -> bool:
     """Membership of nu in P_lambda (closed) or its open stratum."""
-    d, n = rootdata._scale(rootdata.coweight(nu) + rootdata.coweight(lam))
+    lam = rootdata.check_dominant(rd, lam, "lambda")
+    d, n = rootdata._scale(rootdata.coweight(nu) + lam)
     nu, lam = n[:rd.rank], n[rd.rank:]
-    if not rootdata._dominant(rd, lam) or not rootdata._is_integral_ints(rd, d, lam):
-        raise UsageError("lambda must be dominant and in the isogeny lattice")
     return _member(rd, d, nu, lam, open_stratum) and rootdata._dominant(rd, nu)
 
 
@@ -102,12 +100,9 @@ def polytope_intersection(rd: RootDatum, lam1, lam2) -> Coweight:
     have disjoint support; mu = lam1 - (positive part) is the componentwise
     minimum, and is dominant whenever the two classes match.
     """
-    lam1 = rootdata.coweight(lam1)
-    lam2 = rootdata.coweight(lam2)
+    lam1 = rootdata.check_dominant(rd, lam1, "lambda")
+    lam2 = rootdata.check_dominant(rd, lam2, "lambda2")
     grp = rootdata.fundamental_group(rd)
-    for lam in (lam1, lam2):
-        if not rootdata.is_dominant(rd, lam) or not rootdata.is_integral(rd, lam):
-            raise UsageError("both coweights must be dominant lattice elements")
     if grp.project(lam1) != grp.project(lam2):
         raise UsageError("polytope intersection requires matching pi_1 classes")
     beta1 = tuple(max(x, Fraction(0)) for x in rootdata.sub(lam1, lam2))
@@ -121,22 +116,6 @@ def polytope_intersection(rd: RootDatum, lam1, lam2) -> Coweight:
     return mu
 
 
-def rational_grid(rd: RootDatum, height_cap, denominator: int):
-    """Dominant rational coweights with bounded denominator and height."""
-    steps = int(height_cap * denominator)
-    rootdata.guard_grid_size(max(steps + 1, 0) ** rd.rank, "the rational grid")
-    limit = height_cap * denominator
-    out = []
-    # k / denominator is dominant exactly when k is, and sorts as k does
-    for coords in product(range(steps + 1), repeat=rd.rank):
-        if sum(coords) > limit:
-            continue
-        if rootdata._dominant(rd, coords):
-            out.append(coords)
-    out.sort()
-    return [tuple(Fraction(k, denominator) for k in coords) for coords in out]
-
-
 # ---------------------------------------------------------------------------
 # Steinberg-base strata
 
@@ -146,9 +125,7 @@ def steinberg_stratum(rd: RootDatum, v: ValuationVector, lam) -> Coweight:
     val(c_{iota(i)}) >= <lambda - mu, omega_i> for every i."""
     from . import multiplicity
 
-    lam = rootdata.coweight(lam)
-    if not rootdata.is_dominant(rd, lam) or not rootdata.is_integral(rd, lam):
-        raise UsageError("lambda must be dominant and in the isogeny lattice")
+    lam = rootdata.check_dominant(rd, lam, "lambda")
     if len(v.c_vals) != rd.rank:
         raise UsageError("need one c-valuation per fundamental coordinate")
     if v.b_vals and tuple(v.b_vals) != tuple(lam[rd.iota[i]] for i in range(rd.rank)):

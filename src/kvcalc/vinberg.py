@@ -28,11 +28,7 @@ class NilconeStratum(rootdata.Record):
 
 def levi_dimension(rd: RootDatum, subset: frozenset[int]) -> int:
     """Dimension of the standard Levi on the given simple roots."""
-    count = sum(
-        1 for root in rd.positive_roots
-        if all(root[i] == 0 for i in range(rd.rank) if i not in subset)
-    )
-    return 2 * count + rd.rank
+    return 2 * len(rootdata.levi_roots(rd, subset)) + rd.rank
 
 
 def nilcone_strata(rd: RootDatum) -> tuple[NilconeStratum, ...]:

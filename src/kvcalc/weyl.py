@@ -3,9 +3,9 @@
 An element w is (rd, key, word), its only encoding.  The key is w(2 rho_check)
 in simple-coroot coordinates; 2 rho_check has a trivial stabilizer, so the key
 decides equality.  The word is the lexicographically first reduced word.  w
-acts by walking its word (`_apply_word`): on coweights s_i pairs with Cartan
-column i, on roots with Cartan row i, so the dual group needs no datum of its
-own.  w keeps no matrix, and the identity acts with no work.
+acts by walking its word (`rootdata._apply_word`): on coweights s_i pairs
+with Cartan column i, on roots with Cartan row i, so the dual group needs no
+datum of its own.  w keeps no matrix, and the identity acts with no work.
 
 The group is built once per datum by walking the orbit of 2 rho_check along
 ascents (`enumerate_group`; Casselman, Invent. Math. 116 (1994)): s_i w > w
@@ -42,19 +42,6 @@ from .errors import InvariantViolation, SizeGuardError, UsageError
 from .rootdata import WEYL_ORDER_CAP, Coweight, RootDatum
 
 
-@lru_cache(maxsize=None)
-def _two_rho_check(rd: RootDatum) -> tuple[int, ...]:
-    return tuple(int(2 * x) for x in rd.rho_check)
-
-
-def _apply_word(vectors, word, v):
-    """Apply the word to v, letters in application order (left to right):
-    s_i subtracts the pairing of v with vectors[i] from coordinate i."""
-    for i in word:
-        v = v[:i] + (v[i] - sum(map(mul, vectors[i], v)),) + v[i + 1:]
-    return v
-
-
 class WeylElement(rootdata.Record):
     __slots__ = _fields = ("rd", "key", "word")
 
@@ -72,17 +59,16 @@ class WeylElement(rootdata.Record):
         return frozenset(self.word)
 
     def apply(self, v: Coweight) -> Coweight:
-        return _apply_word(self.rd.cartan_columns, self.word, v)
+        return rootdata._apply_word(self.rd.cartan_columns, self.word, v)
 
     def apply_root(self, root) -> tuple[int, ...]:
         """w on a root (simple-root coordinates)."""
-        return _apply_word(self.rd.cartan, self.word, tuple(root))
+        return rootdata._apply_word(self.rd.cartan, self.word, tuple(root))
 
     def order(self) -> int:
-        origin = _two_rho_check(self.rd)
         v = self.key
         k = 1
-        while v != origin:
+        while v != self.rd.two_rho_check:
             v = self.apply(v)
             k += 1
             if k > self.rd.weyl_order:
@@ -90,11 +76,11 @@ class WeylElement(rootdata.Record):
         return k
 
     def is_identity(self) -> bool:
-        return self.key == _two_rho_check(self.rd)
+        return self.key == self.rd.two_rho_check
 
 
 def identity_element(rd: RootDatum) -> WeylElement:
-    return WeylElement(rd, _two_rho_check(rd), ())
+    return WeylElement(rd, rd.two_rho_check, ())
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +163,8 @@ def word_to_element(rd: RootDatum, word) -> WeylElement:
     for i in word:
         if not 0 <= i < rd.rank:
             raise UsageError(f"reflection index {i} out of range for rank {rd.rank}")
-    return enumerate_group(rd)[_index(rd)[_apply_word(rd.cartan_columns, word, _two_rho_check(rd))]]
+    key = rootdata._apply_word(rd.cartan_columns, word, rd.two_rho_check)
+    return enumerate_group(rd)[_index(rd)[key]]
 
 
 @lru_cache(maxsize=None)
@@ -190,7 +177,6 @@ def coxeter_elements(rd: RootDatum) -> tuple[WeylElement, ...]:
     rootdata.guard_grid_size(coxeter_count(rd), "the Coxeter elements")
     r = rd.rank
     edges = [(i, j) for i in range(r) for j in range(i + 1, r) if rd.cartan[i][j]]
-    origin = _two_rho_check(rd)
     out = []
     for bits in range(1 << len(edges)):
         before = [0] * r  # bit i of before[j]: s_i comes before s_j
@@ -204,7 +190,8 @@ def coxeter_elements(rd: RootDatum) -> tuple[WeylElement, ...]:
             k = next(k for k in range(r) if not (done >> k & 1 or before[k] & ~done))
             word.append(k)
             done |= 1 << k
-        out.append(WeylElement(rd, _apply_word(rd.cartan_columns, word, origin), tuple(word)))
+        key = rootdata._apply_word(rd.cartan_columns, word, rd.two_rho_check)
+        out.append(WeylElement(rd, key, tuple(word)))
     return tuple(sorted(out, key=lambda e: e.word))
 
 

@@ -1,9 +1,12 @@
 """Test oracles and input builders that no command of the package runs.
 
 The package answers its lattice questions with one integer Smith normal form
-(`kvcalc.linalg`) and lets a Weyl element act by walking its word.  The
-`Fraction` Gaussian eliminations and the action matrices below are
-independent of both, and the tests compare the package against them.
+(`kvcalc.linalg`) and lets a Weyl element act by walking its word
+(`rootdata._apply_word`).  The `Fraction` Gaussian eliminations, the simple
+reflection `reflect` written from its definition, and the action matrices
+built with it are independent of both, and the tests compare the package
+against them.  `rational_grid` is the `Fraction` view of
+`rootdata.dominant_grid` that tests sweep.
 
 `dual_datum` is the literal Langlands dual root datum, built from the
 transposed Cartan matrix.  The package reads the dual group off rd instead:
@@ -88,13 +91,34 @@ def inverse(m) -> Matrix:
     return tuple(tuple(row[n:]) for row in aug)
 
 
+def reflect(rd, i: int, v):
+    """s_i(v) = v - <alpha_i, v> alpha_i^vee, from the definition: the
+    pairing with the simple root alpha_i, subtracted from coordinate i (the
+    simple coroot alpha_i^vee is the i-th unit vector)."""
+    p = rootdata.pair_root(rd, tuple(int(i == j) for j in range(rd.rank)), v)
+    p = p.numerator if p.denominator == 1 else p  # integer tuples stay integer tuples
+    return tuple(x - p if j == i else x for j, x in enumerate(v))
+
+
+@lru_cache(maxsize=None)
+def _word_columns(rd, word) -> tuple:
+    """The images of the unit coweights under the word, walked letter by
+    letter with `reflect`: the last letter applied to the prefix's images."""
+    if not word:
+        return tuple(tuple(int(i == j) for i in range(rd.rank)) for j in range(rd.rank))
+    return tuple(reflect(rd, word[-1], v) for v in _word_columns(rd, word[:-1]))
+
+
 @lru_cache(maxsize=None)
 def action(w) -> tuple[tuple[int, ...], ...]:
     """Matrix of the Weyl element w on coweights (simple-coroot coordinates)."""
-    r = w.rd.rank
-    cols = [weyl._apply_word(w.rd.cartan_columns, w.word, tuple(int(i == j) for i in range(r)))
-            for j in range(r)]
-    return tuple(zip(*cols))
+    return tuple(zip(*_word_columns(w.rd, w.word)))
+
+
+def rational_grid(rd, height_cap, denominator: int):
+    """`rootdata.dominant_grid` as coweights k / denominator."""
+    return [tuple(Fraction(x, denominator) for x in k)
+            for k in rootdata.dominant_grid(rd, height_cap, denominator)]
 
 
 def integer_inverse(m) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -136,7 +160,7 @@ def oracle_enumerate_group(rd) -> tuple:
         nxt = []
         for w in frontier:
             for i in range(rd.rank):
-                key = rootdata.reflect(rd, i, w.key)
+                key = reflect(rd, i, w.key)
                 if key not in seen:
                     seen.add(key)
                     nxt.append(weyl.WeylElement(rd, key, w.word + (i,)))
@@ -203,7 +227,7 @@ def weyl_orbit(rd, v):
         nxt = []
         for x in frontier:
             for i in range(rd.rank):
-                y = rootdata.reflect(rd, i, x)
+                y = reflect(rd, i, x)
                 if y not in orbit:
                     orbit.add(y)
                     nxt.append(y)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from kvcalc import conjugacy, kv, multiplicity, rootdata, strata, vinberg, weyl
-from oracles import action, dimension_sum, valuation_vector_for, weyl_dimension
+from oracles import action, dimension_sum, rational_grid, valuation_vector_for, weyl_dimension
 
 
 def rd(label, isogeny="sc"):
@@ -129,7 +129,7 @@ def test_07_stratification_disjoint():
     datum = rd("A2")
     lams = rootdata.dominant_integral_sweep(datum, 6 + 2 * datum.rank)
     points = 0
-    for nu in strata.rational_grid(datum, 6, 6):
+    for nu in rational_grid(datum, 6, 6):
         hits = [lam for lam in lams
                 if strata.polytope_member(datum, nu, lam, open_stratum=True)]
         assert len(hits) == 1, (nu, hits)

@@ -115,6 +115,7 @@ class TestMalformedInput:
         assert text == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
+        return err
 
     def test_missing_isogeny_file(self, capsys):
         self.check(["weyl", "--type", "A2", "--isogeny", "custom:/missing.json"], capsys)
@@ -234,6 +235,29 @@ class TestMalformedInput:
     def test_strata_steinberg_refuses_a_polytope_operand(self, operand, capsys):
         self.check(["strata", "steinberg", "--type", "A2", "--lambda", "2,1",
                     "--cvals", "1,inf", *operand], capsys)
+
+    # on A2 sc, 1,3 is integral but not dominant and 2/3,1/3 is dominant but
+    # off the coroot lattice; each operand is refused, by its own name
+    @pytest.mark.parametrize("coweight,refusal", [("1,3", "must be dominant"),
+                                                  ("2/3,1/3", "is not in the isogeny lattice")],
+                             ids=["not-dominant", "off-the-lattice"])
+    @pytest.mark.parametrize("argv,name", [
+        (["mult", "--type", "A2", "--lambda", None, "--mu", "0,0"], "lambda"),
+        (["mult", "--type", "A2", "--lambda", "1,1", "--mu", None], "mu"),
+        (["dim", "--class", "CLASS", "--lambda", None], "lambda"),
+        (["components", "--class", "CLASS", "--lambda", None], "lambda"),
+        (["strata", "polytope", "--type", "A2", "--lambda", None, "--nu", "0,0"], "lambda"),
+        (["strata", "polytope", "--type", "A2", "--lambda", "1,1", "--lambda2", None],
+         "lambda2"),
+        (["strata", "steinberg", "--type", "A2", "--lambda", None, "--cvals", "1,inf"],
+         "lambda"),
+    ], ids=["mult-lambda", "mult-mu", "dim", "components", "polytope-lambda",
+            "polytope-lambda2", "steinberg"])
+    def test_coweight_off_the_dominant_lattice_is_refused(self, argv, name, coweight, refusal,
+                                                         tmp_path, capsys):
+        argv = [coweight if a is None else write_class(tmp_path) if a == "CLASS" else a
+                for a in argv]
+        assert f"error: {name} {refusal}\n" == self.check(argv, capsys)
 
     def test_suite_checking_nothing_fails(self, capsys):
         self.check(["verify", "lower-bound", "--height", "-3"], capsys)

@@ -15,6 +15,7 @@ import pytest
 
 from kvcalc import kv, multiplicity, rootdata, strata
 from kvcalc.errors import InvariantViolation, UniquenessError, UsageError
+from oracles import rational_grid
 from test_multiplicity import dominant_lattice_weights
 
 
@@ -107,7 +108,7 @@ def test_minimal_and_maximal_match_pairwise_oracle(label, height, cap, isogeny):
     lams = dominant_lattice_weights(datum, cap)
     pairs = 0
     for den in range(1, 7):
-        for nu in strata.rational_grid(datum, height, den):
+        for nu in rational_grid(datum, height, den):
             assert kv.chen_zhu_approx(datum, nu) == oracle_chen_zhu_approx(datum, nu)
             for lam in lams:
                 if rootdata.leq_q(datum, nu, lam):

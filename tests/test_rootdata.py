@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import prod
 
 import pytest
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from kvcalc import conjugacy, kv, linalg, multiplicity, rootdata, strata, vinberg, weyl
 from kvcalc.errors import UsageError
 from oracles import (dual_datum, frac_matrix, integer_inverse, inverse, mat_mul,
-                     oracle_root_closure, weyl_dimension)
+                     oracle_root_closure, reflect, weyl_dimension)
 from test_weyl import A3_MIDDLE_LATTICE
 
 
@@ -169,7 +169,7 @@ class TestDominance:
             nxt = []
             for x in frontier:
                 for i in range(2):
-                    y = rootdata.reflect(datum, i, x)
+                    y = reflect(datum, i, x)
                     if y not in orbit:
                         orbit.add(y)
                         nxt.append(y)
@@ -199,7 +199,7 @@ class TestDominance:
         # replay the word
         x = rootdata.coweight(coords)
         for i in word:
-            x = rootdata.reflect(datum, i, x)
+            x = reflect(datum, i, x)
         assert x == v
 
     @given(st.lists(st.fractions(min_value=-2, max_value=2), min_size=2, max_size=2),
@@ -210,7 +210,7 @@ class TestDominance:
         x = rootdata.coweight(coords)
         y = x
         for i in word:
-            y = rootdata.reflect(datum, i, y)
+            y = reflect(datum, i, y)
         assert rootdata.dominant_reduce(datum, x)[0] == rootdata.dominant_reduce(datum, y)[0]
 
     @given(st.lists(st.fractions(min_value=-2, max_value=2), min_size=2, max_size=2),
@@ -430,6 +430,41 @@ def test_dominant_sweep_matches_lattice_filtered_grid(label, isogeny):
     sweep = rootdata.dominant_integral_sweep(datum, cap)
     assert sweep == sorted(rootdata.coweight(c) for c in grid)
     assert all(type(x) is Fraction for v in sweep for x in v)
+
+
+@pytest.mark.parametrize("den", [1, 4, 6])
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "A1xB2"])
+def test_dominant_grid_matches_filtered_product(label, den):
+    """Oracle: every tuple k of the box, kept when k / den is dominant and of
+    height at most the cap."""
+    datum = rd(label)
+    cap = 3
+    expected = [k for k in product(range(cap * den + 1), repeat=datum.rank)
+                if sum(k) <= cap * den
+                and rootdata.is_dominant(datum, tuple(Fraction(x, den) for x in k))]
+    assert rootdata.dominant_grid(datum, cap, den) == expected
+    if den == 1:
+        assert rootdata.dominant_integral_sweep(datum, cap) == [
+            tuple(Fraction(x) for x in k) for k in expected]
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "F4", "G2"])
+def test_levi_roots_are_the_roots_of_the_principal_sub_cartan_matrix(label):
+    """Oracle: the root closure of the Cartan matrix restricted to I, with
+    each root's coordinates put back at the indices of I."""
+    datum = rd(label)
+    for subset in (frozenset(c) for k in range(datum.rank + 1)
+                   for c in combinations(range(datum.rank), k)):
+        index = sorted(subset)
+        sub_cartan = tuple(tuple(datum.cartan[i][j] for j in index) for i in index)
+        embedded = set()
+        for root in rootdata._root_closure(sub_cartan)[0]:
+            full = [0] * datum.rank
+            for i, x in zip(index, root):
+                full[i] = x
+            embedded.add(tuple(full))
+        got = rootdata.levi_roots(datum, subset)
+        assert len(got) == len(embedded) and set(got) == embedded, sorted(subset)
 
 
 def rationals(size):

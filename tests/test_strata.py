@@ -8,7 +8,8 @@ import pytest
 
 from kvcalc import kv, multiplicity, rootdata, strata
 from kvcalc.errors import SizeGuardError, UsageError
-from oracles import generic_char_valuation, oracle_dominant_below, valuation_vector_for
+from oracles import (generic_char_valuation, oracle_dominant_below, rational_grid,
+                     valuation_vector_for)
 from test_multiplicity import dominant_lattice_weights
 
 
@@ -185,7 +186,7 @@ class TestDisjointness:
     def test_a2_grid_lies_in_exactly_one_open_stratum(self):
         datum = rd("A2")
         lams = rootdata.dominant_integral_sweep(datum, 8)
-        for nu in strata.rational_grid(datum, 4, 6):
+        for nu in rational_grid(datum, 4, 6):
             hits = [lam for lam in lams
                     if strata.polytope_member(datum, nu, lam, open_stratum=True)]
             assert len(hits) == 1, (nu, hits)
@@ -197,7 +198,7 @@ class TestSizeGuards:
 
     @pytest.mark.parametrize("build", [
         lambda: rootdata.dominant_integral_sweep(rd("A2"), 10**4),
-        lambda: strata.rational_grid(rd("A2"), 10**3, 6),
+        lambda: rootdata.dominant_grid(rd("A2"), 10**3, 6),
         lambda: kv.chen_zhu_approx(rd("A1", "adjoint"), [10**7]),
         lambda: multiplicity.dominant_below(rd("A2"), (3000, 3000)),
     ], ids=["dominant-sweep", "rational-grid", "chen-zhu-grid", "dominance-interval"])
