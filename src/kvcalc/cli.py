@@ -14,6 +14,7 @@ import argparse
 import sys
 from fractions import Fraction
 from itertools import combinations
+from operator import le, mul
 
 from . import rootdata
 from .errors import InvariantViolation, KVError, UsageError
@@ -240,10 +241,11 @@ def verify_dimension_consistency(args, data):
     for label, rd in data:
         for lam in rootdata.dominant_integral_sweep(rd, args.height):
             for mu in multiplicity.dominant_below(rd, lam):
+                pairings = rootdata.simple_pairings(rd, rootdata._scale(mu)[1])
                 residual = {
                     root: Fraction(rng.randrange(0, 3))
                     for root in rd.positive_roots
-                    if rootdata.pair_root(rd, root, mu) == 0
+                    if not sum(map(mul, root, pairings))
                 }
                 # raises InvariantViolation when <rho, lam - mu> + r(gamma) disagrees
                 dim, _ = kv.unramified_dimension(rd, mu, residual, lam)
@@ -282,13 +284,14 @@ def verify_chen_zhu_compare(args, data):
     """Report only: mu* from the largest lam above nu against the maximal mu below nu."""
     from . import kv
     for label, rd in data:
-        lams = rootdata.dominant_integral_sweep(rd, args.height + 2 * rd.rank)
+        lams = [tuple(4 * x for x in lam)  # scaled by 4, as nu = k / 4 is
+                for lam in rootdata.dominant_grid(rd, args.height + 2 * rd.rank, 1)]
         for k in rootdata.dominant_grid(rd, args.height, 4):
             nu = tuple(Fraction(x, 4) for x in k)
-            above = [lam for lam in lams if rootdata.leq_q(rd, nu, lam)]
+            above = [lam for lam in lams if all(map(le, k, lam))]
             if not above:
                 continue
-            mu_star = kv.best_integral_approx(rd, nu, max(above, key=sum))
+            mu_star = kv.best_integral_approx(rd, nu, [x // 4 for x in max(above, key=sum)])
             below = kv.chen_zhu_approx(rd, nu)
             czs = " ".join(_fmt(v) for v in below) or "-"
             same = len(below) == 1 and below[0] == mu_star

@@ -6,17 +6,19 @@ roots vanishing on nu_bar, and its fundamental-group class kappa.  All the
 numerical invariants (Newton point, discriminant valuation, split-rank defect c,
 Levi-relative r_N) are exact rationals computed from these data.
 
-Every invariant reads the pairings <alpha, nu_bar> of the roots.  A class
-scales nu_bar once and caches its simple pairings as integers
-(``ClassDatum.nu_pairings``); a root's pairing is then one integer dot
-product, and a Fraction is built only for a value that is returned.
+Every invariant is a sum of val(1 - alpha(gamma)) over roots.  A class
+builds one integer table on first use (``ClassDatum.valuations``): L times
+val(1 - alpha(gamma)) for every root, both signs, and L d(gamma), over one
+common denominator L.  The invariants and ``validate`` read that table, and a
+Fraction is built only for a value that is returned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from math import lcm
+from operator import mul, neg
 
 from . import rootdata, weyl
 from .errors import InvariantViolation, UsageError
@@ -24,11 +26,7 @@ from .rootdata import Coweight, RootDatum
 
 
 def _neg(root):
-    return tuple(-x for x in root)
-
-
-def _positive(root) -> bool:
-    return any(x > 0 for x in root) and all(x >= 0 for x in root)
+    return tuple(map(neg, root))
 
 
 class ClassDatum(rootdata.Record):
@@ -43,14 +41,12 @@ class ClassDatum(rootdata.Record):
         self.nu_bar = nu_bar
         self.residual = residual  # positive roots only
         self.kappa = kappa
+        self._by_root = dict(reversed(residual))  # the first entry for a root wins
 
     def residual_value(self, root) -> Fraction:
         """r_alpha, with the +/- symmetry applied; unspecified roots are 0."""
-        key = tuple(root) if _positive(root) else _neg(root)
-        for r, v in self.residual:
-            if r == key:
-                return v
-        return Fraction(0)
+        key = tuple(root) if min(root) >= 0 and max(root) > 0 else _neg(root)
+        return self._by_root.get(key, Fraction(0))
 
     @cached_property
     def nu_pairings(self) -> tuple[int, tuple[int, ...]]:
@@ -60,10 +56,30 @@ class ClassDatum(rootdata.Record):
         d, n = rootdata._scale(self.nu_bar)
         return d, rootdata.simple_pairings(self.rd, n)
 
+    @cached_property
+    def valuations(self) -> tuple[int, dict[tuple[int, ...], int], int]:
+        """(L, v, Ld): L the lcm of D (see ``nu_pairings``) and the residual
+        denominators, v[alpha] = L val(1 - alpha(gamma)) = L min(<alpha, nu_bar>, 0),
+        or L r_alpha where that pairing is 0, and Ld = L d(gamma)."""
+        d, p = self.nu_pairings
+        big = lcm(d, *(v.denominator for _, v in self.residual))
+        vals = {}
+        newton = 0
+        for root in self.rd.positive_roots:
+            q = sum(map(mul, root, p)) * (big // d)
+            if q:
+                vals[root], vals[_neg(root)] = min(q, 0), min(-q, 0)
+                newton += abs(q)
+            else:
+                r = self._by_root.get(root, 0)
+                vals[root] = vals[_neg(root)] = r.numerator * (big // r.denominator)
+        twice_r = 2 * sum(v.numerator * (big // v.denominator) for _, v in self.residual)
+        return big, vals, twice_r - newton
 
-def _nu_pairing(cd: ClassDatum, root) -> int:
-    """D <alpha, nu_bar>, with D as in ``ClassDatum.nu_pairings``."""
-    return sum(map(mul, root, cd.nu_pairings[1]))
+    @cached_property
+    def c(self) -> int:
+        """Rank minus the dimension of the twist's fixed space."""
+        return self.rd.rank - weyl.fixed_space_dim(self.w)
 
 
 def make_class(rd: RootDatum, w: weyl.WeylElement, nu_bar, residual=None, kappa=None,
@@ -95,7 +111,8 @@ def validate(cd: ClassDatum) -> list[str]:
     if cd.w.apply(cd.nu_bar) != cd.nu_bar:
         errors.append("galois-stability: w(nu_bar) != nu_bar")
     # e nu_bar must lie in X_*(T)
-    e_nu_integral = rootdata.is_integral(rd, tuple(cd.e * x for x in cd.nu_bar))
+    den, num = rootdata._scale(cd.nu_bar)
+    e_nu_integral = rootdata._is_integral_ints(rd, den, tuple(cd.e * x for x in num))
     if not e_nu_integral:
         errors.append(f"newton-denominator: e*nu_bar is not in the cocharacter lattice for e={cd.e}")
     seen = set()
@@ -106,7 +123,7 @@ def validate(cd: ClassDatum) -> list[str]:
         if root in seen:
             errors.append(f"residual-root: duplicate entry for {root}")
         seen.add(root)
-        if _nu_pairing(cd, root) != 0:
+        if sum(map(mul, root, cd.nu_pairings[1])):
             errors.append(f"residual-domain: root {root} does not vanish on nu_bar")
         if val < 0:
             errors.append(f"residual-value: r_{root} = {val} is negative")
@@ -128,9 +145,9 @@ def validate(cd: ClassDatum) -> list[str]:
             errors.append(f"fundamental-group class: a split class needs kappa = "
                           f"{list(nu_class)}, the class of nu_bar")
     if not errors:
-        d = disc_valuation(cd, _checked=False)
-        if d.denominator != 1:
-            errors.append(f"discriminant: d = {d} is not an integer")
+        big, _, d = cd.valuations
+        if d % big:
+            errors.append(f"discriminant: d = {Fraction(d, big)} is not an integer")
     return errors
 
 
@@ -139,23 +156,22 @@ def newton_point(cd: ClassDatum) -> Coweight:
     return nu
 
 
-def disc_valuation(cd: ClassDatum, _checked=True):
+def disc_valuation(cd: ClassDatum) -> Fraction:
     """d(gamma) = 2 * sum of residual valuations on the vanishing roots
     minus <2 rho, dominant Newton point>; exact and possibly negative.
 
     Written in a form invariant under Weyl images of nu_bar: the second term
     is the sum of |<alpha, nu_bar>| over positive roots.
     """
-    newton = sum(abs(_nu_pairing(cd, root)) for root in cd.rd.positive_roots)
-    total = 2 * sum(v for _, v in cd.residual) - Fraction(newton, cd.nu_pairings[0])
-    if _checked and total.denominator != 1:
-        raise InvariantViolation(f"discriminant valuation {total} is not an integer")
-    return total
+    big, _, d = cd.valuations
+    if d % big:
+        raise InvariantViolation(f"discriminant valuation {Fraction(d, big)} is not an integer")
+    return Fraction(d, big)
 
 
 def c_invariant(cd: ClassDatum) -> int:
     """Rank minus the dimension of the twist's fixed space."""
-    return cd.rd.rank - weyl.fixed_space_dim(cd.w)
+    return cd.c
 
 
 def is_split(cd: ClassDatum) -> bool:
@@ -164,15 +180,14 @@ def is_split(cd: ClassDatum) -> bool:
 
 def val_one_minus(cd: ClassDatum, root) -> Fraction:
     """val(1 - alpha(gamma)) for any root alpha."""
-    p = _nu_pairing(cd, root)
-    if p != 0:
-        return Fraction(min(p, 0), cd.nu_pairings[0])
-    return cd.residual_value(root)
+    big, vals, _ = cd.valuations
+    return Fraction(vals[tuple(root)], big)
 
 
 def r_invariant(cd: ClassDatum) -> Fraction:
     """r(gamma) = sum over positive roots of val(alpha(gamma) - 1)."""
-    return sum((val_one_minus(cd, root) for root in cd.rd.positive_roots), Fraction(0))
+    big, vals, _ = cd.valuations
+    return Fraction(sum(vals[root] for root in cd.rd.positive_roots), big)
 
 
 def r_levi(cd: ClassDatum, levi: frozenset[int] | set[int]):
@@ -189,18 +204,20 @@ def r_levi(cd: ClassDatum, levi: frozenset[int] | set[int]):
     levi = frozenset(int(i) for i in levi)
     if any(not 0 <= i < rd.rank for i in levi):
         raise UsageError("Levi index out of range")
+    disc_valuation(cd)  # raises unless d(gamma) is an integer
+    big, vals, d = cd.valuations
     in_levi = set(rootdata.levi_roots(rd, levi))
-    phi_n = [a for a in rd.positive_roots if a not in in_levi]
-    r_n = sum((val_one_minus(cd, a) for a in phi_n), Fraction(0))
-    relation = disc_valuation(cd) == levi_disc_valuation(cd, levi) + 2 * r_n
-    return r_n, relation
+    r_n = sum(vals[a] for a in rd.positive_roots if a not in in_levi)
+    d_m = sum(vals[a] + vals[_neg(a)] for a in in_levi)
+    return Fraction(r_n, big), d == d_m + 2 * r_n
 
 
 def levi_disc_valuation(cd: ClassDatum, levi) -> Fraction:
     """d_M: val(1 - alpha(gamma)) summed over the roots alpha of the Levi M
     with simple roots I, both signs."""
+    big, vals, _ = cd.valuations
     roots = rootdata.levi_roots(cd.rd, {int(i) for i in levi})
-    return sum((val_one_minus(cd, a) + val_one_minus(cd, _neg(a)) for a in roots), Fraction(0))
+    return Fraction(sum(vals[a] + vals[_neg(a)] for a in roots), big)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,11 @@ dual group, and the Coxeter-count bound for regular-locus orbits.  `report`
 is the only place that puts these together: mu* and m_{lambda,mu*} are
 computed there and nowhere else, for `dim` and `components` alike.
 
+Each public function checks its coweight operands once; the private cores
+here and in ``multiplicity`` trust them, so one `dim` report checks lambda once.
+
 The approximations mu* (minimal above the Newton point, found by
-``multiplicity.minimal_above``) and Chen-Zhu (maximal below it) compare
+``multiplicity._minimal_above``) and Chen-Zhu (maximal below it) compare
 scaled integers: the candidates are integer tuples over one denominator, and
 ``rootdata._extremes`` confirms the lowest (highest) one by height against
 every other in one pass, falling back to the pairwise filter only to list a
@@ -80,7 +83,7 @@ def unramified_dimension(rd: RootDatum, mu, residual, lam):
         raise InvariantViolation(
             f"dimension formulas disagree: {dim_a} vs <rho,lam-mu>+r = {dim_b}"
         )
-    return dim_a, multiplicity.multiplicity_freudenthal(rd, lam, mu)
+    return dim_a, multiplicity._weight_system(rd, lam).get(mu, 0)
 
 
 def best_integral_approx(rd: RootDatum, nu, lam) -> Coweight:
@@ -100,7 +103,7 @@ def best_integral_approx(rd: RootDatum, nu, lam) -> Coweight:
 def _best_integral_approx(rd: RootDatum, nu: Coweight, lam: Coweight) -> Coweight:
     """``best_integral_approx`` for a dominant nu <= lam, lam dominant and in
     the lattice, unchecked."""
-    minimal = multiplicity.minimal_above(rd, lam, nu)
+    minimal = multiplicity._minimal_above(rd, lam, nu)
     if not minimal:
         raise InvariantViolation(f"lambda {lam} is not a candidate above {nu}")
     if len(minimal) != 1:
@@ -234,7 +237,7 @@ def report(cd: ClassDatum, lam, chen_zhu: bool = True) -> KVReport:
         regular_orbit_bound=bound,
         dimension=_dimension(cd, lam),
         mu_star=mu_star,
-        predicted_orbits=multiplicity.multiplicity_freudenthal(rd, lam, mu_star),
+        predicted_orbits=multiplicity._weight_system(rd, lam).get(mu_star, 0),
         regular_bound_exact=regular_bound_exact(rd, lam, mu_star),
         d_plus=_d_plus(cd, lam),
         chen_zhu_mu=chen_zhu_approx(rd, newton) if chen_zhu else (),

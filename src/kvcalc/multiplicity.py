@@ -21,10 +21,11 @@ against the literal dual datum, built from the transposed Cartan matrix.
 The dominance interval is walked once per (rd, lam), by ``_interval``, and
 cached there: lam is scaled by D, the lcm of its denominators, and the walk
 steps down along covers, each a positive coroot, through dominant integer
-tuples only.  Freudenthal's recursion and ``minimal_above`` (mu* in ``kv``,
+tuples only.  Freudenthal's recursion and ``_minimal_above`` (mu* in ``kv``,
 the Steinberg strata) read that one cache; ``dominant_below`` is its sorted
 view.  The Fraction coweights beside the scaled keys are built once and are
-the ones every caller sees.
+the ones every caller sees.  The public functions check lam and mu; the
+private cores (``_weight_system``, ``_interval``, ``_minimal_above``) trust them.
 """
 
 from __future__ import annotations
@@ -50,10 +51,15 @@ def _gram(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sum(p[i] * p[j] for p in rows) for j in range(r)) for i in range(r))
 
 
-@lru_cache(maxsize=None)
-def weight_system(rd: RootDatum, lam: Coweight) -> MappingProxyType:
+def weight_system(rd: RootDatum, lam) -> MappingProxyType:
     """The dominant weights of the dual-group irreducible V(lam), with their
-    multiplicities, as a read-only mapping.
+    multiplicities, as a read-only mapping."""
+    return _weight_system(rd, rootdata.check_dominant(rd, lam, "lambda"))
+
+
+@lru_cache(maxsize=None)
+def _weight_system(rd: RootDatum, lam: Coweight) -> MappingProxyType:
+    """``weight_system`` for a checked lam, cached per (rd, lam).
 
     lam and the weights are in simple-coroot coordinates of rd.  Freudenthal's
     recursion visits ``_interval(rd, lam)`` in decreasing height and reads
@@ -68,7 +74,6 @@ def weight_system(rd: RootDatum, lam: Coweight) -> MappingProxyType:
     Freudenthal's m = 2 sum m(y) (y, alpha) / (C(lam) - C(mu)) becomes
     2 D sum m(Y) (Y, alpha) / (C(D lam) - C(D mu)), all in integers.
     """
-    lam = rootdata.check_dominant(rd, lam, "lambda")
     d, interval = _interval(rd, lam)
     g = _gram(rd)
 
@@ -125,7 +130,7 @@ def multiplicity_freudenthal(rd: RootDatum, lam, mu) -> int:
     """m_{lam,mu} for the dual group; 0 when mu is not a weight of V(lam)."""
     lam = rootdata.check_dominant(rd, lam, "lambda")
     mu = rootdata.check_dominant(rd, mu, "mu")
-    return weight_system(rd, lam).get(mu, 0)
+    return _weight_system(rd, lam).get(mu, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +199,8 @@ def _interval(rd: RootDatum, lam) -> tuple[int, dict[tuple[int, ...], Coweight]]
     dominant nu covers is nu - beta, so the covers reach the whole interval.
     A dominant coweight has nonnegative coordinates, so coordinate i of D mu
     lies between 0 and D lam_i and is congruent to D lam_i mod D: the
-    interval holds at most prod(floor(lam_i) + 1) points.
+    interval holds at most prod(floor(lam_i) + 1) points.  lam is checked.
     """
-    lam = rootdata.check_dominant(rd, lam, "lambda")
     d, top = rootdata._scale(lam)
     rootdata.guard_grid_size(prod(t // d + 1 for t in top), "the dominance interval")
     steps = [tuple(d * b for b in beta) for beta in rd.positive_coroots]
@@ -220,11 +224,11 @@ def dominant_below(rd: RootDatum, lam) -> tuple[Coweight, ...]:
     """Dominant lattice coweights mu with lam - mu a nonnegative integer
     combination of simple coroots (this forces matching pi_1 classes), in
     increasing order: a sorted view of ``_interval``."""
-    _, interval = _interval(rd, lam)
+    _, interval = _interval(rd, rootdata.check_dominant(rd, lam, "lambda"))
     return tuple(interval[v] for v in sorted(interval))
 
 
-def minimal_above(rd: RootDatum, lam, low) -> list[Coweight]:
+def _minimal_above(rd: RootDatum, lam: Coweight, low) -> list[Coweight]:
     """The minimal elements, sorted, of the dominant lattice coweights mu <= lam
     with mu_i >= low_i for every i.  In the interval scaled by D, mu_i >= low_i
     exactly when D mu_i >= ceil(D low_i), since D mu_i is an integer."""

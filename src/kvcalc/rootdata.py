@@ -313,7 +313,7 @@ def _build(factors, cartan, isogeny) -> RootDatum:
 
 
 def coweight(coords) -> Coweight:
-    return tuple(x if type(x) is Fraction else Fraction(x) for x in coords)
+    return tuple([x if type(x) is Fraction else Fraction(x) for x in coords])
 
 
 def zero_coweight(rd: RootDatum) -> Coweight:
@@ -330,14 +330,14 @@ def sub(u: Coweight, v: Coweight) -> Coweight:
 
 def _scale(v) -> tuple[int, tuple[int, ...]]:
     """(D, n) with v = n / D: D > 0 the lcm of the denominators, n integers."""
-    d = lcm(*(x.denominator for x in v))
+    d = lcm(*[x.denominator for x in v])
     if d == 1:
-        return 1, tuple(x.numerator for x in v)
-    return d, tuple(x.numerator * (d // x.denominator) for x in v)
+        return 1, tuple([x.numerator for x in v])
+    return d, tuple([x.numerator * (d // x.denominator) for x in v])
 
 
 def _pairings(rd: RootDatum, v) -> tuple:
-    return tuple(sum(map(mul, col, v)) for col in rd.cartan_columns)
+    return tuple([sum(map(mul, col, v)) for col in rd.cartan_columns])
 
 
 def simple_pairings(rd: RootDatum, v: Coweight):
@@ -460,13 +460,13 @@ def _lattice_numerators(rd: RootDatum, d: int, n) -> tuple[tuple[int, ...], int]
     the coordinates are adj F / (det d)."""
     adj, det = rd.lattice_inverse
     f = _pairings(rd, n)
-    return tuple(sum(map(mul, row, f)) for row in adj), det * d
+    return tuple([sum(map(mul, row, f)) for row in adj]), det * d
 
 
 def _is_integral_ints(rd: RootDatum, d: int, n) -> bool:
     """Membership of the coweight n / d in the lattice Lambda."""
     x, s = _lattice_numerators(rd, d, n)
-    return all(c % s == 0 for c in x)
+    return all([c % s == 0 for c in x])
 
 
 def _coroot_coords(inverse, cartan, i) -> tuple[int, ...] | None:
@@ -486,12 +486,16 @@ def is_integral(rd: RootDatum, v: Coweight) -> bool:
 def check_dominant(rd: RootDatum, v, what: str) -> Coweight:
     """v as a coweight; unless it is dominant and in Lambda, a UsageError naming ``what``."""
     v = coweight(v)
-    d, n = _scale(v)
+    _check_dominant_ints(rd, *_scale(v), what)
+    return v
+
+
+def _check_dominant_ints(rd: RootDatum, d: int, n, what: str) -> None:
+    """``check_dominant`` for the coweight n / d, already scaled."""
     if not _dominant(rd, n):
         raise UsageError(f"{what} must be dominant")
     if not _is_integral_ints(rd, d, n):
         raise UsageError(f"{what} is not in the isogeny lattice")
-    return v
 
 
 def levi_roots(rd: RootDatum, subset) -> tuple[tuple[int, ...], ...]:

@@ -11,7 +11,7 @@ open stratum walks no interval: by Stembridge (Adv. Math. 136, 1998) each
 dominant mu that lambda covers is lambda - beta, beta a positive coroot, so
 nu lies in it exactly when nu <= lambda and no dominant lambda - beta is
 above nu.  The Steinberg stratum is the minimal element of a part of the
-dominance interval, found by ``multiplicity.minimal_above`` as mu* is.
+dominance interval, found by ``multiplicity._minimal_above`` as mu* is.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ class ValuationVector(rootdata.Record):
 
 def polytope_member(rd: RootDatum, nu, lam, open_stratum: bool = False) -> bool:
     """Membership of nu in P_lambda (closed) or its open stratum."""
-    lam = rootdata.check_dominant(rd, lam, "lambda")
-    d, n = rootdata._scale(rootdata.coweight(nu) + lam)
-    nu, lam = n[:rd.rank], n[rd.rank:]
+    d, n = rootdata._scale(rootdata.coweight(lam) + rootdata.coweight(nu))
+    lam, nu = n[:rd.rank], n[rd.rank:]
+    rootdata._check_dominant_ints(rd, d, lam, "lambda")
     return _member(rd, d, nu, lam, open_stratum) and rootdata._dominant(rd, nu)
 
 
@@ -133,7 +133,7 @@ def steinberg_stratum(rd: RootDatum, v: ValuationVector, lam) -> Coweight:
     # mu_i >= lam_i - a_i; an infinite a_i bounds nothing, and dominant mu_i >= 0
     low = [0 if is_infinite(a) else x - Fraction(a)
            for x, a in zip(lam, (v.c_vals[j] for j in rd.iota))]
-    minimal = multiplicity.minimal_above(rd, lam, low)
+    minimal = multiplicity._minimal_above(rd, lam, low)
     if not minimal:
         raise UsageError("valuation vector matches no stratum below lambda")
     if len(minimal) != 1:

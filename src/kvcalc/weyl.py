@@ -219,6 +219,8 @@ def fixed_space_dim(w: WeylElement) -> int:
     """Dimension of the fixed space of w: the number of zero invariant
     factors of the integer matrix with rows w(e_j) - e_j."""
     r = w.rd.rank
+    if w.is_identity():
+        return r
     units = [tuple(int(i == j) for i in range(r)) for j in range(r)]
     d, _, _ = linalg.smith_normal_form(
         [tuple(map(sub, w.apply(e), e)) for e in units])

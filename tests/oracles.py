@@ -15,7 +15,10 @@ on coweights.  The partition-count and full-weight oracles use the literal
 datum, so they check that reading.
 
 `oracle_dominant_below` is the coroot-step walk of the dominance interval
-that the package replaced by a walk along covers.  `oracle_enumerate_group`
+that the package replaced by a walk along covers.  The `fraction_*` class
+invariants are the Fraction sums, one root at a time, that the package
+replaced by one integer table per class (`ClassDatum.valuations`), with the
+linear scan of the residual list that a dict lookup replaced.  `oracle_enumerate_group`
 and `oracle_root_closure` are the breadth-first passes that the package
 replaced by walks along ascents: they reflect every element by every s_i with
 a full pairing and keep one set of everything seen, so they assume nothing
@@ -30,8 +33,9 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 
-from kvcalc import kv, multiplicity, rootdata, strata, weyl
+from kvcalc import conjugacy, kv, multiplicity, rootdata, strata, weyl
 from kvcalc.errors import InvariantViolation, UsageError
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -244,6 +248,71 @@ def dimension_sum(rd, lam) -> int:
     the Weyl dimension formula when everything is consistent."""
     wsys = multiplicity.weight_system(rd, rootdata.coweight(lam))
     return sum(m * orbit_size(rd, x) for x, m in wsys.items())
+
+
+# ---------------------------------------------------------------------------
+# class invariants as Fraction sums
+
+
+def fraction_residual_value(cd, root) -> Fraction:
+    """r_alpha, with the +/- symmetry applied; unspecified roots are 0."""
+    positive = any(x > 0 for x in root) and all(x >= 0 for x in root)
+    key = tuple(root) if positive else tuple(-x for x in root)
+    for r, v in cd.residual:
+        if r == key:
+            return v
+    return Fraction(0)
+
+
+def fraction_disc_valuation(cd, _checked=True):
+    """d(gamma) = 2 * sum of residual valuations on the vanishing roots
+    minus <2 rho, dominant Newton point>; exact and possibly negative.
+
+    Written in a form invariant under Weyl images of nu_bar: the second term
+    is the sum of |<alpha, nu_bar>| over positive roots.
+    """
+    newton = sum(abs(sum(map(mul, root, cd.nu_pairings[1]))) for root in cd.rd.positive_roots)
+    total = 2 * sum(v for _, v in cd.residual) - Fraction(newton, cd.nu_pairings[0])
+    if _checked and total.denominator != 1:
+        raise InvariantViolation(f"discriminant valuation {total} is not an integer")
+    return total
+
+
+def fraction_val_one_minus(cd, root) -> Fraction:
+    """val(1 - alpha(gamma)) for any root alpha."""
+    p = sum(map(mul, root, cd.nu_pairings[1]))
+    if p != 0:
+        return Fraction(min(p, 0), cd.nu_pairings[0])
+    return fraction_residual_value(cd, root)
+
+
+def fraction_r_invariant(cd) -> Fraction:
+    """r(gamma) = sum over positive roots of val(alpha(gamma) - 1)."""
+    return sum((fraction_val_one_minus(cd, root) for root in cd.rd.positive_roots), Fraction(0))
+
+
+def fraction_r_levi(cd, levi):
+    """r_N for the standard parabolic with Levi subset I, plus the check
+    d_G = d_M + 2 r_N."""
+    rd = cd.rd
+    if not conjugacy.is_split(cd):
+        raise UsageError("Levi-relative invariants are implemented for split classes only")
+    levi = frozenset(int(i) for i in levi)
+    if any(not 0 <= i < rd.rank for i in levi):
+        raise UsageError("Levi index out of range")
+    in_levi = set(rootdata.levi_roots(rd, levi))
+    phi_n = [a for a in rd.positive_roots if a not in in_levi]
+    r_n = sum((fraction_val_one_minus(cd, a) for a in phi_n), Fraction(0))
+    relation = fraction_disc_valuation(cd) == fraction_levi_disc_valuation(cd, levi) + 2 * r_n
+    return r_n, relation
+
+
+def fraction_levi_disc_valuation(cd, levi) -> Fraction:
+    """d_M: val(1 - alpha(gamma)) summed over the roots alpha of the Levi M
+    with simple roots I, both signs."""
+    roots = rootdata.levi_roots(cd.rd, {int(i) for i in levi})
+    return sum((fraction_val_one_minus(cd, a) + fraction_val_one_minus(cd, tuple(-x for x in a))
+                for a in roots), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvcalc import conjugacy, multiplicity, rootdata, weyl
-from kvcalc.errors import KVError, UsageError
-from oracles import class_to_json, reflect
+from kvcalc.errors import InvariantViolation, KVError, UsageError
+from oracles import (class_to_json, fraction_disc_valuation, fraction_levi_disc_valuation,
+                     fraction_r_invariant, fraction_r_levi, fraction_residual_value,
+                     fraction_val_one_minus, reflect)
 
 
 def rd(label, isogeny="sc"):
@@ -215,12 +217,103 @@ class TestCachedPairings:
         classes = pairing_classes()
         assert any(not conjugacy.is_split(cd) and any(cd.nu_bar) for cd in classes)
         for cd in classes:
-            assert conjugacy.disc_valuation(cd, _checked=False) == oracle_disc_valuation(cd)
+            big, _, d = cd.valuations
+            assert Fraction(d, big) == oracle_disc_valuation(cd)
+            if d % big:
+                with pytest.raises(InvariantViolation, match="is not an integer"):
+                    conjugacy.disc_valuation(cd)
+            else:
+                assert conjugacy.disc_valuation(cd) == oracle_disc_valuation(cd)
             for root in cd.rd.positive_roots:
                 for r in (root, tuple(-x for x in root)):
                     assert conjugacy.val_one_minus(cd, r) == oracle_val_one_minus(cd, r)
             assert conjugacy.r_invariant(cd) == sum(
                 (oracle_val_one_minus(cd, root) for root in cd.rd.positive_roots), Fraction(0))
+
+
+def table_classes():
+    """Split classes with random integer residuals on some of the roots that
+    vanish on a random nu_bar in the lattice, under sc and adjoint, and
+    classes twisted by a Coxeter element of order h with residual k/h on
+    every root (those with d(gamma) an integer, which validation asks for)."""
+    rng = random.Random(7)
+    out = []
+    for label in ["A2", "A3", "B2", "G2", "B3", "C3", "A1xB2"]:
+        for isogeny in ("sc", "adjoint"):
+            datum = rd(label, isogeny)
+            grp = rootdata.fundamental_group(datum)
+            q = max(grp.invariant_factors)
+            while sum(cd.rd == datum for cd in out) < 8:
+                nu_bar = cw(*(Fraction(rng.randint(-2, 2), q) for _ in range(datum.rank)))
+                if not rootdata.is_integral(datum, nu_bar):
+                    continue
+                residual = {root: Fraction(rng.randint(0, 3)) for root in datum.positive_roots
+                            if rootdata.pair_root(datum, root, nu_bar) == 0 and rng.random() < 0.7}
+                out.append(conjugacy.split_class(datum, nu_bar, residual, grp.project(nu_bar)))
+        datum = rd(label)
+        cox = weyl.word_to_element(datum, list(range(datum.rank)))
+        h = cox.order()
+        for k in range(4):
+            if 2 * datum.num_positive_roots * k % h == 0:
+                residual = {root: Fraction(k, h) for root in datum.positive_roots}
+                zero = rootdata.zero_coweight(datum)
+                out.append(conjugacy.make_class(datum, cox, zero, residual))
+    return out
+
+
+def outcome(f, *args):
+    """f(*args), or the type and text of the KVError it raised."""
+    try:
+        return f(*args)
+    except KVError as exc:
+        return type(exc), str(exc)
+
+
+class TestIntegerTable:
+    """The per-class integer table against the Fraction sums it replaced."""
+
+    @pytest.mark.parametrize("classes", [table_classes, pairing_classes])
+    def test_invariants_match_the_fraction_sums(self, classes):
+        classes = classes()
+        assert any(not conjugacy.is_split(cd) for cd in classes)
+        assert any(x.denominator != 1 for cd in classes for x in cd.nu_bar)
+        for cd in classes:
+            datum = cd.rd
+            for root in datum.positive_roots:
+                for r in (root, tuple(-x for x in root)):
+                    assert cd.residual_value(r) == fraction_residual_value(cd, r)
+                    assert conjugacy.val_one_minus(cd, r) == fraction_val_one_minus(cd, r)
+            assert conjugacy.r_invariant(cd) == fraction_r_invariant(cd)
+            assert (outcome(conjugacy.disc_valuation, cd)
+                    == outcome(fraction_disc_valuation, cd))
+            for size in range(datum.rank + 1):
+                for levi in combinations(range(datum.rank), size):
+                    assert (conjugacy.levi_disc_valuation(cd, levi)
+                            == fraction_levi_disc_valuation(cd, levi))
+                    assert (outcome(conjugacy.r_levi, cd, frozenset(levi))
+                            == outcome(fraction_r_levi, cd, frozenset(levi)))
+
+    def test_split_classes_reach_the_levi_relation(self):
+        # the split classes above check r_levi's sums, not only its refusals
+        split = [cd for cd in table_classes() if conjugacy.is_split(cd)]
+        assert len(split) == 7 * 2 * 8
+        assert any(cd.residual for cd in split)
+        assert all(conjugacy.r_levi(cd, frozenset(range(cd.rd.rank)))[1] for cd in split)
+
+    def test_a_root_given_twice_keeps_the_messages_in_order(self):
+        datum = rd("A2")
+        with pytest.raises(UsageError) as got:
+            conjugacy.split_class(datum, [0, 0], {(1, 1): 1, ("1", "1"): 2})
+        assert str(got.value) == (
+            "invalid class datum: residual-root: duplicate entry for (1, 1); "
+            "residual-symmetry: r differs on (1, 1) and its w-image")
+        cd = conjugacy.ClassDatum(rd=datum, w=weyl.identity_element(datum), e=1,
+                                  nu_bar=cw(0, 0), residual=(((1, 1), Fraction(1)),
+                                                             ((1, 1), Fraction(2))),
+                                  kappa=(0, 0))
+        # the first entry is the one read, as the scan of the list read it
+        assert cd.residual_value((1, 1)) == cd.residual_value((-1, -1)) == 1
+        assert fraction_residual_value(cd, (1, 1)) == 1
 
 
 class TestCInvariant:

@@ -1,14 +1,16 @@
 """The headline calculator: nonemptiness, dimensions, approximations,
 component predictions, and the report object."""
 
+import io
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from kvcalc import conjugacy, kv, multiplicity, rootdata, weyl
+from kvcalc import cli, conjugacy, kv, multiplicity, rootdata, weyl
 from kvcalc.errors import EmptyVarietyError, UsageError
-from oracles import report_from_json
+from oracles import class_to_json, report_from_json
 
 
 def rd(label, isogeny="sc"):
@@ -269,3 +271,45 @@ class TestReport:
         cd = conjugacy.split_class(rd("A2"), [0, 0], {(1, 1): Fraction(1)})
         assert kv.report(cd, [2, 1]).nonempty
         assert calls == {"_check_lambda": 1, "nonempty": 1}
+
+
+def count_checks(monkeypatch) -> list:
+    """The ``what`` of every ``rootdata.check_dominant`` call from now on."""
+    calls = []
+    real = rootdata.check_dominant
+
+    def counted(rd, v, what):
+        calls.append(what)
+        return real(rd, v, what)
+    monkeypatch.setattr(rootdata, "check_dominant", counted)
+    return calls
+
+
+class TestCheckedOnce:
+    """Each coweight operand is checked once, by the public function it
+    enters; the interval, the weight system and mu* trust that check."""
+
+    def test_a_dim_report_checks_lambda_once(self, monkeypatch, tmp_path):
+        # cold caches, so that the interval and the weight system are built here
+        multiplicity._interval.cache_clear()
+        multiplicity._weight_system.cache_clear()
+        path = tmp_path / "class.json"
+        path.write_text(json.dumps(class_to_json(conjugacy.split_class(rd("A3"), [2, 2, 2]))))
+        calls = count_checks(monkeypatch)
+        out = io.StringIO()
+        assert cli.run(["dim", "--class", str(path), "--lambda", "4,4,4"], out=out) == 0
+        assert "nonempty true" in out.getvalue()
+        assert calls == ["lambda"]  # five before this change
+
+    def test_dimension_consistency_checks_each_row_operand_once(self, monkeypatch):
+        calls = count_checks(monkeypatch)
+        out = io.StringIO()
+        argv = ["verify", "dimension-consistency", "--height", "7", "--count", "0"]
+        assert cli.run(argv, out=out) == 0
+        *rows, verdict = [line.split("\t") for line in out.getvalue().splitlines()]
+        assert verdict == ["PASS"]
+        lams = {(label, lam) for label, lam, *_ in rows}
+        # lambda and mu once per row (`unramified_dimension`), and lambda once
+        # per `dominant_below`; every call before this change made 462
+        assert calls.count("mu") == len(rows)
+        assert len(calls) == 2 * len(rows) + len(lams) <= 231

@@ -321,7 +321,7 @@ class TestFreudenthal:
         datum = rd(label, isogeny)
         lam = cw(*lam)
         multiplicity._interval(datum, lam)  # walk the interval outside the count
-        multiplicity.weight_system.cache_clear()
+        multiplicity._weight_system.cache_clear()
         guard, reduce_ints = rootdata.guard_grid_size, rootdata._reduce_ints
         guarded, calls = [], []
         monkeypatch.setattr(rootdata, "guard_grid_size",
@@ -329,7 +329,7 @@ class TestFreudenthal:
         monkeypatch.setattr(rootdata, "_reduce_ints",
                             lambda *args: calls.append(args) or reduce_ints(*args))
         multiplicity.weight_system(datum, lam)
-        multiplicity.weight_system.cache_clear()
+        multiplicity._weight_system.cache_clear()
         [(what, bound)] = guarded
         assert what == "Freudenthal's recursion"
         assert 0 < len(calls) <= bound

@@ -117,9 +117,9 @@ class TestHash:
         assert a != rd("A2", "adjoint")
         lam = rootdata.coweight((7, 5))
         first = multiplicity.weight_system(a, lam)
-        info = multiplicity.weight_system.cache_info()
+        info = multiplicity._weight_system.cache_info()
         assert multiplicity.weight_system(b, lam) is first
-        again = multiplicity.weight_system.cache_info()
+        again = multiplicity._weight_system.cache_info()
         assert (again.hits, again.misses) == (info.hits + 1, info.misses)
 
     def test_value_classes_compare_and_hash_their_fields(self):
