@@ -59,8 +59,9 @@ class ClassDatum(rootdata.Record):
     @cached_property
     def valuations(self) -> tuple[int, dict[tuple[int, ...], int], int]:
         """(L, v, Ld): L the lcm of D (see ``nu_pairings``) and the residual
-        denominators, v[alpha] = L val(1 - alpha(gamma)) = L min(<alpha, nu_bar>, 0),
-        or L r_alpha where that pairing is 0, and Ld = L d(gamma)."""
+        denominators; for every root alpha, both signs, v[alpha] is
+        L val(1 - alpha(gamma)): L min(<alpha, nu_bar>, 0), or L r_alpha where
+        that pairing is 0; and Ld = L d(gamma)."""
         d, p = self.nu_pairings
         big = lcm(d, *(v.denominator for _, v in self.residual))
         vals = {}
