@@ -18,15 +18,15 @@ datum, so they check that reading.
 that the package replaced by a walk along covers.  The `fraction_*` class
 invariants are the Fraction sums, one root at a time, that the package
 replaced by one integer table per class (`ClassDatum.valuations`), with the
-linear scan of the residual list that a dict lookup replaced.  `oracle_enumerate_group`
-and `oracle_root_closure` are the breadth-first passes that the package
-replaced by walks along ascents: they reflect every element by every s_i with
-a full pairing and keep one set of everything seen, so they assume nothing
-about which reflections lengthen.  The rest were public functions of the
-package until nothing but the tests called them: the Weyl dimension formula
-with the orbit-size sum it checks `weight_system` against, the generic
-valuation vector of a split class, and the JSON writers of a class datum and
-of a `dim --json` report.
+linear scan of the residual list that a dict lookup replaced.
+`oracle_enumerate_group` and `oracle_root_closure` are the breadth-first
+passes that the package replaced by walks along ascents: they reflect every
+element by every s_i with a full pairing and keep one set of everything seen,
+so they assume nothing about which reflections lengthen.  The rest were
+public functions of the package until nothing but the tests called them: the
+Weyl dimension formula with the orbit-size sum it checks `weight_system`
+against, the generic valuation vector of a split class, and the JSON writers
+of a class datum and of a `dim --json` report.
 """
 
 import json

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kvcalc import cli, conjugacy, weyl
+from kvcalc import cli, conjugacy, kv, rootdata, weyl
 from kvcalc.errors import InvariantViolation
 from oracles import report_from_json
 
@@ -522,6 +522,22 @@ class TestVerify:
 
     def test_every_suite_has_a_two_type_run(self):
         assert sorted(self.TWO_TYPE_RUNS) == sorted(cli.VERIFY_SUITES)
+
+    def test_chen_zhu_takes_the_highest_lambda_above_nu(self):
+        # at height 8 on A2 the first highest lambda of the sweep is not above
+        # every nu of the grid, so the filter decides; the oracle compares in
+        # Fractions, as the suite did before it scaled lambda by 4
+        datum = rootdata.build_root_datum("A2")
+        code, text = run(["verify", "chen-zhu-compare", "--type", "A2", "--height", "8"])
+        assert code == 0
+        lams = rootdata.dominant_integral_sweep(datum, 8 + 2 * datum.rank)
+        rows = [line.split("\t") for line in text.splitlines()[:-1]]
+        nus = [rootdata.parse_coweight(datum, nu) for _, nu, *_ in rows]
+        assert not all(rootdata.leq_q(datum, nu, max(lams, key=sum)) for nu in nus)
+        for (_, _, min_above, *_), nu in zip(rows, nus):
+            top = max((lam for lam in lams if rootdata.leq_q(datum, nu, lam)), key=sum)
+            mu_star = kv.best_integral_approx(datum, nu, top)
+            assert min_above == f"min-above {rootdata.format_coweight(mu_star)}"
 
     def test_chen_zhu_is_report_only(self):
         code, text = run(["verify", "chen-zhu-compare", "--height", "2"])

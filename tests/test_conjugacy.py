@@ -300,6 +300,16 @@ class TestIntegerTable:
         assert any(cd.residual for cd in split)
         assert all(conjugacy.r_levi(cd, frozenset(range(cd.rd.rank)))[1] for cd in split)
 
+    def test_a_fractional_discriminant_is_refused(self):
+        # the Coxeter element of A1xB2 has order 4; r = 1/4 on all 5 positive
+        # roots passes every other check, and d = 2 * 5/4 is not an integer
+        datum = rd("A1xB2")
+        cox = weyl.word_to_element(datum, [0, 1, 2])
+        residual = {root: Fraction(1, 4) for root in datum.positive_roots}
+        with pytest.raises(UsageError) as got:
+            conjugacy.make_class(datum, cox, [0, 0, 0], residual)
+        assert str(got.value) == "invalid class datum: discriminant: d = 5/2 is not an integer"
+
     def test_a_root_given_twice_keeps_the_messages_in_order(self):
         datum = rd("A2")
         with pytest.raises(UsageError) as got:

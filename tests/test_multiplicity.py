@@ -425,6 +425,17 @@ class TestDominantBelow:
         omega = cw(Fraction(1, 2))
         assert multiplicity.dominant_below(datum, omega) == (omega,)
 
+    # the public views check lambda themselves: the interval and the weight
+    # system behind them trust the lambda they are given
+    @pytest.mark.parametrize("lam,refusal", [
+        ((1, 3), "lambda must be dominant"),
+        ((Fraction(2, 3), Fraction(1, 3)), "lambda is not in the isogeny lattice"),
+    ], ids=["not-dominant", "off-the-lattice"])
+    @pytest.mark.parametrize("view", [multiplicity.dominant_below, multiplicity.weight_system])
+    def test_public_views_refuse_lambda(self, view, lam, refusal):
+        with pytest.raises(UsageError, match=refusal):
+            view(rd("A2"), lam)
+
     def test_interval_is_downward_closed_within_class(self):
         datum = rd("B2")
         lam = cw(2, 2)
