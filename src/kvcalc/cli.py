@@ -36,19 +36,30 @@ def _fmt(v) -> str:
     return rootdata.format_coweight(v)
 
 
+def _read_json(path, what):
+    """The JSON document in the file at ``path``; ``what`` names the file in
+    an error message."""
+    import json
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} file: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"malformed {what} JSON: {exc}") from None
+
+
 def _build(args, label=None) -> rootdata.RootDatum:
-    """The datum of ``label`` (by default ``--type``) under ``--isogeny``."""
+    """The datum of ``label`` (by default ``--type``, which is then required)
+    under ``--isogeny``."""
+    if label is None:
+        if not args.type:
+            raise UsageError("--type is required")
+        label = args.type
     isogeny = args.isogeny
     if isinstance(isogeny, str) and isogeny.startswith("custom:"):
-        import json
-        try:
-            with open(isogeny[len("custom:"):], encoding="utf-8") as fh:
-                isogeny = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read isogeny file: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"malformed isogeny JSON: {exc}") from None
-    return rootdata.build_root_datum(args.type if label is None else label, isogeny)
+        isogeny = _read_json(isogeny[len("custom:"):], "isogeny")
+    return rootdata.build_root_datum(label, isogeny)
 
 
 def _parse_cvals(rd, text):
@@ -89,6 +100,10 @@ def cmd_weyl(args, out):
 def cmd_mult(args, out):
     from . import multiplicity
     rd = _build(args)
+    if args.sweep is None and (args.lam is None or args.mu is None):
+        raise UsageError("mult needs --lambda and --mu (or --sweep)")
+    if args.sweep is not None and (args.lam is not None or args.mu is not None):
+        raise UsageError("mult --sweep takes no --lambda or --mu")
     if args.sweep is not None:
         rows = []
         for lam in multiplicity.sweep_dominant(rd, args.sweep):
@@ -103,16 +118,8 @@ def cmd_mult(args, out):
 
 
 def _load_class(args):
-    import json
     from . import conjugacy
-    try:
-        with open(args.class_file, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read class file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"malformed class JSON: {exc}") from None
-    return conjugacy.class_from_json(data)
+    return conjugacy.class_from_json(_read_json(args.class_file, "class"))
 
 
 def _report_text(rep, out):
@@ -160,6 +167,12 @@ def cmd_strata(args, out):
     from . import strata
     rd = _build(args)
     if args.strata_kind == "polytope":
+        if args.nu is None and args.lam2 is None:
+            raise UsageError("polytope needs --nu or --lambda2")
+        if args.nu is not None and args.lam2 is not None:
+            raise UsageError("polytope takes --nu or --lambda2, not both")
+        if args.cvals is not None:
+            raise UsageError("polytope takes no --cvals")
         lam = rootdata.parse_coweight(rd, args.lam)
         if args.lam2 is not None:
             lam2 = rootdata.parse_coweight(rd, args.lam2)
@@ -172,6 +185,10 @@ def cmd_strata(args, out):
         print(f"closed {str(closed).lower()}", file=out)
         print(f"open {str(opened).lower()}", file=out)
     else:
+        if args.cvals is None:
+            raise UsageError("steinberg needs --cvals")
+        if args.nu is not None or args.lam2 is not None:
+            raise UsageError("steinberg takes no --nu or --lambda2")
         lam = rootdata.parse_coweight(rd, args.lam)
         c_vals = _parse_cvals(rd, args.cvals)
         v = strata.ValuationVector(b_vals=(), c_vals=c_vals)
@@ -209,10 +226,11 @@ def verify_lower_bound(args, data):
         for lam in rootdata.dominant_integral_sweep(rd, args.height):
             if not all(p > 0 for p in rootdata.simple_pairings(rd, lam)):
                 continue
+            wsys = multiplicity.weight_system(rd, lam)  # lam has a row: mu = 0
             for mu in multiplicity.dominant_below(rd, lam):
                 if not all(x > 0 for x in rootdata.sub(lam, mu)):
                     continue
-                m = multiplicity.multiplicity_freudenthal(rd, lam, mu)
+                m = wsys[mu]
                 yield label, _fmt(lam), _fmt(mu), m, bound, _verdict(m >= bound)
 
 
@@ -401,25 +419,6 @@ def run(argv=None, out=None) -> int:
             return exc.code
         finally:
             sys.stdout = stdout
-        if getattr(args, "func", None) in (cmd_weyl, cmd_mult, cmd_strata, cmd_nilcone):
-            if not args.type:
-                raise UsageError("--type is required")
-        if getattr(args, "func", None) is cmd_mult:
-            if args.sweep is None and (args.lam is None or args.mu is None):
-                raise UsageError("mult needs --lambda and --mu (or --sweep)")
-            if args.sweep is not None and (args.lam is not None or args.mu is not None):
-                raise UsageError("mult --sweep takes no --lambda or --mu")
-        if getattr(args, "func", None) is cmd_strata:
-            if args.strata_kind == "polytope" and args.nu is None and args.lam2 is None:
-                raise UsageError("polytope needs --nu or --lambda2")
-            if args.strata_kind == "polytope" and args.nu is not None and args.lam2 is not None:
-                raise UsageError("polytope takes --nu or --lambda2, not both")
-            if args.strata_kind == "polytope" and args.cvals is not None:
-                raise UsageError("polytope takes no --cvals")
-            if args.strata_kind == "steinberg" and args.cvals is None:
-                raise UsageError("steinberg needs --cvals")
-            if args.strata_kind == "steinberg" and (args.nu is not None or args.lam2 is not None):
-                raise UsageError("steinberg takes no --nu or --lambda2")
         args.func(args, out)
         return 0
     except InvariantViolation as exc:

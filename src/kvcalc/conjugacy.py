@@ -10,7 +10,10 @@ Every invariant is a sum of val(1 - alpha(gamma)) over roots.  A class
 builds one integer table on first use (``ClassDatum.valuations``): L times
 val(1 - alpha(gamma)) for every root, both signs, and L d(gamma), over one
 common denominator L.  The invariants and ``validate`` read that table, and a
-Fraction is built only for a value that is returned.
+Fraction is built only for a value that is returned.  Each invariant has one
+reader: ``disc_valuation`` for d(gamma), ``ClassDatum.c`` for c(gamma),
+``r_invariant`` for r(gamma), and ``r_levi`` for r_N, with d_M summed there
+only to check d_G = d_M + 2 r_N; ``val_one_minus`` is the per-root view.
 """
 
 from __future__ import annotations
@@ -170,11 +173,6 @@ def disc_valuation(cd: ClassDatum) -> Fraction:
     return Fraction(d, big)
 
 
-def c_invariant(cd: ClassDatum) -> int:
-    """Rank minus the dimension of the twist's fixed space."""
-    return cd.c
-
-
 def is_split(cd: ClassDatum) -> bool:
     return cd.w.is_identity()
 
@@ -193,7 +191,8 @@ def r_invariant(cd: ClassDatum) -> Fraction:
 
 def r_levi(cd: ClassDatum, levi: frozenset[int] | set[int]):
     """r_N for the standard parabolic with Levi subset I, plus the check
-    d_G = d_M + 2 r_N.
+    d_G = d_M + 2 r_N, with d_M the sum of val(1 - alpha(gamma)) over the
+    roots of the Levi M, both signs.
 
     The relation requires the N-part of the Newton pairings to cancel (it
     always does for gamma integral over the Levi, e.g. nu_bar = 0); the
@@ -211,14 +210,6 @@ def r_levi(cd: ClassDatum, levi: frozenset[int] | set[int]):
     r_n = sum(vals[a] for a in rd.positive_roots if a not in in_levi)
     d_m = sum(vals[a] + vals[_neg(a)] for a in in_levi)
     return Fraction(r_n, big), d == d_m + 2 * r_n
-
-
-def levi_disc_valuation(cd: ClassDatum, levi) -> Fraction:
-    """d_M: val(1 - alpha(gamma)) summed over the roots alpha of the Levi M
-    with simple roots I, both signs."""
-    big, vals, _ = cd.valuations
-    roots = rootdata.levi_roots(cd.rd, {int(i) for i in levi})
-    return Fraction(sum(vals[a] + vals[_neg(a)] for a in roots), big)
 
 
 # ---------------------------------------------------------------------------

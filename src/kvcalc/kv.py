@@ -4,8 +4,11 @@ Everything here composes the other modules: nonemptiness from the fundamental-gr
 class and Newton point, dimension from the discriminant valuation and the
 split-rank defect, component predictions from weight multiplicities of the
 dual group, and the Coxeter-count bound for regular-locus orbits.  `report`
-is the only place that puts these together: mu* and m_{lambda,mu*} are
-computed there and nowhere else, for `dim` and `components` alike.
+is the only place that puts these together, for `dim` and `components` alike:
+it checks lambda once, reads the Newton point, d(gamma) and c(gamma) once
+each, and computes the dimension, mu*, m_{lambda,mu*} and d_+ from them.
+``_nonempty`` and ``_dimension`` are the cores it shares with
+`unramified_dimension`, which `verify dimension-consistency` runs.
 
 Each public function checks its coweight operands once; the private cores
 here and in ``multiplicity`` trust them, so one `dim` report checks lambda once.
@@ -30,36 +33,18 @@ from .errors import EmptyVarietyError, InvariantViolation, UniquenessError, Usag
 from .rootdata import Coweight, RootDatum
 
 
-def _check_lambda(rd: RootDatum, lam) -> Coweight:
-    return rootdata.check_dominant(rd, lam, "lambda")
-
-
-def nonempty(cd: ClassDatum, lam) -> bool:
-    """Fundamental-group class match plus Newton point dominated by lambda."""
-    return _nonempty(cd, _check_lambda(cd.rd, lam))
-
-
-def _nonempty(cd: ClassDatum, lam: Coweight) -> bool:
-    """``nonempty`` for a checked lambda."""
-    grp = rootdata.fundamental_group(cd.rd)
-    if grp.project(lam) != cd.kappa:
+def _nonempty(cd: ClassDatum, lam: Coweight, newton: Coweight) -> bool:
+    """Fundamental-group class match plus the Newton point dominated by a
+    checked lambda."""
+    if rootdata.fundamental_group(cd.rd).project(lam) != cd.kappa:
         return False
-    return rootdata.leq_q(cd.rd, conjugacy.newton_point(cd), lam)
+    return rootdata.leq_q(cd.rd, newton, lam)
 
 
-def dimension(cd: ClassDatum, lam) -> int:
-    """<rho, lambda> + (d - c)/2; asserted to be a nonnegative integer."""
-    lam = _check_lambda(cd.rd, lam)
-    if not _nonempty(cd, lam):
-        raise EmptyVarietyError("variety is empty for this class and lambda")
-    return _dimension(cd, lam)
-
-
-def _dimension(cd: ClassDatum, lam: Coweight) -> int:
-    """``dimension`` for a checked lambda on a nonempty variety."""
-    d = conjugacy.disc_valuation(cd)
-    c = conjugacy.c_invariant(cd)
-    dim = rootdata.rho_pair(cd.rd, lam) + Fraction(d - c, 2)
+def _dimension(rd: RootDatum, lam: Coweight, d: Fraction, c: int) -> int:
+    """<rho, lambda> + (d - c)/2 on a nonempty variety; refused unless it is
+    a nonnegative integer."""
+    dim = rootdata.rho_pair(rd, lam) + Fraction(d - c, 2)
     if Fraction(dim).denominator != 1:
         raise InvariantViolation(f"dimension {dim} is not an integer")
     if dim < 0:
@@ -70,13 +55,13 @@ def _dimension(cd: ClassDatum, lam: Coweight) -> int:
 def unramified_dimension(rd: RootDatum, mu, residual, lam):
     """Dimension and orbit count for a split class with integral Newton
     point mu: <rho, lambda - mu> + r(gamma), with m_{lambda,mu} orbits."""
-    lam = _check_lambda(rd, lam)
+    lam = rootdata.check_dominant(rd, lam, "lambda")
     mu = rootdata.check_dominant(rd, mu, "mu")
     grp = rootdata.fundamental_group(rd)
     cd = conjugacy.split_class(rd, mu, residual, grp.project(mu))
-    if not _nonempty(cd, lam):
+    if not _nonempty(cd, lam, mu):  # mu is dominant, so it is the Newton point
         raise EmptyVarietyError("variety is empty for this class and lambda")
-    dim_a = _dimension(cd, lam)
+    dim_a = _dimension(rd, lam, conjugacy.disc_valuation(cd), cd.c)
     r_gamma = conjugacy.r_invariant(cd)
     dim_b = rootdata.rho_pair(rd, rootdata.sub(lam, mu)) + r_gamma
     if dim_a != dim_b:
@@ -92,7 +77,7 @@ def best_integral_approx(rd: RootDatum, nu, lam) -> Coweight:
     Uniqueness is asserted, not assumed: a tie raises UniquenessError.
     """
     nu = rootdata.coweight(nu)
-    lam = _check_lambda(rd, lam)
+    lam = rootdata.check_dominant(rd, lam, "lambda")
     if not rootdata.is_dominant(rd, nu):
         raise UsageError("nu must be dominant")
     if not rootdata.leq_q(rd, nu, lam):
@@ -140,33 +125,6 @@ def regular_bound_exact(rd: RootDatum, lam, mu_star) -> bool:
     if not all(p > 0 for p in rootdata.simple_pairings(rd, lam)):
         return False
     return all(x > 0 for x in rootdata.sub(lam, mu_star))
-
-
-def extended_disc_valuation(cd: ClassDatum, lam) -> Fraction:
-    """d_+ = <2 rho, lambda> + d(gamma); nonnegative whenever the variety is
-    nonempty, and zero exactly in the split rigid case nu = lambda."""
-    lam = _check_lambda(cd.rd, lam)
-    if not _nonempty(cd, lam):
-        raise EmptyVarietyError("variety is empty for this class and lambda")
-    return _d_plus(cd, lam)
-
-
-def _d_plus(cd: ClassDatum, lam: Coweight) -> Fraction:
-    """``extended_disc_valuation`` for a checked lambda on a nonempty variety."""
-    d_plus = 2 * rootdata.rho_pair(cd.rd, lam) + conjugacy.disc_valuation(cd)
-    if d_plus < 0:
-        raise InvariantViolation(f"d_+ = {d_plus} is negative on a nonempty variety")
-    if d_plus == 0:
-        problems = []
-        if not conjugacy.is_split(cd):
-            problems.append("class is not split")
-        if conjugacy.newton_point(cd) != lam:
-            problems.append("Newton point differs from lambda")
-        if _dimension(cd, lam) != 0:
-            problems.append("dimension is nonzero")
-        if problems:
-            raise InvariantViolation("d_+ = 0 but " + "; ".join(problems))
-    return Fraction(d_plus)
 
 
 # ---------------------------------------------------------------------------
@@ -217,28 +175,38 @@ class KVReport(rootdata.Record):
 def report(cd: ClassDatum, lam, chen_zhu: bool = True) -> KVReport:
     """The one composition of the class-report quantities, for `dim` and
     `components`.  ``chen_zhu=False`` leaves ``chen_zhu_mu`` empty and never
-    builds the Chen-Zhu grid, which `components` does not print."""
+    builds the Chen-Zhu grid, which `components` does not print.
+
+    d_+ = <2 rho, lambda> + d(gamma) is nonnegative on a nonempty variety,
+    and zero exactly in the split rigid case nu = lambda."""
     rd = cd.rd
-    is_nonempty = nonempty(cd, lam)  # the one check of lambda
-    lam = rootdata.coweight(lam)
+    lam = rootdata.check_dominant(rd, lam, "lambda")
     newton = conjugacy.newton_point(cd)
+    is_nonempty = _nonempty(cd, lam, newton)
     d = conjugacy.disc_valuation(cd)
-    c = conjugacy.c_invariant(cd)
+    c = cd.c
     bound = weyl.coxeter_count(rd)
     if not is_nonempty:
         return KVReport(nonempty=False, newton=newton, d=int(d), c=c,
                         regular_orbit_bound=bound)
     mu_star = _best_integral_approx(rd, newton, lam)
-    return KVReport(
-        nonempty=True,
-        newton=newton,
-        d=int(d),
-        c=c,
-        regular_orbit_bound=bound,
-        dimension=_dimension(cd, lam),
-        mu_star=mu_star,
-        predicted_orbits=multiplicity._weight_system(rd, lam).get(mu_star, 0),
-        regular_bound_exact=regular_bound_exact(rd, lam, mu_star),
-        d_plus=_d_plus(cd, lam),
-        chen_zhu_mu=chen_zhu_approx(rd, newton) if chen_zhu else (),
-    )
+    dim = _dimension(rd, lam, d, c)
+    predicted = multiplicity._weight_system(rd, lam).get(mu_star, 0)
+    exact = regular_bound_exact(rd, lam, mu_star)
+    d_plus = 2 * rootdata.rho_pair(rd, lam) + d
+    if d_plus < 0:
+        raise InvariantViolation(f"d_+ = {d_plus} is negative on a nonempty variety")
+    if d_plus == 0:
+        problems = []
+        if not conjugacy.is_split(cd):
+            problems.append("class is not split")
+        if newton != lam:
+            problems.append("Newton point differs from lambda")
+        if dim != 0:
+            problems.append("dimension is nonzero")
+        if problems:
+            raise InvariantViolation("d_+ = 0 but " + "; ".join(problems))
+    return KVReport(nonempty=True, newton=newton, d=int(d), c=c, regular_orbit_bound=bound,
+                    dimension=dim, mu_star=mu_star, predicted_orbits=predicted,
+                    regular_bound_exact=exact, d_plus=Fraction(d_plus),
+                    chen_zhu_mu=chen_zhu_approx(rd, newton) if chen_zhu else ())

@@ -289,14 +289,8 @@ def _build(factors, cartan, isogeny) -> RootDatum:
             raise UsageError("custom isogeny needs exactly rank-many generator vectors")
         basis = tuple(tuple(gens[j][i] for j in range(r)) for i in range(r))
         iso_name = "custom"
-        try:
-            inverse = _integer_inverse(basis)
-        except ValueError:
-            raise UsageError("isogeny generators are linearly dependent") from None
-        if any(_coroot_coords(inverse, cartan, i) is None for i in range(r)):
-            raise UsageError("isogeny lattice does not contain the coroot lattice")
 
-    return RootDatum(
+    rd = RootDatum(
         label=factors,
         rank=r,
         cartan=cartan,
@@ -306,6 +300,14 @@ def _build(factors, cartan, isogeny) -> RootDatum:
         isogeny=iso_name,
         lattice_basis=basis,
     )
+    if iso_name == "custom":
+        try:
+            rd.lattice_inverse  # a singular basis raises ValueError
+        except ValueError:
+            raise UsageError("isogeny generators are linearly dependent") from None
+        if not all(_is_integral_ints(rd, 1, unit) for unit in _units(r)):
+            raise UsageError("isogeny lattice does not contain the coroot lattice")
+    return rd
 
 
 # ---------------------------------------------------------------------------
@@ -463,19 +465,15 @@ def _lattice_numerators(rd: RootDatum, d: int, n) -> tuple[tuple[int, ...], int]
     return tuple([sum(map(mul, row, f)) for row in adj]), det * d
 
 
+def _units(r: int) -> list[tuple[int, ...]]:
+    """The simple coroots, in simple-coroot coordinates."""
+    return [tuple(int(i == j) for j in range(r)) for i in range(r)]
+
+
 def _is_integral_ints(rd: RootDatum, d: int, n) -> bool:
     """Membership of the coweight n / d in the lattice Lambda."""
     x, s = _lattice_numerators(rd, d, n)
     return all([c % s == 0 for c in x])
-
-
-def _coroot_coords(inverse, cartan, i) -> tuple[int, ...] | None:
-    """Lattice-basis coordinates of the i-th simple coroot, whose
-    fundamental-coweight coordinates are row i of the Cartan matrix; None
-    when the lattice does not contain it."""
-    adj, det = inverse
-    x = tuple(sum(map(mul, row, cartan[i])) for row in adj)
-    return None if any(c % det for c in x) else tuple(c // det for c in x)
 
 
 def is_integral(rd: RootDatum, v: Coweight) -> bool:
@@ -536,11 +534,11 @@ def fundamental_group(rd: RootDatum) -> FiniteAbelianGroup:
     """pi_1(G) = Lambda / (coroot lattice), by Smith normal form."""
     r = rd.rank
     cols = []
-    for i in range(r):
-        x = _coroot_coords(rd.lattice_inverse, rd.cartan, i)
-        if x is None:
+    for unit in _units(r):  # the simple coroots in lattice-basis coordinates
+        x, s = _lattice_numerators(rd, 1, unit)
+        if any(c % s for c in x):
             raise InvariantViolation("coroot lattice not inside Lambda")
-        cols.append(x)
+        cols.append(tuple(c // s for c in x))
     rel = tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
     d, u, _ = linalg.smith_normal_form(rel)
     factors = tuple(d[i][i] for i in range(r))

@@ -7,7 +7,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from kvcalc import conjugacy, kv, multiplicity, rootdata, strata, vinberg, weyl
-from oracles import action, dimension_sum, rational_grid, valuation_vector_for, weyl_dimension
+from oracles import (action, dimension_sum, fraction_levi_disc_valuation, rational_grid,
+                     valuation_vector_for, weyl_dimension)
 
 
 def rd(label, isogeny="sc"):
@@ -170,7 +171,7 @@ def test_09_dimension_formula_coherence():
                 cd = conjugacy.split_class(
                     datum, mu, residual, rootdata.fundamental_group(datum).project(mu)
                 )
-                general = kv.dimension(cd, lam)
+                general = kv.report(cd, lam, chen_zhu=False).dimension
                 unram, _ = kv.unramified_dimension(datum, mu, residual, lam)
                 direct = rootdata.rho_pair(datum, rootdata.sub(lam, mu)) + (
                     conjugacy.r_invariant(cd)
@@ -189,7 +190,7 @@ def test_09_dimension_formula_coherence():
                     levi = frozenset(levi)
                     r_n, relation = conjugacy.r_levi(cd, levi)
                     assert relation
-                    d_m = conjugacy.levi_disc_valuation(cd, levi)
+                    d_m = fraction_levi_disc_valuation(cd, levi)
                     assert conjugacy.disc_valuation(cd) == d_m + 2 * r_n
                     levi_checked += 1
     _report(
@@ -213,12 +214,12 @@ def test_10_degenerate_cases():
             }
             cd = conjugacy.split_class(datum, nu, residual)
             for lam in rootdata.dominant_integral_sweep(datum, 4):
-                if not kv.nonempty(cd, lam):
+                rep = kv.report(cd, lam, chen_zhu=False)
+                if not rep.nonempty:
                     continue
-                d_plus = kv.extended_disc_valuation(cd, lam)
-                assert d_plus >= 0
-                if d_plus == 0:
-                    assert kv.dimension(cd, lam) == 0
+                assert rep.d_plus >= 0
+                if rep.d_plus == 0:
+                    assert rep.dimension == 0
                     assert conjugacy.newton_point(cd) == lam
                     zero_cases += 1
         # the minimal-approximant set must be a singleton everywhere we look

@@ -236,6 +236,43 @@ class TestMalformedInput:
         self.check(["strata", "steinberg", "--type", "A2", "--lambda", "2,1",
                     "--cvals", "1,inf", *operand], capsys)
 
+    # each handler checks --type, then its flags, in this order
+    @pytest.mark.parametrize("argv,message", [
+        (["weyl"], "--type is required"),
+        (["nilcone", "--type", ""], "--type is required"),
+        (["mult", "--sweep", "2", "--mu", "0,0"], "--type is required"),
+        (["strata", "steinberg", "--lambda", "1,1"], "--type is required"),
+        (["mult", "--type", "A2", "--lambda", "1,1"], "mult needs --lambda and --mu (or --sweep)"),
+        (["mult", "--type", "A2", "--sweep", "2", "--mu", "0,0"],
+         "mult --sweep takes no --lambda or --mu"),
+        (["strata", "polytope", "--type", "A2", "--lambda", "1,1", "--cvals", "1,1"],
+         "polytope needs --nu or --lambda2"),
+        (["strata", "polytope", "--type", "A2", "--lambda", "1,1", "--nu", "0,0",
+          "--lambda2", "1,1", "--cvals", "1,1"], "polytope takes --nu or --lambda2, not both"),
+        (["strata", "polytope", "--type", "A2", "--lambda", "1,1", "--nu", "0,0",
+          "--cvals", "1,1"], "polytope takes no --cvals"),
+        (["strata", "steinberg", "--type", "A2", "--lambda", "1,1", "--nu", "0,0"],
+         "steinberg needs --cvals"),
+        (["strata", "steinberg", "--type", "A2", "--lambda", "x", "--cvals", "1,1",
+          "--lambda2", "1,1"], "steinberg takes no --nu or --lambda2"),
+        (["verify", "lower-bound", "--type", "A2,"], "cannot parse type label ''"),
+    ])
+    def test_flag_rules_name_their_fault(self, argv, message, capsys):
+        assert self.check(argv, capsys) == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,prefix", [
+        (["weyl", "--type", "A2", "--isogeny", "custom:{missing}"], "cannot read isogeny file: "),
+        (["weyl", "--type", "A2", "--isogeny", "custom:{malformed}"], "malformed isogeny JSON: "),
+        (["dim", "--class", "{missing}", "--lambda", "1,1"], "cannot read class file: "),
+        (["dim", "--class", "{malformed}", "--lambda", "1,1"], "malformed class JSON: "),
+    ])
+    def test_json_file_errors_name_the_file_kind(self, argv, prefix, tmp_path, capsys):
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text("[[1, 0],")
+        paths = {"missing": tmp_path / "missing.json", "malformed": malformed}
+        argv = [arg.format(**paths) for arg in argv]
+        assert self.check(argv, capsys).startswith("error: " + prefix)
+
     # on A2 sc, 1,3 is integral but not dominant and 2/3,1/3 is dominant but
     # off the coroot lattice; each operand is refused, by its own name
     @pytest.mark.parametrize("coweight,refusal", [("1,3", "must be dominant"),

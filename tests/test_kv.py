@@ -10,7 +10,7 @@ import pytest
 
 from kvcalc import cli, conjugacy, kv, multiplicity, rootdata, weyl
 from kvcalc.errors import EmptyVarietyError, UsageError
-from oracles import class_to_json, report_from_json
+from oracles import class_to_json, fraction_disc_valuation, report_from_json
 
 
 def rd(label, isogeny="sc"):
@@ -30,47 +30,58 @@ def ramified_sl2(r_alpha=Fraction(1, 2)):
 class TestNonempty:
     def test_equality_case(self):
         cd = conjugacy.split_class(rd("A1"), [1])
-        assert kv.nonempty(cd, [1])
+        assert kv.report(cd, [1], chen_zhu=False).nonempty
 
     def test_newton_not_dominated(self):
         cd = conjugacy.split_class(rd("A1"), [1])
-        assert not kv.nonempty(cd, [0])
+        assert not kv.report(cd, [0], chen_zhu=False).nonempty
 
     def test_ramified_zero_newton(self):
-        assert kv.nonempty(ramified_sl2(), [1])
+        assert kv.report(ramified_sl2(), [1], chen_zhu=False).nonempty
+
+    def test_newton_point_is_the_dominant_representative(self):
+        # nu_bar = -alpha-vee lies below 0, its Newton point alpha-vee does not
+        cd = conjugacy.split_class(rd("A1"), [-1])
+        assert not kv.report(cd, [0], chen_zhu=False).nonempty
+        rep = kv.report(cd, [1], chen_zhu=False)
+        assert rep.nonempty and rep.newton == rep.mu_star == cw(1)
 
     def test_class_mismatch(self):
         datum = rd("A1", "adjoint")
         cd = conjugacy.split_class(datum, [0, ][:1])
         # lambda in the nontrivial pi_1 class while kappa is trivial
-        assert not kv.nonempty(cd, [Fraction(1, 2)])
+        assert not kv.report(cd, [Fraction(1, 2)], chen_zhu=False).nonempty
 
     def test_invalid_lambda_rejected(self):
         cd = conjugacy.split_class(rd("A2"), [0, 0])
-        with pytest.raises(UsageError):
-            kv.nonempty(cd, [-1, 0])
+        with pytest.raises(UsageError, match="lambda must be dominant"):
+            kv.report(cd, [-1, 0], chen_zhu=False)
 
 
 class TestDimension:
     def test_split_with_residual(self):
         datum = rd("A1")
         cd = conjugacy.split_class(datum, [0], {(1,): Fraction(1)})
-        assert kv.dimension(cd, [1]) == 2
+        assert kv.report(cd, [1], chen_zhu=False).dimension == 2
 
     def test_ramified(self):
-        assert kv.dimension(ramified_sl2(), [1]) == 1
+        assert kv.report(ramified_sl2(), [1], chen_zhu=False).dimension == 1
 
     def test_rigid_case_is_zero(self):
         # nu = lambda with generic units: d = -<2 rho, lambda>, c = 0, so the
         # dimension collapses to <rho, lambda - nu> = 0
         datum = rd("A1")
         cd = conjugacy.split_class(datum, [1])
-        assert kv.dimension(cd, [1]) == 0
+        assert kv.report(cd, [1], chen_zhu=False).dimension == 0
 
     def test_empty_raises(self):
+        # the report of an empty variety carries no dimension, and the
+        # dimension of the same split class is refused
         cd = conjugacy.split_class(rd("A1"), [1])
+        rep = kv.report(cd, [0], chen_zhu=False)
+        assert not rep.nonempty and rep.dimension is None and rep.d_plus is None
         with pytest.raises(EmptyVarietyError):
-            kv.dimension(cd, [0])
+            kv.unramified_dimension(rd("A1"), [1], {}, [0])
 
     def test_empty_raises_on_random_sweep(self):
         rng = random.Random(3)
@@ -80,17 +91,18 @@ class TestDimension:
             nu, _ = rootdata.dominant_reduce(datum, nu)
             cd = conjugacy.split_class(datum, nu)
             lams = [lam for lam in rootdata.dominant_integral_sweep(datum, 5)
-                    if not kv.nonempty(cd, lam)]
+                    if not kv.report(cd, lam, chen_zhu=False).nonempty]
             for lam in lams[:5]:
+                assert kv.report(cd, lam, chen_zhu=False).dimension is None
                 with pytest.raises(EmptyVarietyError):
-                    kv.dimension(cd, lam)
+                    kv.unramified_dimension(datum, nu, {}, lam)
 
     def test_central_shift_moves_dimension_by_rho(self):
         # adding a dominant shift keeps d and c fixed and adds <rho, shift>
         datum = rd("A2")
         cd = conjugacy.split_class(datum, [0, 0], {(1, 1): Fraction(2)})
-        base = kv.dimension(cd, [1, 1])
-        shifted = kv.dimension(cd, [2, 2])
+        base = kv.report(cd, [1, 1], chen_zhu=False).dimension
+        shifted = kv.report(cd, [2, 2], chen_zhu=False).dimension
         assert shifted - base == rootdata.rho_pair(datum, cw(1, 1))
 
 
@@ -109,6 +121,11 @@ class TestUnramifiedDimension:
         datum = rd("A1", "adjoint")
         assert kv.unramified_dimension(datum, [Fraction(1, 2)], None, [Fraction(3, 2)]) == (1, 1)
 
+    def test_empty_variety_is_refused(self):
+        # the one refusal of an empty variety in kv; `report` says nonempty false
+        with pytest.raises(EmptyVarietyError, match="variety is empty"):
+            kv.unramified_dimension(rd("A1"), [2], {}, [0])
+
     def test_matches_general_formula_with_residual(self):
         datum = rd("B2")
         residual = {
@@ -118,7 +135,7 @@ class TestUnramifiedDimension:
         }
         dim, orbits = kv.unramified_dimension(datum, [0, 0], residual, [1, 1])
         cd = conjugacy.split_class(datum, [0, 0], residual)
-        assert dim == kv.dimension(cd, [1, 1])
+        assert dim == kv.report(cd, [1, 1], chen_zhu=False).dimension
         assert orbits == multiplicity.multiplicity_freudenthal(datum, cw(1, 1), cw(0, 0))
 
 
@@ -211,11 +228,11 @@ class TestExtendedDisc:
     def test_rigid_zero(self):
         datum = rd("A1")
         cd = conjugacy.split_class(datum, [1])
-        assert kv.extended_disc_valuation(cd, [1]) == 0
+        assert kv.report(cd, [1], chen_zhu=False).d_plus == 0
 
     def test_ramified_value(self):
         # <2 rho, alpha-vee> + d = 2 + 1
-        assert kv.extended_disc_valuation(ramified_sl2(), [1]) == 3
+        assert kv.report(ramified_sl2(), [1], chen_zhu=False).d_plus == 3
 
     def test_nonnegative_on_random_nonempty_data(self):
         rng = random.Random(23)
@@ -231,8 +248,9 @@ class TestExtendedDisc:
             }
             cd = conjugacy.split_class(datum, nu, residual)
             for lam in rootdata.dominant_integral_sweep(datum, 5):
-                if kv.nonempty(cd, lam):
-                    assert kv.extended_disc_valuation(cd, lam) >= 0
+                rep = kv.report(cd, lam, chen_zhu=False)
+                if rep.nonempty:
+                    assert rep.d_plus >= 0
 
 
 class TestReport:
@@ -248,29 +266,35 @@ class TestReport:
         assert rep.dimension is None and rep.mu_star is None
 
     def test_report_fields_consistent(self):
-        cd = ramified_sl2()
-        rep = kv.report(cd, [2])
-        assert rep.nonempty
-        assert rep.dimension == kv.dimension(cd, [2])
-        assert rep.predicted_orbits >= 1
-        assert rep.d_plus == kv.extended_disc_valuation(cd, [2])
+        # dimension <rho, lambda> + (d - c)/2 and d_+ = 2 <rho, lambda> + d,
+        # with d from the Fraction oracle and c from the twist's fixed space
+        a2 = rd("A2")
+        cases = [(ramified_sl2(), cw(2), 1),
+                 (conjugacy.split_class(a2, [0, 0], {(1, 1): Fraction(1)}), cw(2, 1), 0),
+                 (conjugacy.make_class(a2, weyl.word_to_element(a2, [0, 1]), [0, 0]), cw(2, 2), 2)]
+        for cd, lam, c in cases:
+            rep = kv.report(cd, lam)
+            assert rep.nonempty
+            d = fraction_disc_valuation(cd)
+            rho = rootdata.rho_pair(cd.rd, lam)
+            assert (rep.d, rep.c) == (d, c)
+            assert rep.dimension == rho + (d - c) / 2
+            assert rep.predicted_orbits >= 1
+            assert rep.d_plus == 2 * rho + d
 
     def test_lambda_is_checked_once_and_nonemptiness_tested_once(self, monkeypatch):
-        calls = {"_check_lambda": 0, "nonempty": 0}
+        calls = count_checks(monkeypatch)
+        tested = []
+        real = kv._nonempty
 
-        def counted(name):
-            real = getattr(kv, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return real(*args)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(kv, name, counted(name))
+        def counted(*args):
+            tested.append(args)
+            return real(*args)
+        monkeypatch.setattr(kv, "_nonempty", counted)
         cd = conjugacy.split_class(rd("A2"), [0, 0], {(1, 1): Fraction(1)})
         assert kv.report(cd, [2, 1]).nonempty
-        assert calls == {"_check_lambda": 1, "nonempty": 1}
+        assert calls == ["lambda"]
+        assert len(tested) == 1
 
 
 def count_checks(monkeypatch) -> list:
@@ -300,6 +324,28 @@ class TestCheckedOnce:
         assert cli.run(["dim", "--class", str(path), "--lambda", "4,4,4"], out=out) == 0
         assert "nonempty true" in out.getvalue()
         assert calls == ["lambda"]  # five before this change
+
+    def test_components_checks_lambda_once(self, monkeypatch, tmp_path):
+        path = tmp_path / "class.json"
+        path.write_text(json.dumps(class_to_json(conjugacy.split_class(rd("A3"), [1, 1, 1]))))
+        calls = count_checks(monkeypatch)
+        out = io.StringIO()
+        assert cli.run(["components", "--class", str(path), "--lambda", "3,3,3"], out=out) == 0
+        assert out.getvalue().startswith("predicted-orbits ")
+        assert calls == ["lambda"]
+
+    def test_lower_bound_reads_each_weight_system_once(self, monkeypatch):
+        calls = count_checks(monkeypatch)
+        out = io.StringIO()
+        argv = ["verify", "lower-bound", "--type", "A2,B2,G2,A3,B3,C3", "--height", "8"]
+        assert cli.run(argv, out=out) == 0
+        *rows, verdict = [line.split("\t") for line in out.getvalue().splitlines()]
+        assert verdict == ["PASS"] and len(rows) == 77
+        lams = {(label, lam) for label, lam, *_ in rows}
+        # lambda twice per lambda with a row (its weight system and its
+        # interval), mu never
+        assert len(lams) == 17
+        assert calls == ["lambda"] * 2 * len(lams)
 
     def test_dimension_consistency_checks_each_row_operand_once(self, monkeypatch):
         calls = count_checks(monkeypatch)

@@ -95,6 +95,13 @@ class TestConstruction:
         with pytest.raises(UsageError):
             rd("A2", [[1, 0]])  # wrong generator count
 
+    # on A1xA1 the simple coroots are (2, 0) and (0, 2) in fundamental-coweight
+    # coordinates; each lattice here holds one of them and not the other
+    @pytest.mark.parametrize("gens", [[[1, 0], [0, 4]], [[4, 0], [0, 1]]])
+    def test_every_simple_coroot_must_lie_in_the_lattice(self, gens):
+        with pytest.raises(UsageError, match="does not contain the coroot lattice"):
+            rd("A1xA1", gens)
+
     def test_linearly_dependent_generators_refused(self):
         with pytest.raises(UsageError, match="linearly dependent"):
             rd("A2", [[1, 0], [2, 0]])
