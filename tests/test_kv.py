@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from kvcalc import cli, conjugacy, kv, multiplicity, rootdata, weyl
-from kvcalc.errors import EmptyVarietyError, UsageError
+from kvcalc.errors import EmptyVarietyError, InvariantViolation, UsageError
 from oracles import class_to_json, fraction_disc_valuation, report_from_json
 
 
@@ -281,6 +281,16 @@ class TestReport:
             assert rep.dimension == rho + (d - c) / 2
             assert rep.predicted_orbits >= 1
             assert rep.d_plus == 2 * rho + d
+
+    def test_d_plus_zero_off_the_rigid_case_is_refused(self):
+        # r = -1 passes no validation; built directly it gives d = -2, so at
+        # lambda = alpha-vee d_+ = 0 and the dimension is 0, with nu = 0 != lambda
+        datum = rd("A1")
+        cd = conjugacy.ClassDatum(rd=datum, w=weyl.identity_element(datum), e=1, nu_bar=cw(0),
+                                  residual=(((1,), Fraction(-1)),), kappa=(0,))
+        with pytest.raises(InvariantViolation,
+                           match="^d_\\+ = 0 but Newton point differs from lambda$"):
+            kv.report(cd, [1])
 
     def test_lambda_is_checked_once_and_nonemptiness_tested_once(self, monkeypatch):
         calls = count_checks(monkeypatch)
