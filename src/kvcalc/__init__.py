@@ -2,7 +2,6 @@
 stratifications attached to root data and regular semisimple classes."""
 
 from .errors import (
-    EmptyVarietyError,
     InvariantViolation,
     KVError,
     SizeGuardError,
@@ -21,6 +20,5 @@ __all__ = [
     "SizeGuardError",
     "InvariantViolation",
     "UniquenessError",
-    "EmptyVarietyError",
     "__version__",
 ]

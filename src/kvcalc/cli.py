@@ -226,11 +226,10 @@ def verify_lower_bound(args, data):
         for lam in rootdata.dominant_integral_sweep(rd, args.height):
             if not all(p > 0 for p in rootdata.simple_pairings(rd, lam)):
                 continue
-            wsys = multiplicity.weight_system(rd, lam)  # lam has a row: mu = 0
-            for mu in multiplicity.dominant_below(rd, lam):
+            # lam has a row at mu = 0; the weights come in dominant_below's order
+            for mu, m in sorted(multiplicity.weight_system(rd, lam).items()):
                 if not all(x > 0 for x in rootdata.sub(lam, mu)):
                     continue
-                m = wsys[mu]
                 yield label, _fmt(lam), _fmt(mu), m, bound, _verdict(m >= bound)
 
 
@@ -252,11 +251,15 @@ def verify_freudenthal_kostant(args, data):
 
 
 def verify_dimension_consistency(args, data):
-    """One `rng` draws across all types, so each type's cases depend on those before."""
+    """The class report of a split class with integral Newton point mu <= lam
+    against the paper's proven case: mu* = mu and the dimension
+    <rho, lam - mu> + r(gamma).  One `rng` draws across all types, so each
+    type's cases depend on those before."""
     import random
     from . import conjugacy, kv, multiplicity
     rng = random.Random(args.seed)
     for label, rd in data:
+        grp = rootdata.fundamental_group(rd)
         for lam in rootdata.dominant_integral_sweep(rd, args.height):
             for mu in multiplicity.dominant_below(rd, lam):
                 pairings = rootdata.simple_pairings(rd, rootdata._scale(mu)[1])
@@ -265,9 +268,17 @@ def verify_dimension_consistency(args, data):
                     for root in rd.positive_roots
                     if not sum(map(mul, root, pairings))
                 }
-                # raises InvariantViolation when <rho, lam - mu> + r(gamma) disagrees
-                dim, _ = kv.unramified_dimension(rd, mu, residual, lam)
-                yield label, _fmt(lam), _fmt(mu), f"dim {dim}", "pass"
+                cd = conjugacy.split_class(rd, mu, residual, grp.project(mu))
+                rep = kv.report(cd, lam, chen_zhu=False)
+                if not rep.nonempty or rep.mu_star != mu:
+                    found = _fmt(rep.mu_star) if rep.nonempty else "undefined (empty variety)"
+                    raise InvariantViolation(
+                        f"mu* of the split class at {_fmt(lam)} is {found}, not mu = {_fmt(mu)}")
+                dim = rootdata.rho_pair(rd, rootdata.sub(lam, mu)) + conjugacy.r_invariant(cd)
+                if rep.dimension != dim:
+                    raise InvariantViolation(
+                        f"dimension formulas disagree: {rep.dimension} vs <rho,lam-mu>+r = {dim}")
+                yield label, _fmt(lam), _fmt(mu), f"dim {rep.dimension}", "pass"
         # Levi relation on randomized residual data with nu_bar = 0: a relation
         # that holds prints nothing, and one line per type sums the trials up
         zero = rootdata.zero_coweight(rd)

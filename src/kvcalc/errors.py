@@ -23,7 +23,3 @@ class InvariantViolation(KVError):
 
 class UniquenessError(InvariantViolation):
     """A minimum that is asserted unique turned out not to be."""
-
-
-class EmptyVarietyError(UsageError):
-    """Dimension or component count requested for an empty variety."""

@@ -7,8 +7,6 @@ dual group, and the Coxeter-count bound for regular-locus orbits.  `report`
 is the only place that puts these together, for `dim` and `components` alike:
 it checks lambda once, reads the Newton point, d(gamma) and c(gamma) once
 each, and computes the dimension, mu*, m_{lambda,mu*} and d_+ from them.
-``_nonempty`` and ``_dimension`` are the cores it shares with
-`unramified_dimension`, which `verify dimension-consistency` runs.
 
 Each public function checks its coweight operands once; the private cores
 here and in ``multiplicity`` trust them, so one `dim` report checks lambda once.
@@ -26,49 +24,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import prod
+from operator import gt
 
 from . import conjugacy, multiplicity, rootdata, weyl
 from .conjugacy import ClassDatum
-from .errors import EmptyVarietyError, InvariantViolation, UniquenessError, UsageError
+from .errors import InvariantViolation, UniquenessError, UsageError
 from .rootdata import Coweight, RootDatum
-
-
-def _nonempty(cd: ClassDatum, lam: Coweight, newton: Coweight) -> bool:
-    """Fundamental-group class match plus the Newton point dominated by a
-    checked lambda."""
-    if rootdata.fundamental_group(cd.rd).project(lam) != cd.kappa:
-        return False
-    return rootdata.leq_q(cd.rd, newton, lam)
-
-
-def _dimension(rd: RootDatum, lam: Coweight, d: Fraction, c: int) -> int:
-    """<rho, lambda> + (d - c)/2 on a nonempty variety; refused unless it is
-    a nonnegative integer."""
-    dim = rootdata.rho_pair(rd, lam) + Fraction(d - c, 2)
-    if Fraction(dim).denominator != 1:
-        raise InvariantViolation(f"dimension {dim} is not an integer")
-    if dim < 0:
-        raise InvariantViolation(f"dimension {dim} is negative on a nonempty variety")
-    return int(dim)
-
-
-def unramified_dimension(rd: RootDatum, mu, residual, lam):
-    """Dimension and orbit count for a split class with integral Newton
-    point mu: <rho, lambda - mu> + r(gamma), with m_{lambda,mu} orbits."""
-    lam = rootdata.check_dominant(rd, lam, "lambda")
-    mu = rootdata.check_dominant(rd, mu, "mu")
-    grp = rootdata.fundamental_group(rd)
-    cd = conjugacy.split_class(rd, mu, residual, grp.project(mu))
-    if not _nonempty(cd, lam, mu):  # mu is dominant, so it is the Newton point
-        raise EmptyVarietyError("variety is empty for this class and lambda")
-    dim_a = _dimension(rd, lam, conjugacy.disc_valuation(cd), cd.c)
-    r_gamma = conjugacy.r_invariant(cd)
-    dim_b = rootdata.rho_pair(rd, rootdata.sub(lam, mu)) + r_gamma
-    if dim_a != dim_b:
-        raise InvariantViolation(
-            f"dimension formulas disagree: {dim_a} vs <rho,lam-mu>+r = {dim_b}"
-        )
-    return dim_a, multiplicity._weight_system(rd, lam).get(mu, 0)
 
 
 def best_integral_approx(rd: RootDatum, nu, lam) -> Coweight:
@@ -120,11 +81,9 @@ def chen_zhu_approx(rd: RootDatum, nu):
 def regular_bound_exact(rd: RootDatum, lam, mu_star) -> bool:
     """Exactness condition: lambda interior-dominant and lambda - mu*
     interior to the positive coroot cone."""
-    lam = rootdata.coweight(lam)
-    mu_star = rootdata.coweight(mu_star)
-    if not all(p > 0 for p in rootdata.simple_pairings(rd, lam)):
-        return False
-    return all(x > 0 for x in rootdata.sub(lam, mu_star))
+    _, n = rootdata._scale(rootdata.coweight(lam) + rootdata.coweight(mu_star))
+    lam, mu_star = n[:rd.rank], n[rd.rank:]  # over one denominator D > 0
+    return min(rootdata._pairings(rd, lam)) > 0 and all(map(gt, lam, mu_star))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +141,8 @@ def report(cd: ClassDatum, lam, chen_zhu: bool = True) -> KVReport:
     rd = cd.rd
     lam = rootdata.check_dominant(rd, lam, "lambda")
     newton = conjugacy.newton_point(cd)
-    is_nonempty = _nonempty(cd, lam, newton)
+    is_nonempty = (rootdata.fundamental_group(rd).project(lam) == cd.kappa
+                   and rootdata.leq_q(rd, newton, lam))
     d = conjugacy.disc_valuation(cd)
     c = cd.c
     bound = weyl.coxeter_count(rd)
@@ -190,10 +150,16 @@ def report(cd: ClassDatum, lam, chen_zhu: bool = True) -> KVReport:
         return KVReport(nonempty=False, newton=newton, d=int(d), c=c,
                         regular_orbit_bound=bound)
     mu_star = _best_integral_approx(rd, newton, lam)
-    dim = _dimension(rd, lam, d, c)
+    rho = rootdata.rho_pair(rd, lam)
+    dim = rho + Fraction(d - c, 2)
+    if dim.denominator != 1:
+        raise InvariantViolation(f"dimension {dim} is not an integer")
+    if dim < 0:
+        raise InvariantViolation(f"dimension {dim} is negative on a nonempty variety")
+    dim = int(dim)
     predicted = multiplicity._weight_system(rd, lam).get(mu_star, 0)
     exact = regular_bound_exact(rd, lam, mu_star)
-    d_plus = 2 * rootdata.rho_pair(rd, lam) + d
+    d_plus = 2 * rho + d
     if d_plus < 0:
         raise InvariantViolation(f"d_+ = {d_plus} is negative on a nonempty variety")
     if d_plus == 0:

@@ -46,8 +46,8 @@ def _gram(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
     """Gram matrix of (x, y) = sum over beta > 0 of <beta, x><beta, y> in
     simple-coroot coordinates."""
     r = rd.rank
-    unit = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-    rows = [[int(rootdata.pair_root(rd, beta, e)) for e in unit] for beta in rd.positive_roots]
+    units = rootdata._units(r)
+    rows = [[int(rootdata.pair_root(rd, beta, e)) for e in units] for beta in rd.positive_roots]
     return tuple(tuple(sum(p[i] * p[j] for p in rows) for j in range(r)) for i in range(r))
 
 

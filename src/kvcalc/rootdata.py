@@ -216,11 +216,10 @@ class RootDatum(Record):
     @cached_property
     def iota(self) -> tuple[int, ...]:
         """Involution with omega_{iota(i)} = -w0(omega_i), read off
-        -w0(alpha_i^vee) = alpha_{iota(i)}^vee; w0 is the word that takes
+        w0(alpha_i^vee) = -alpha_{iota(i)}^vee; w0 is the word that takes
         -2 rho_check to 2 rho_check."""
         _, w0 = _reduce_ints(self, tuple(-x for x in self.two_rho_check))
-        units = [tuple(-int(i == j) for j in range(self.rank)) for i in range(self.rank)]
-        return tuple(_apply_word(self.cartan_columns, w0, v).index(1) for v in units)
+        return tuple(_apply_word(self.cartan_columns, w0, v).index(-1) for v in _units(self.rank))
 
     @cached_property
     def cartan_columns(self) -> tuple[tuple[int, ...], ...]:

@@ -221,7 +221,6 @@ def fixed_space_dim(w: WeylElement) -> int:
     r = w.rd.rank
     if w.is_identity():
         return r
-    units = [tuple(int(i == j) for i in range(r)) for j in range(r)]
     d, _, _ = linalg.smith_normal_form(
-        [tuple(map(sub, w.apply(e), e)) for e in units])
+        [tuple(map(sub, w.apply(e), e)) for e in rootdata._units(r)])
     return sum(d[i][i] == 0 for i in range(r))

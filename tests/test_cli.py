@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kvcalc import cli, conjugacy, kv, rootdata, weyl
+from kvcalc import cli, conjugacy, kv, multiplicity, rootdata, weyl
 from kvcalc.errors import InvariantViolation
 from oracles import report_from_json
 
@@ -517,12 +518,23 @@ class TestVerify:
         assert "A2\tlevi-relation\tpass\n" in text
 
     def test_dimension_consistency_fails_on_a_disagreement(self, monkeypatch, capsys):
-        # the check runs inside kv.unramified_dimension, which the suite calls
+        # the suite compares the report's dimension with <rho, lam - mu> + r(gamma)
         r_invariant = conjugacy.r_invariant
         monkeypatch.setattr(conjugacy, "r_invariant", lambda cd: r_invariant(cd) + 1)
         code, _ = run(["verify", "dimension-consistency", "--type", "A2", "--height", "1"])
         assert code == 2
         assert "dimension formulas disagree" in capsys.readouterr().err
+
+    def test_dimension_consistency_fails_on_a_wrong_mu_star(self, monkeypatch, capsys):
+        # mu* searched above 0 instead of above the Newton point mu: the
+        # report's mu* leaves the proven case, where it is mu itself
+        minimal_above = multiplicity._minimal_above
+        monkeypatch.setattr(multiplicity, "_minimal_above",
+                            lambda rd, lam, low: minimal_above(rd, lam, [Fraction(0)] * len(low)))
+        # height 2 reaches lambda = 1,1; at height 1 the only row is lambda = mu = 0
+        code, _ = run(["verify", "dimension-consistency", "--type", "A2", "--height", "2"])
+        assert code == 2
+        assert "mu* of the split class at 1,1 is 0,0, not mu = 1,1" in capsys.readouterr().err
 
     def test_suites_build_the_datum_under_the_isogeny(self):
         # the adjoint lattice holds the fundamental coweights, which sit under 3/4,3/4

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from kvcalc import cli, conjugacy, kv, multiplicity, rootdata, weyl
-from kvcalc.errors import EmptyVarietyError, InvariantViolation, UsageError
+from kvcalc.errors import InvariantViolation, UsageError
 from oracles import class_to_json, fraction_disc_valuation, report_from_json
 
 
@@ -75,13 +75,10 @@ class TestDimension:
         assert kv.report(cd, [1], chen_zhu=False).dimension == 0
 
     def test_empty_raises(self):
-        # the report of an empty variety carries no dimension, and the
-        # dimension of the same split class is refused
+        # the report of an empty variety carries no dimension
         cd = conjugacy.split_class(rd("A1"), [1])
         rep = kv.report(cd, [0], chen_zhu=False)
         assert not rep.nonempty and rep.dimension is None and rep.d_plus is None
-        with pytest.raises(EmptyVarietyError):
-            kv.unramified_dimension(rd("A1"), [1], {}, [0])
 
     def test_empty_raises_on_random_sweep(self):
         rng = random.Random(3)
@@ -93,9 +90,8 @@ class TestDimension:
             lams = [lam for lam in rootdata.dominant_integral_sweep(datum, 5)
                     if not kv.report(cd, lam, chen_zhu=False).nonempty]
             for lam in lams[:5]:
-                assert kv.report(cd, lam, chen_zhu=False).dimension is None
-                with pytest.raises(EmptyVarietyError):
-                    kv.unramified_dimension(datum, nu, {}, lam)
+                rep = kv.report(cd, lam, chen_zhu=False)
+                assert rep.dimension is rep.mu_star is rep.predicted_orbits is rep.d_plus is None
 
     def test_central_shift_moves_dimension_by_rho(self):
         # adding a dominant shift keeps d and c fixed and adds <rho, shift>
@@ -106,25 +102,45 @@ class TestDimension:
         assert shifted - base == rootdata.rho_pair(datum, cw(1, 1))
 
 
+def unramified_split_class(datum, mu, residual=None):
+    """The split class with integral Newton point mu, in the pi_1 class of mu."""
+    return conjugacy.split_class(datum, mu, residual,
+                                 rootdata.fundamental_group(datum).project(cw(*mu)))
+
+
+def unramified_dimension(datum, mu, residual, lam):
+    """(dimension, predicted orbits) from the report of the unramified class,
+    each checked against the proven case: <rho, lam - mu> + r(gamma) and
+    m_{lam,mu}, with mu* = mu."""
+    mu, lam = cw(*mu), cw(*lam)
+    cd = unramified_split_class(datum, mu, residual)
+    rep = kv.report(cd, lam, chen_zhu=False)
+    assert rep.nonempty and rep.mu_star == mu
+    assert rep.dimension == (rootdata.rho_pair(datum, rootdata.sub(lam, mu))
+                             + conjugacy.r_invariant(cd))
+    assert rep.predicted_orbits == multiplicity.multiplicity_freudenthal(datum, lam, mu)
+    return rep.dimension, rep.predicted_orbits
+
+
 class TestUnramifiedDimension:
     def test_rigid(self):
-        assert kv.unramified_dimension(rd("A2"), [1, 1], {}, [1, 1]) == (0, 1)
+        assert unramified_dimension(rd("A2"), [1, 1], {}, [1, 1]) == (0, 1)
 
     def test_a1_basic(self):
-        assert kv.unramified_dimension(rd("A1"), [0], {}, [1]) == (1, 1)
+        assert unramified_dimension(rd("A1"), [0], {}, [1]) == (1, 1)
 
     def test_a2_adjoint_pair(self):
-        assert kv.unramified_dimension(rd("A2"), [0, 0], {}, [1, 1]) == (2, 2)
+        assert unramified_dimension(rd("A2"), [0, 0], {}, [1, 1]) == (2, 2)
 
     def test_adjoint_newton_point_off_the_coroot_lattice(self):
         # PGL2: mu = 1/2 is a lattice coweight outside the coroot lattice
         datum = rd("A1", "adjoint")
-        assert kv.unramified_dimension(datum, [Fraction(1, 2)], None, [Fraction(3, 2)]) == (1, 1)
+        assert unramified_dimension(datum, [Fraction(1, 2)], None, [Fraction(3, 2)]) == (1, 1)
 
     def test_empty_variety_is_refused(self):
-        # the one refusal of an empty variety in kv; `report` says nonempty false
-        with pytest.raises(EmptyVarietyError, match="variety is empty"):
-            kv.unramified_dimension(rd("A1"), [2], {}, [0])
+        # mu = 2 alpha-vee is not below lambda = 0: the report is empty
+        rep = kv.report(unramified_split_class(rd("A1"), [2], {}), [0], chen_zhu=False)
+        assert not rep.nonempty and rep.dimension is None and rep.predicted_orbits is None
 
     def test_matches_general_formula_with_residual(self):
         datum = rd("B2")
@@ -133,7 +149,7 @@ class TestUnramifiedDimension:
             for root in datum.positive_roots
             if rootdata.pair_root(datum, root, cw(0, 0)) == 0
         }
-        dim, orbits = kv.unramified_dimension(datum, [0, 0], residual, [1, 1])
+        dim, orbits = unramified_dimension(datum, [0, 0], residual, [1, 1])
         cd = conjugacy.split_class(datum, [0, 0], residual)
         assert dim == kv.report(cd, [1, 1], chen_zhu=False).dimension
         assert orbits == multiplicity.multiplicity_freudenthal(datum, cw(1, 1), cw(0, 0))
@@ -220,7 +236,8 @@ class TestComponentsAndBounds:
     def test_exactness_flag(self):
         datum = rd("A2")
         assert kv.regular_bound_exact(datum, cw(2, 2), cw(1, 1))
-        assert not kv.regular_bound_exact(datum, cw(2, 0), cw(1, 1))  # on a wall
+        assert not kv.regular_bound_exact(datum, cw(2, 0), cw(1, 1))  # not dominant
+        assert not kv.regular_bound_exact(datum, cw(2, 1), cw(0, 0))  # on the alpha_2 wall
         assert not kv.regular_bound_exact(datum, cw(2, 2), cw(2, 1))  # not interior
 
 
@@ -295,12 +312,12 @@ class TestReport:
     def test_lambda_is_checked_once_and_nonemptiness_tested_once(self, monkeypatch):
         calls = count_checks(monkeypatch)
         tested = []
-        real = kv._nonempty
+        real = rootdata.leq_q
 
         def counted(*args):
             tested.append(args)
             return real(*args)
-        monkeypatch.setattr(kv, "_nonempty", counted)
+        monkeypatch.setattr(rootdata, "leq_q", counted)
         cd = conjugacy.split_class(rd("A2"), [0, 0], {(1, 1): Fraction(1)})
         assert kv.report(cd, [2, 1]).nonempty
         assert calls == ["lambda"]
@@ -352,10 +369,9 @@ class TestCheckedOnce:
         *rows, verdict = [line.split("\t") for line in out.getvalue().splitlines()]
         assert verdict == ["PASS"] and len(rows) == 77
         lams = {(label, lam) for label, lam, *_ in rows}
-        # lambda twice per lambda with a row (its weight system and its
-        # interval), mu never
+        # lambda once per lambda with a row (its weight system), mu never
         assert len(lams) == 17
-        assert calls == ["lambda"] * 2 * len(lams)
+        assert calls == ["lambda"] * len(lams)
 
     def test_dimension_consistency_checks_each_row_operand_once(self, monkeypatch):
         calls = count_checks(monkeypatch)
@@ -365,7 +381,6 @@ class TestCheckedOnce:
         *rows, verdict = [line.split("\t") for line in out.getvalue().splitlines()]
         assert verdict == ["PASS"]
         lams = {(label, lam) for label, lam, *_ in rows}
-        # lambda and mu once per row (`unramified_dimension`), and lambda once
-        # per `dominant_below`; every call before this change made 462
-        assert calls.count("mu") == len(rows)
-        assert len(calls) == 2 * len(rows) + len(lams) <= 231
+        # lambda once per row (`kv.report`) and once per `dominant_below`, mu never
+        assert calls.count("mu") == 0
+        assert len(calls) == len(rows) + len(lams) == 126
