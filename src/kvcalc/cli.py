@@ -190,9 +190,7 @@ def cmd_strata(args, out):
         if args.nu is not None or args.lam2 is not None:
             raise UsageError("steinberg takes no --nu or --lambda2")
         lam = rootdata.parse_coweight(rd, args.lam)
-        c_vals = _parse_cvals(rd, args.cvals)
-        v = strata.ValuationVector(b_vals=(), c_vals=c_vals)
-        mu = strata.steinberg_stratum(rd, v, lam)
+        mu = strata.steinberg_stratum(rd, _parse_cvals(rd, args.cvals), lam)
         print(f"stratum {_fmt(mu)}", file=out)
 
 
@@ -224,7 +222,7 @@ def verify_lower_bound(args, data):
     for label, rd in data:
         bound = weyl.coxeter_count(rd)
         for lam in rootdata.dominant_integral_sweep(rd, args.height):
-            if not all(p > 0 for p in rootdata.simple_pairings(rd, lam)):
+            if not all(p > 0 for p in rootdata._pairings(rd, lam)):
                 continue
             # lam has a row at mu = 0; the weights come in dominant_below's order
             for mu, m in sorted(multiplicity.weight_system(rd, lam).items()):
@@ -262,7 +260,7 @@ def verify_dimension_consistency(args, data):
         grp = rootdata.fundamental_group(rd)
         for lam in rootdata.dominant_integral_sweep(rd, args.height):
             for mu in multiplicity.dominant_below(rd, lam):
-                pairings = rootdata.simple_pairings(rd, rootdata._scale(mu)[1])
+                pairings = rootdata._pairings(rd, rootdata._scale(mu)[1])
                 residual = {
                     root: Fraction(rng.randrange(0, 3))
                     for root in rd.positive_roots

@@ -57,7 +57,7 @@ class ClassDatum(rootdata.Record):
         with the simple roots, so that <alpha, nu_bar> = sum(alpha_j p_j) / D
         for a root alpha in simple-root coordinates."""
         d, n = rootdata._scale(self.nu_bar)
-        return d, rootdata.simple_pairings(self.rd, n)
+        return d, rootdata._pairings(self.rd, n)
 
     @cached_property
     def valuations(self) -> tuple[int, dict[tuple[int, ...], int], int]:

@@ -136,8 +136,10 @@ def report(cd: ClassDatum, lam, chen_zhu: bool = True) -> KVReport:
     `components`.  ``chen_zhu=False`` leaves ``chen_zhu_mu`` empty and never
     builds the Chen-Zhu grid, which `components` does not print.
 
-    d_+ = <2 rho, lambda> + d(gamma) is nonnegative on a nonempty variety,
-    and zero exactly in the split rigid case nu = lambda."""
+    d_+ = <2 rho, lambda> + d(gamma) = 2 dim + c is nonnegative on a nonempty
+    variety, and zero exactly in the split rigid case nu = lambda: d_+ = 0
+    forces dim = c = 0, and c = 0 makes the twist the identity, so only
+    nu = lambda is left to check."""
     rd = cd.rd
     lam = rootdata.check_dominant(rd, lam, "lambda")
     newton = conjugacy.newton_point(cd)
@@ -160,18 +162,8 @@ def report(cd: ClassDatum, lam, chen_zhu: bool = True) -> KVReport:
     predicted = multiplicity._weight_system(rd, lam).get(mu_star, 0)
     exact = regular_bound_exact(rd, lam, mu_star)
     d_plus = 2 * rho + d
-    if d_plus < 0:
-        raise InvariantViolation(f"d_+ = {d_plus} is negative on a nonempty variety")
-    if d_plus == 0:
-        problems = []
-        if not conjugacy.is_split(cd):
-            problems.append("class is not split")
-        if newton != lam:
-            problems.append("Newton point differs from lambda")
-        if dim != 0:
-            problems.append("dimension is nonzero")
-        if problems:
-            raise InvariantViolation("d_+ = 0 but " + "; ".join(problems))
+    if d_plus == 0 and newton != lam:
+        raise InvariantViolation("d_+ = 0 but Newton point differs from lambda")
     return KVReport(nonempty=True, newton=newton, d=int(d), c=c, regular_orbit_bound=bound,
                     dimension=dim, mu_star=mu_star, predicted_orbits=predicted,
                     regular_bound_exact=exact, d_plus=Fraction(d_plus),

@@ -341,11 +341,6 @@ def _pairings(rd: RootDatum, v) -> tuple:
     return tuple([sum(map(mul, col, v)) for col in rd.cartan_columns])
 
 
-def simple_pairings(rd: RootDatum, v: Coweight):
-    """Pairings <alpha_i, v> for all simple roots alpha_i."""
-    return _pairings(rd, v)
-
-
 def pair_root(rd: RootDatum, root, v: Coweight) -> Fraction:
     """Pairing <alpha, v> of a root (simple-root coords) with a coweight."""
     d, n = _scale(v)

@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import lcm
 from operator import mul
 
-from kvcalc import conjugacy, kv, multiplicity, rootdata, strata, weyl
+from kvcalc import conjugacy, kv, multiplicity, rootdata, weyl
 from kvcalc.errors import InvariantViolation, UsageError
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -362,18 +362,16 @@ def generic_char_valuation(rd, mu, i: int) -> Fraction:
     return -dom[rd.iota[i]]
 
 
-def valuation_vector_for(rd, lam, mu) -> strata.ValuationVector:
-    """The generic valuation vector of a split class with cocharacter mu
-    inside the lambda-twisted base: c_val_j = <lambda, omega_{iota(j)}> +
+def valuation_vector_for(rd, lam, mu) -> tuple:
+    """The generic c-valuations of a split class with cocharacter mu inside
+    the lambda-twisted base: c_val_j = <lambda, omega_{iota(j)}> +
     generic_char_valuation(mu, j)."""
     lam = rootdata.coweight(lam)
     mu = rootdata.coweight(mu)
-    b_vals = tuple(lam[rd.iota[i]] for i in range(rd.rank))
-    c_vals = tuple(
+    return tuple(
         Fraction(lam[rd.iota[j]]) + generic_char_valuation(rd, mu, j)
         for j in range(rd.rank)
     )
-    return strata.ValuationVector(b_vals=b_vals, c_vals=c_vals)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def test_04_multiplicity_lower_bound():
         datum = rd(label)
         assert weyl.coxeter_count(datum) == bound
         for lam in rootdata.dominant_integral_sweep(datum, 10):
-            if not all(p > 0 for p in rootdata.simple_pairings(datum, lam)):
+            if not all(p > 0 for p in rootdata._pairings(datum, lam)):
                 continue
             for mu in multiplicity.dominant_below(datum, lam):
                 if not all(x > 0 for x in rootdata.sub(lam, mu)):

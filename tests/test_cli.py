@@ -492,6 +492,20 @@ class TestStrata:
         assert code == 0
         assert text == "stratum 0\n"
 
+    @pytest.mark.parametrize("inf_cvals,same_cvals", [
+        ("inf,1", ["Infinite,1", "OO,1", "3,1", "7/2,1", "10,1"]),
+        ("inf,inf", ["OO,Infinite", "infinite,oo", "3,3", "inf,10"]),
+    ])
+    def test_steinberg_reads_inf_as_any_valuation_of_at_least_lambda(self, inf_cvals,
+                                                                     same_cvals):
+        # lambda = 3,3: a c-valuation of 3 or more bounds mu below no more than
+        # an infinite one, and every spelling of infinity is the same value
+        argv = ["strata", "steinberg", "--type", "A2", "--lambda", "3,3", "--cvals"]
+        code, text = run(argv + [inf_cvals])
+        assert code == 0 and text.startswith("stratum ") and text != "stratum 3,3\n"
+        for cvals in same_cvals:
+            assert run(argv + [cvals]) == (0, text), cvals
+
 
 class TestNilcone:
     def test_table_and_summary(self):
@@ -592,6 +606,27 @@ class TestVerify:
         code, text = run(["verify", "chen-zhu-compare", "--height", "2"])
         assert code == 0
         assert text.strip().splitlines()[-1] == "REPORT"
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    """Every `kv-calc` line of the README's "Command line" block exits 0,
+    `dim` with and without its optional --json, on the README's class file."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "cls.json").write_text(section.split("```json\n", 1)[1].split("```", 1)[0])
+    monkeypatch.chdir(tmp_path)
+    argvs = []
+    for line in block.splitlines():
+        argv = line.split("#", 1)[0].split()
+        assert argv[0] == "kv-calc", line
+        if "[--json]" in argv:
+            argv.remove("[--json]")
+            argvs.append(argv + ["--json"])
+        argvs.append(argv)
+    assert len(argvs) == 12
+    for argv in argvs:
+        assert run(argv[1:])[0] == 0, argv
 
 
 class TestDeterminism:

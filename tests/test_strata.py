@@ -87,6 +87,26 @@ class TestPolytopeIntersection:
         with pytest.raises(UsageError):
             strata.polytope_intersection(datum, omega1, [1, 1])
 
+    @pytest.mark.parametrize("isogeny", ["sc", "adjoint"])
+    @pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A1xB2"])
+    def test_componentwise_minimum_is_dominant_and_below_both(self, label, isogeny):
+        # every pi_1 class of the lattice points k / q, fractional coroot
+        # coordinates included, with q the largest invariant factor of pi_1
+        datum = rd(label, isogeny)
+        grp = rootdata.fundamental_group(datum)
+        q = max(grp.invariant_factors)
+        classes = {}
+        for k in rootdata.dominant_grid(datum, 6, q):
+            lam = cw(*[Fraction(x, q) for x in k])
+            if rootdata.is_integral(datum, lam):
+                classes.setdefault(grp.project(lam), []).append(lam)
+        for lams in classes.values():
+            for lam1, lam2 in product(lams, repeat=2):
+                mu = strata.polytope_intersection(datum, lam1, lam2)
+                assert mu == tuple(min(a, b) for a, b in zip(lam1, lam2))
+                assert rootdata.check_dominant(datum, mu, "mu") == mu
+                assert rootdata.leq_q(datum, mu, lam1) and rootdata.leq_q(datum, mu, lam2)
+
     @pytest.mark.parametrize("label", ["A2", "B2"])
     def test_grid_membership_oracle(self, label):
         # P_mu must equal P_lam1 meet P_lam2 on a denominator-4 grid
@@ -130,40 +150,15 @@ class TestGenericCharValuation:
 class TestSteinbergStratum:
     def test_zero_cvals_give_lambda(self):
         datum = rd("A2")
-        v = strata.ValuationVector(b_vals=(), c_vals=(Fraction(0), Fraction(0)))
-        assert strata.steinberg_stratum(datum, v, [1, 1]) == cw(1, 1)
+        assert strata.steinberg_stratum(datum, (Fraction(0), Fraction(0)), [1, 1]) == cw(1, 1)
 
     def test_infinite_cvals_give_minimum(self):
         datum = rd("A1")
-        v = strata.ValuationVector(b_vals=(), c_vals=(strata.INFINITE,))
-        assert strata.steinberg_stratum(datum, v, [2]) == cw(0)
+        assert strata.steinberg_stratum(datum, (strata.INFINITE,), [2]) == cw(0)
 
     def test_a1_middle_rung(self):
         datum = rd("A1")
-        v = strata.ValuationVector(b_vals=(), c_vals=(Fraction(1),))
-        assert strata.steinberg_stratum(datum, v, [2]) == cw(1)
-
-    def test_b_vals_checked_against_lambda(self):
-        datum = rd("A1")
-        v = strata.ValuationVector(b_vals=(Fraction(3),), c_vals=(Fraction(0),))
-        with pytest.raises(UsageError):
-            strata.steinberg_stratum(datum, v, [2])
-
-    def test_depends_only_on_cvals(self):
-        datum = rd("A2")
-        lam = cw(2, 1)
-        c_vals = (Fraction(1), Fraction(0))
-        bare = strata.ValuationVector(b_vals=(), c_vals=c_vals)
-        tagged = strata.ValuationVector(
-            b_vals=tuple(lam[datum.iota[i]] for i in range(2)), c_vals=c_vals
-        )
-        assert strata.steinberg_stratum(datum, bare, lam) == strata.steinberg_stratum(
-            datum, tagged, lam
-        )
-
-    def test_negative_b_vals_rejected(self):
-        with pytest.raises(UsageError):
-            strata.ValuationVector(b_vals=(Fraction(-1),), c_vals=(Fraction(0),))
+        assert strata.steinberg_stratum(datum, (Fraction(1),), [2]) == cw(1)
 
 
 class TestCoherence:
@@ -175,11 +170,6 @@ class TestCoherence:
                 v = valuation_vector_for(datum, lam, mu)
                 assert strata.steinberg_stratum(datum, v, lam) == mu
                 assert kv.best_integral_approx(datum, mu, lam) == mu
-
-    def test_infinite_tag_is_singleton(self):
-        assert strata.INFINITE is strata._Infinite()
-        assert strata.is_infinite(strata.INFINITE)
-        assert not strata.is_infinite(Fraction(10**9))
 
 
 class TestDisjointness:

@@ -57,7 +57,7 @@ def descent_oracle(datum, w):
     descent of w^-1, whose image of 2 rho_check is the reversed word applied
     to 2 rho_check."""
     def mask(v):
-        return sum(1 << i for i, p in enumerate(rootdata.simple_pairings(datum, v)) if p < 0)
+        return sum(1 << i for i, p in enumerate(rootdata._pairings(datum, v)) if p < 0)
 
     inverse = tuple(2 * x for x in datum.rho_check)
     for i in reversed(w.word):
