@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 usage error, 2 a checked identity failed or an
 input datum is internally inconsistent.  All enumerations are emitted in
 sorted order, so output is byte-deterministic for fixed flags.  Each
 handler imports the modules it uses, so a command loads only its own layers.
+`main` freezes the collector's generations before it exits, so that
+finalization does not walk the heap; `run` never does.
 A verify suite yields one tab-separated row per checked case; `cmd_verify`
 builds every datum first, then prints, counts and judges the rows.
 """
@@ -26,6 +28,24 @@ DEFAULT_BOUND_TYPES = ["A2", "B2", "G2", "A3"]
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+_LIST_FLAGS = ("--lambda", "--lambda2", "--mu", "--nu", "--cvals")
+
+
+def _attach_negative_lists(argv):
+    """argv with ``--nu -1/2,1`` passed as ``--nu=-1/2,1``, for each coweight
+    and c-valuation flag: argparse takes a token that starts with ``-`` for an
+    option unless it is a bare negative number, and no option starts with
+    ``-`` and a digit, ``.`` or ``/``."""
+    out = []
+    for tok in argv:
+        negative = len(tok) > 1 and tok[0] == "-" and tok[1] in "0123456789./"
+        if negative and out and out[-1] in _LIST_FLAGS:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _word_str(word) -> str:
@@ -419,6 +439,7 @@ def build_parser() -> _Parser:
 
 def run(argv=None, out=None) -> int:
     out = out or sys.stdout
+    argv = _attach_negative_lists(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         stdout, sys.stdout = sys.stdout, out  # argparse prints --help to sys.stdout
@@ -439,7 +460,10 @@ def run(argv=None, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    import gc  # here, not at the top: `import kvcalc.cli` loads nothing more
+    gc.freeze()  # finalization's full collections skip the permanent generation
+    sys.exit(code)
 
 
 if __name__ == "__main__":

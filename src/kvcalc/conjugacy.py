@@ -13,7 +13,7 @@ common denominator L.  The invariants and ``validate`` read that table, and a
 Fraction is built only for a value that is returned.  Each invariant has one
 reader: ``disc_valuation`` for d(gamma), ``ClassDatum.c`` for c(gamma),
 ``r_invariant`` for r(gamma), and ``r_levi`` for r_N, with d_M summed there
-only to check d_G = d_M + 2 r_N; ``val_one_minus`` is the per-root view.
+only to check d_G = d_M + 2 r_N.
 """
 
 from __future__ import annotations
@@ -175,12 +175,6 @@ def disc_valuation(cd: ClassDatum) -> Fraction:
 
 def is_split(cd: ClassDatum) -> bool:
     return cd.w.is_identity()
-
-
-def val_one_minus(cd: ClassDatum, root) -> Fraction:
-    """val(1 - alpha(gamma)) for any root alpha."""
-    big, vals, _ = cd.valuations
-    return Fraction(vals[tuple(root)], big)
 
 
 def r_invariant(cd: ClassDatum) -> Fraction:

@@ -470,11 +470,6 @@ def _is_integral_ints(rd: RootDatum, d: int, n) -> bool:
     return all([c % s == 0 for c in x])
 
 
-def is_integral(rd: RootDatum, v: Coweight) -> bool:
-    """Membership of v in the chosen coweight lattice Lambda."""
-    return _is_integral_ints(rd, *_scale(v))
-
-
 def check_dominant(rd: RootDatum, v, what: str) -> Coweight:
     """v as a coweight; unless it is dominant and in Lambda, a UsageError naming ``what``."""
     v = coweight(v)

@@ -25,8 +25,10 @@ element by every s_i with a full pairing and keep one set of everything seen,
 so they assume nothing about which reflections lengthen.  The rest were
 public functions of the package until nothing but the tests called them: the
 Weyl dimension formula with the orbit-size sum it checks `weight_system`
-against, the generic valuation vector of a split class, and the JSON writers
-of a class datum and of a `dim --json` report.
+against, the generic valuation vector of a split class, the JSON writers
+of a class datum and of a `dim --json` report, the lattice membership test
+`is_integral`, and `val_one_minus`, one entry of a class's integer table as
+a Fraction.
 """
 
 import json
@@ -39,6 +41,11 @@ from kvcalc import conjugacy, kv, multiplicity, rootdata, weyl
 from kvcalc.errors import InvariantViolation, UsageError
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+
+
+def is_integral(rd, v) -> bool:
+    """Membership of v in the chosen coweight lattice Lambda."""
+    return rootdata._is_integral_ints(rd, *rootdata._scale(v))
 
 
 def frac_matrix(rows) -> Matrix:
@@ -284,6 +291,12 @@ def fraction_val_one_minus(cd, root) -> Fraction:
     if p != 0:
         return Fraction(min(p, 0), cd.nu_pairings[0])
     return fraction_residual_value(cd, root)
+
+
+def val_one_minus(cd, root) -> Fraction:
+    """val(1 - alpha(gamma)) for any root alpha, read off the class's table."""
+    big, vals, _ = cd.valuations
+    return Fraction(vals[tuple(root)], big)
 
 
 def fraction_r_invariant(cd) -> Fraction:

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: exit codes, exact output, determinism."""
 
+import gc
 import hashlib
 import io
 import json
@@ -506,6 +507,23 @@ class TestStrata:
         for cvals in same_cvals:
             assert run(argv + [cvals]) == (0, text), cvals
 
+    @pytest.mark.parametrize("argv,flag,value", [
+        (["strata", "polytope", "--type", "A2", "--lambda", "1,1"], "--nu", "-1/2,1"),
+        (["strata", "steinberg", "--type", "A2", "--lambda", "2,1"], "--cvals", "-5,1"),
+    ])
+    def test_negative_list_after_its_flag_is_its_value(self, argv, flag, value, capsys):
+        # argparse reads "-5,1" as an option, but no option starts with "-" and a digit
+        spaced = run(argv + [flag, value]), capsys.readouterr().err
+        attached = run(argv + [f"{flag}={value}"]), capsys.readouterr().err
+        assert spaced == attached
+        assert "expected one argument" not in spaced[1]
+
+    def test_negative_lambda_is_refused_as_not_dominant(self, capsys):
+        code, text = run(["strata", "polytope", "--type", "A2", "--lambda", "-1,1",
+                          "--nu", "0,0"])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == "error: lambda must be dominant\n"
+
 
 class TestNilcone:
     def test_table_and_summary(self):
@@ -657,6 +675,48 @@ def test_invariant_violation_survives_python_O(inconsistent_class_file):
     )
     assert proc.returncode == 2, proc.stderr
     assert any(line.startswith("invariant violated:") for line in proc.stderr.splitlines())
+
+
+# ---------------------------------------------------------------------------
+# the entry point: `main` freezes the collector's generations, then exits
+# through `sys.exit`, which flushes the block-buffered stdout of a pipe
+
+
+def _entry_point(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout stays block-buffered, as by default
+    return subprocess.run([sys.executable, "-m", "kvcalc.cli", *argv], capture_output=True,
+                          env=env, timeout=120)
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("argv", [
+        ["nilcone", "--type", "A4"],
+        ["dim", "--class", "{split}", "--lambda", "2,1", "--json"],
+    ])
+    def test_stdout_is_byte_identical_to_run(self, argv, split_class_file):
+        argv = [a.format(split=split_class_file) for a in argv]
+        code, text = run(argv)
+        assert code == 0
+        proc = _entry_point(argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == text.encode()
+
+    def test_usage_error_exits_1_with_one_error_line(self):
+        proc = _entry_point(["weyl"])
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+    def test_run_leaves_the_freeze_count_as_it_found_it(self, split_class_file):
+        # tests and library callers run many commands in one process, whose
+        # collections must keep seeing what those commands leave behind
+        before = gc.get_freeze_count()
+        assert run(["weyl", "--type", "B3"])[0] == 0
+        assert run(["dim", "--class", split_class_file, "--lambda", "2,1"])[0] == 0
+        assert run(["weyl"])[0] == 1
+        assert gc.get_freeze_count() == before
 
 
 # ---------------------------------------------------------------------------

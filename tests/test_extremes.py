@@ -15,7 +15,7 @@ import pytest
 
 from kvcalc import kv, multiplicity, rootdata, strata
 from kvcalc.errors import InvariantViolation, UniquenessError, UsageError
-from oracles import rational_grid
+from oracles import is_integral, rational_grid
 from test_multiplicity import dominant_lattice_weights
 
 
@@ -82,7 +82,7 @@ def oracle_chen_zhu_approx(datum, nu):
     for coords in product(*grids):
         v = rootdata.coweight(coords)
         if (rootdata.leq_q(datum, v, nu) and rootdata.is_dominant(datum, v)
-                and rootdata.is_integral(datum, v)):
+                and is_integral(datum, v)):
             candidates.append(v)
     return tuple(sorted(pairwise_maximal(datum, candidates)))
 

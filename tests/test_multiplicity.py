@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from kvcalc import multiplicity, rootdata, weyl
 from kvcalc.errors import InvariantViolation, UsageError
 from oracles import (dimension_sum, dual_datum, frac_matrix, generic_char_valuation, inverse,
-                     oracle_dominant_below, orbit_size, weyl_dimension)
+                     is_integral, oracle_dominant_below, orbit_size, weyl_dimension)
 
 
 def rd(label, isogeny="sc"):
@@ -179,7 +179,7 @@ def dominant_lattice_weights(datum, cap):
     for c in product(range(cap + 1), repeat=r):
         if sum(c) <= cap:
             v = mat_vec(pairings_inv, c)
-            if rootdata.is_integral(datum, v):
+            if is_integral(datum, v):
                 out.append(v)
     return out
 

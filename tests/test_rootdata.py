@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from kvcalc import conjugacy, kv, linalg, multiplicity, rootdata, vinberg, weyl
 from kvcalc.errors import UsageError
-from oracles import (dual_datum, frac_matrix, integer_inverse, inverse, mat_mul,
+from oracles import (dual_datum, frac_matrix, integer_inverse, inverse, is_integral, mat_mul,
                      oracle_root_closure, reflect, weyl_dimension)
 from test_weyl import A3_MIDDLE_LATTICE
 
@@ -113,7 +113,7 @@ class TestConstruction:
                 coroot = rootdata.coweight(
                     [1 if j == i else 0 for j in range(datum.rank)]
                 )
-                assert rootdata.is_integral(datum, coroot)
+                assert rootdata._is_integral_ints(datum, *rootdata._scale(coroot))
 
 
 class TestHash:
@@ -432,7 +432,7 @@ def test_dominant_sweep_matches_lattice_filtered_grid(label, isogeny):
     cap = 6
     grid = [c for c in product(range(cap + 1), repeat=datum.rank)
             if sum(c) <= cap and rootdata.is_dominant(datum, c)
-            and rootdata.is_integral(datum, c)]
+            and is_integral(datum, c)]
     sweep = rootdata.dominant_integral_sweep(datum, cap)
     assert sweep == sorted(rootdata.coweight(c) for c in grid)
     assert all(type(x) is Fraction for v in sweep for x in v)
@@ -495,7 +495,8 @@ class TestIntegerKernelAgainstFractionOracles:
                          label="ints")
         for x in (v, above, ints):
             assert rootdata.is_dominant(datum, x) == oracle_is_dominant(datum, x)
-            assert rootdata.is_integral(datum, x) == oracle_is_integral(datum, x)
+            assert (rootdata._is_integral_ints(datum, *rootdata._scale(x))
+                    == oracle_is_integral(datum, x))
             num, s = rootdata._lattice_numerators(datum, *rootdata._scale(x))
             assert tuple(Fraction(c, s) for c in num) == oracle_lattice_coords(datum, x)
             assert rootdata.dominant_reduce(datum, x) == oracle_dominant_reduce(datum, x)

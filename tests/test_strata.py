@@ -8,8 +8,8 @@ import pytest
 
 from kvcalc import kv, multiplicity, rootdata, strata
 from kvcalc.errors import SizeGuardError, UsageError
-from oracles import (generic_char_valuation, oracle_dominant_below, rational_grid,
-                     valuation_vector_for)
+from oracles import (generic_char_valuation, is_integral, oracle_dominant_below,
+                     rational_grid, valuation_vector_for)
 from test_multiplicity import dominant_lattice_weights
 
 
@@ -98,7 +98,7 @@ class TestPolytopeIntersection:
         classes = {}
         for k in rootdata.dominant_grid(datum, 6, q):
             lam = cw(*[Fraction(x, q) for x in k])
-            if rootdata.is_integral(datum, lam):
+            if is_integral(datum, lam):
                 classes.setdefault(grp.project(lam), []).append(lam)
         for lams in classes.values():
             for lam1, lam2 in product(lams, repeat=2):
