@@ -388,7 +388,8 @@ def _add_common(p):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="kv-calc", description=__doc__)
+    parser = _Parser(prog="kv-calc", description="Exact-arithmetic calculator for dimensions "
+                     "and component counts of Kottwitz-Viehmann varieties")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("weyl", help="Weyl group data")

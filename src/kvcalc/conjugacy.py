@@ -250,8 +250,7 @@ def class_from_json(data) -> ClassDatum:
         raise UsageError(f"malformed nu_bar {nu!r}: {exc}") from None
     if len(nu_bar) != rd.rank:
         raise UsageError("nu_bar has the wrong number of coordinates")
-    # a split class needs no Weyl table, which E6 and larger types pay for
-    w = weyl.word_to_element(rd, word) if word else weyl.identity_element(rd)
+    w = weyl.word_to_element(rd, word)
     items = data.get("residual", [])
     if not isinstance(items, (list, tuple)):
         raise UsageError(f"residual must be a list of entries, not {items!r}")

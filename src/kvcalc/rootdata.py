@@ -280,7 +280,9 @@ def _build(factors, cartan, isogeny) -> RootDatum:
         basis = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
         iso_name = "adjoint"
     else:
-        try:
+        try:  # a list of integer lists: a string or dict would iterate too
+            if not all(isinstance(g, (list, tuple)) for g in (isogeny, *isogeny)):
+                raise TypeError
             gens = [tuple(_as_int(x) for x in g) for g in isogeny]
         except (TypeError, ValueError):
             raise UsageError(f"cannot read isogeny {isogeny!r}") from None

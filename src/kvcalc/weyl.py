@@ -10,8 +10,9 @@ datum of its own.  w keeps no matrix, and the identity acts with no work.
 The group is built once per datum by walking the orbit of 2 rho_check along
 ascents (`enumerate_group`; Casselman, Invent. Math. 116 (1994)): s_i w > w
 exactly when c_i = <alpha_i, w(2 rho_check)> > 0 (Humphreys, Reflection
-Groups and Coxeter Groups, 1.6-1.7).  One key -> index map per datum
-(`_index`) finds an element in it, for `word_to_element` and the masks.
+Groups and Coxeter Groups, 1.6-1.7).  A word becomes an element without
+the table (`word_to_element`): its key is the word walked on 2 rho_check,
+and its word is read off by reducing w^-1(2 rho_check) to 2 rho_check.
 
 The descents of every element are two integer bitmasks, built once per
 datum on first use (`_descent_masks`).  The left mask of w is the sign
@@ -19,8 +20,8 @@ pattern of the c_i.  The right mask of w is the left mask of w^-1, found by
 walking the reversed word of w through the left-multiplication rows.  The
 minimal representatives of W_J1 \\ W / W_J2 are the elements with no left
 descent in J1 and no right descent in J2 (Bjorner-Brenti, Combinatorics of
-Coxeter Groups, section 2.4): a two-mask test.  `enumerate_group`,
-`identity_element` and `coxeter_elements` build neither map nor masks.
+Coxeter Groups, section 2.4): a two-mask test.  `identity_element`,
+`word_to_element` and `coxeter_elements` build neither table nor masks.
 
 The Coxeter elements are enumerated by orientation of the Coxeter graph, one
 word per orientation (2^edges of them), not by trying all r! orderings of
@@ -123,18 +124,12 @@ def enumerate_group(rd: RootDatum) -> tuple[WeylElement, ...]:
 
 
 @lru_cache(maxsize=None)
-def _index(rd: RootDatum) -> dict[tuple[int, ...], int]:
-    """Position of each element of `enumerate_group(rd)`, by key."""
-    return {e.key: n for n, e in enumerate(enumerate_group(rd))}
-
-
-@lru_cache(maxsize=None)
 def _descent_masks(rd: RootDatum) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(left, right): per element of `enumerate_group(rd)`, the bitmask of
     the i with s_i w shorter than w (a negative pairing of its key), and that
     of the i with w s_i shorter.  One lookup per ascent fills two rows."""
     group = enumerate_group(rd)
-    index = _index(rd)
+    index = {e.key: n for n, e in enumerate(group)}
     rows = [[0] * rd.rank for _ in group]
     left = []
     for n, e in enumerate(group):
@@ -157,14 +152,17 @@ def _descent_masks(rd: RootDatum) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def word_to_element(rd: RootDatum, word) -> WeylElement:
-    """Element with the given word (not necessarily reduced); the stored
-    reduced word is recovered from the enumeration table."""
+    """Element with the given word (not necessarily reduced).  Its stored
+    word is the one `rootdata._reduce_ints` spells on w^-1(2 rho_check), the
+    reversed word walked on 2 rho_check: each step strips the least right
+    descent of w, so the steps give the lexicographically first reduced word."""
     word = tuple(int(i) for i in word)
     for i in word:
         if not 0 <= i < rd.rank:
             raise UsageError(f"reflection index {i} out of range for rank {rd.rank}")
     key = rootdata._apply_word(rd.cartan_columns, word, rd.two_rho_check)
-    return enumerate_group(rd)[_index(rd)[key]]
+    inverse = rootdata._apply_word(rd.cartan_columns, word[::-1], rd.two_rho_check)
+    return WeylElement(rd, key, rootdata._reduce_ints(rd, inverse)[1])
 
 
 @lru_cache(maxsize=None)

@@ -29,11 +29,16 @@ against, the generic valuation vector of a split class, the JSON writers
 of a class datum and of a `dim --json` report, the lattice membership test
 `is_integral`, and `val_one_minus`, one entry of a class's integer table as
 a Fraction.
+
+`levi_coxeter_classes` builds twisted classes whose nu_bar is not dominant,
+and `conjugate_class` records the same class by another representative, so
+that a test can check that a report depends on the class alone.
 """
 
 import json
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, product
 from math import lcm
 from operator import mul
 
@@ -435,3 +440,56 @@ def report_from_json(data) -> kv.KVReport:
         d_plus=None if data["d_plus"] is None else Fraction(data["d_plus"]),
         chen_zhu_mu=tuple(cw(v) for v in data["chen_zhu_mu"]),
     )
+
+
+# ---------------------------------------------------------------------------
+# twisted classes off the dominant chamber, and their conjugate records
+
+
+def levi_coxeter_classes(rd) -> list:
+    """Valid classes twisted by the Coxeter element of a standard Levi.
+
+    For each proper nonempty subset J of the simple roots, w is the product
+    of the s_j, j in J, in increasing order, and e its order.  nu_bar is a
+    combination of the fundamental coweights off J with coefficients -1, 0
+    and 1, so that <alpha_j, nu_bar> = 0 on J and w fixes nu_bar; it is kept
+    when e nu_bar lies in Lambda.  Every root that vanishes on nu_bar gets the
+    residual k / e, 0 <= k < e, and kappa is 0 or, for nu_bar in Lambda, the
+    class of nu_bar.  What `make_class` refuses (a d(gamma) that is not an
+    integer) is left out."""
+    r = rd.rank
+    omega = tuple(zip(*inverse(rd.cartan_columns)))  # the fundamental coweights
+    grp = rootdata.fundamental_group(rd)
+    out = []
+    for size in range(1, r):
+        for levi in combinations(range(r), size):
+            w = weyl.word_to_element(rd, levi)
+            e = w.order()
+            off = [i for i in range(r) if i not in levi]
+            for coeffs in product((-1, 0, 1), repeat=len(off)):
+                nu = tuple(sum(a * omega[i][k] for a, i in zip(coeffs, off)) for k in range(r))
+                if not is_integral(rd, tuple(e * x for x in nu)):
+                    continue
+                vanishing = [a for a in rd.positive_roots if rootdata.pair_root(rd, a, nu) == 0]
+                kappas = {grp.zero()} | ({grp.project(nu)} if is_integral(rd, nu) else set())
+                for k in range(e):
+                    residual = {a: Fraction(k, e) for a in vanishing}
+                    for kappa in sorted(kappas):
+                        try:
+                            out.append(conjugacy.make_class(rd, w, nu, residual, kappa))
+                        except UsageError:
+                            pass
+    return out
+
+
+def conjugate_class(cd, s):
+    """The record (s w s^-1, e, s nu_bar, r o s^-1, kappa) of the class of cd,
+    its twist built from the word s^-1 w s read in application order, which
+    is not reduced."""
+    rd = cd.rd
+    w = weyl.word_to_element(rd, s.word[::-1] + cd.w.word + s.word)
+    residual = {}
+    for root, val in cd.residual:
+        image = s.apply_root(root)
+        residual[image if min(image) >= 0 else tuple(-x for x in image)] = val
+    return conjugacy.make_class(rd, w, s.apply(cd.nu_bar), residual, cd.kappa, e=cd.e)

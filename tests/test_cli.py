@@ -100,6 +100,14 @@ class TestExitCodes:
         assert text.startswith("usage: kv-calc")
         assert capsys.readouterr().out == ""
 
+    def test_help_describes_the_calculator_not_its_implementation(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # argparse wraps to the terminal width
+        code, text = run(["--help"])
+        assert code == 0
+        assert ("Exact-arithmetic calculator for dimensions and component counts of "
+                "Kottwitz-Viehmann varieties") in text.splitlines()
+        assert "freezes the collector's generations" not in text
+
 
 def write_class(tmp_path, **fields):
     path = tmp_path / "class.json"
@@ -141,6 +149,32 @@ class TestMalformedInput:
         path.write_text(json.dumps([[1, 0], [0, 1]]))  # two generators: a lattice for A2, not A3
         argv = ["verify", suite, "--type", "A2,A3", "--height", "3", "--count", "1"]
         self.check(argv + ["--isogeny", f"custom:{path}"], capsys)
+
+    # a custom isogeny is rank-many integer lists; a string or a dict used to be
+    # iterated, "1" and ["10", "01"] into the adjoint lattice's generators
+    def test_isogeny_flag_that_is_neither_name_nor_file(self, capsys):
+        argv = ["mult", "--type", "A1", "--isogeny", "1", "--lambda", "1/2", "--mu", "1/2"]
+        assert self.check(argv, capsys).startswith("error: cannot read isogeny '1'")
+
+    @pytest.mark.parametrize("isogeny", [["10", "01"], {"10": 0, "01": 1}],
+                             ids=["strings", "dict"])
+    def test_isogeny_file_of_non_lists(self, isogeny, tmp_path, capsys):
+        path = tmp_path / "isogeny.json"
+        path.write_text(json.dumps(isogeny))
+        err = self.check(["weyl", "--type", "A2", "--isogeny", f"custom:{path}"], capsys)
+        assert err.startswith("error: cannot read isogeny ")
+
+    @pytest.mark.parametrize("isogeny", [["10", "01"], {"10": 0, "01": 1}],
+                             ids=["strings", "dict"])
+    def test_class_isogeny_of_non_lists(self, isogeny, tmp_path, capsys):
+        path = write_class(tmp_path, isogeny=isogeny)
+        err = self.check(["dim", "--class", path, "--lambda", "1,1"], capsys)
+        assert err.startswith("error: cannot read isogeny ")
+
+    def test_integer_strings_inside_generators_are_read(self, tmp_path):
+        path = write_class(tmp_path, isogeny=[["1", "0"], ["0", "1"]])
+        code, text = run(["dim", "--class", path, "--lambda", "1,1"])
+        assert code == 0 and "dimension 2\n" in text
 
     def test_non_string_type(self, tmp_path, capsys):
         path = write_class(tmp_path, type=5)
@@ -355,11 +389,9 @@ class TestWeyl:
 
     def test_weyl_order_builds_no_descent_masks(self):
         weyl._descent_masks.cache_clear()
-        weyl._index.cache_clear()
         code, text = run(["weyl", "--type", "F4"])
         assert code == 0 and text == "order 1152\nlongest-length 24\n"
         assert weyl._descent_masks.cache_info().misses == 0
-        assert weyl._index.cache_info().misses == 0
 
     def test_order_at_the_enumeration_cap(self):
         code, text = run(["weyl", "--type", "E6"])
@@ -418,6 +450,19 @@ class TestDim:
         assert code == 0
         assert "dimension 0" in text
         assert "regular-orbit-bound 512" in text
+
+    def test_twisted_class_beyond_the_weyl_cap(self, tmp_path):
+        # |W(A5xA5)| = 518400 is above the enumeration cap; the twist's word needs no table
+        alpha2 = [0, 1] + [0] * 8
+        path = write_class(tmp_path, type="A5xA5", w=[2], nu_bar=[0] * 10,
+                           residual=[{"root": alpha2, "val": "1/2"}])
+        lam = ",".join(["1"] * 10)
+        weyl.enumerate_group.cache_clear()
+        code, text = run(["dim", "--class", path, "--lambda", lam])
+        assert code == 0 and "dimension 10\n" in text
+        code, text = run(["components", "--class", path, "--lambda", lam])
+        assert code == 0 and text.startswith("predicted-orbits 25\n")
+        assert weyl.enumerate_group.cache_info().misses == 0
 
     def test_components(self, split_class_file):
         code, text = run(["components", "--class", split_class_file,

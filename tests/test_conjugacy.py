@@ -14,7 +14,8 @@ from kvcalc import conjugacy, multiplicity, rootdata, weyl
 from kvcalc.errors import InvariantViolation, KVError, UsageError
 from oracles import (class_to_json, fraction_disc_valuation, fraction_levi_disc_valuation,
                      fraction_r_invariant, fraction_r_levi, fraction_residual_value,
-                     fraction_val_one_minus, is_integral, reflect, val_one_minus)
+                     fraction_val_one_minus, is_integral, levi_coxeter_classes, reflect,
+                     val_one_minus)
 
 
 def rd(label, isogeny="sc"):
@@ -261,6 +262,13 @@ def table_classes():
     return out
 
 
+def levi_coxeter_family():
+    """`levi_coxeter_classes` under sc and adjoint: twisted classes, most
+    with nu_bar not 0 and many with nu_bar off the dominant chamber."""
+    return [cd for label in ["A2", "B2", "G2", "A3", "A1xB2"] for isogeny in ("sc", "adjoint")
+            for cd in levi_coxeter_classes(rd(label, isogeny))]
+
+
 def outcome(f, *args):
     """f(*args), or the type and text of the KVError it raised."""
     try:
@@ -272,7 +280,7 @@ def outcome(f, *args):
 class TestIntegerTable:
     """The per-class integer table against the Fraction sums it replaced."""
 
-    @pytest.mark.parametrize("classes", [table_classes, pairing_classes])
+    @pytest.mark.parametrize("classes", [table_classes, pairing_classes, levi_coxeter_family])
     def test_invariants_match_the_fraction_sums(self, classes):
         classes = classes()
         assert any(not conjugacy.is_split(cd) for cd in classes)

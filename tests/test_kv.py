@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 
 from kvcalc import cli, conjugacy, kv, multiplicity, rootdata, weyl
-from kvcalc.errors import InvariantViolation, UsageError
-from oracles import class_to_json, fraction_disc_valuation, report_from_json
+from kvcalc.errors import InvariantViolation, KVError, UsageError
+from oracles import (class_to_json, conjugate_class, fraction_disc_valuation,
+                     levi_coxeter_classes, report_from_json)
 
 
 def rd(label, isogeny="sc"):
@@ -322,6 +323,51 @@ class TestReport:
         assert kv.report(cd, [2, 1]).nonempty
         assert calls == ["lambda"]
         assert len(tested) == 1
+
+
+# each type under sc and adjoint, but A4 under sc only: its adjoint family of
+# 667 classes would take as long as all the others together
+CONJUGATION_DATA = [(label, isogeny) for label in ["A2", "B2", "G2", "A3", "B3", "C3", "A1xB2"]
+                    for isogeny in ("sc", "adjoint")] + [("A4", "sc")]
+
+
+def report_outcome(cd, lam):
+    """The report, or the refusal (type and message) of a class whose
+    dimension at lam is not an integer."""
+    try:
+        return kv.report(cd, lam)
+    except KVError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestConjugateRecords:
+    """(w, e, nu_bar, r, kappa) and (s w s^-1, e, s nu_bar, r o s^-1, kappa)
+    record one class gamma, and the variety depends on gamma alone, so every
+    report field agrees.  r(gamma), which depends on the positive system
+    relative to nu_bar, is no report field.  Half of the Levi-Coxeter family
+    has nu_bar off the dominant chamber, and a conjugate moves it, so the
+    report must read the dominant Newton point, not the recorded nu_bar."""
+
+    @pytest.mark.parametrize("label,isogeny", CONJUGATION_DATA)
+    def test_report_depends_on_the_class_alone(self, label, isogeny):
+        datum = rd(label, isogeny)
+        rng = random.Random(f"{label} {isogeny}")
+        group = weyl.enumerate_group(datum)
+        sweep = rootdata.dominant_integral_sweep(datum, 4)
+        classes = levi_coxeter_classes(datum)
+        assert classes and not any(conjugacy.is_split(cd) for cd in classes)
+        for cd in classes:
+            reports = [report_outcome(cd, lam) for lam in sweep]
+            for s in rng.sample(group, 3):
+                other = conjugate_class(cd, s)
+                assert [report_outcome(other, lam) for lam in sweep] == reports, (cd, s)
+
+    def test_the_family_leaves_the_dominant_chamber(self):
+        classes = [cd for label, isogeny in CONJUGATION_DATA
+                   for cd in levi_coxeter_classes(rd(label, isogeny))]
+        off = [cd for cd in classes if not rootdata.is_dominant(cd.rd, cd.nu_bar)]
+        assert len(classes) == 903 and len(off) == 445
+        assert sum(any(cd.nu_bar) for cd in classes) == 746
 
 
 def count_checks(monkeypatch) -> list:

@@ -9,6 +9,7 @@ matrices.  The masks themselves are checked against descents read off
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from operator import mul
 
 import pytest
 
@@ -27,6 +28,16 @@ SMALL_GROUPS = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4"
 
 # A3 under the lattice of the coweights (a, b, c) with a + c even: pi_1 = Z/2
 A3_MIDDLE_LATTICE = [[1, 0, 1], [0, 1, 0], [0, 0, 2]]
+
+# the data checked against the breadth-first oracle's table, with and without B5
+SMALL_DATA = [(label, "sc") for label in SMALL_GROUPS] + [("D4", "adjoint"),
+                                                          ("A3", A3_MIDDLE_LATTICE)]
+ORACLE_DATA = SMALL_DATA + [("B5", "sc")]
+
+
+def act(m, v):
+    """The action matrix m on the coweight v."""
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def subsets(n):
@@ -118,9 +129,7 @@ class TestEnumeration:
 
         assert len(weyl.enumerate_group(rd(label))) == WeylGroup(label).group_order()
 
-    @pytest.mark.parametrize("label,isogeny",
-                             [(label, "sc") for label in SMALL_GROUPS + ["B5"]]
-                             + [("D4", "adjoint"), ("A3", A3_MIDDLE_LATTICE)])
+    @pytest.mark.parametrize("label,isogeny", ORACLE_DATA)
     def test_ascent_walk_matches_breadth_first_oracle(self, label, isogeny):
         datum = rd(label, isogeny)
         assert [(w.key, w.word) for w in weyl.enumerate_group(datum)] == [
@@ -185,6 +194,36 @@ class TestEnumeration:
                 assert tuple(-w0[j][i] for j in range(datum.rank)) == tuple(
                     int(j == datum.iota[i]) for j in range(datum.rank)
                 )
+
+
+class TestWordToElement:
+    """`word_to_element` reads an element's word off the reduction of
+    w^-1(2 rho_check), not off the table; the oracle's table is the check."""
+
+    @pytest.mark.parametrize("label,isogeny", ORACLE_DATA)
+    def test_each_reduced_word_gives_its_element(self, label, isogeny):
+        datum = rd(label, isogeny)
+        for w in oracle_enumerate_group(datum):
+            assert weyl.word_to_element(datum, w.word) == w
+
+    @pytest.mark.parametrize("label,isogeny", SMALL_DATA)
+    def test_any_word_gives_the_element_with_its_key(self, label, isogeny):
+        # keys from the oracle's reflections and action matrices, not from the package
+        datum = rd(label, isogeny)
+        table = {w.key: w for w in oracle_enumerate_group(datum)}
+        last = datum.rank - 1
+        s_last = reflect(datum, last, datum.two_rho_check)
+        for w in table.values():
+            m = action(w)
+            for word, key in [(w.word + (0, 0), reflect(datum, 0, reflect(datum, 0, w.key))),
+                              ((last,) + w.word + (last,), reflect(datum, last, act(m, s_last))),
+                              (w.word + w.word, act(m, w.key))]:
+                assert weyl.word_to_element(datum, word) == table[key], word
+
+    def test_index_out_of_range(self):
+        for word in ([2], [0, -1]):
+            with pytest.raises(UsageError):
+                weyl.word_to_element(rd("A2"), word)
 
 
 class TestCoxeterElements:
