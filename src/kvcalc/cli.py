@@ -218,10 +218,12 @@ def cmd_nilcone(args, out):
     from . import vinberg
     rd = _build(args)
     strata_list = vinberg.nilcone_strata(rd)
+    j = None
     for s in strata_list:
-        j = ",".join(str(i + 1) for i in sorted(s.j)) or "-"
+        if s.j != j:  # the strata come grouped by J: label each J once
+            j, label = s.j, ",".join(str(i + 1) for i in sorted(s.j)) or "-"
         top = "top" if s.is_top else "."
-        print(f"{j}\t{_word_str(s.w.word)}\t{s.w.length}\t{s.dim}\t{top}", file=out)
+        print(f"{label}\t{_word_str(s.w.word)}\t{s.w.length}\t{s.dim}\t{top}", file=out)
     summary = vinberg.nilcone_report(rd, strata_list)
     print(
         f"summary dim {summary.dim} top {summary.top_count} strata {summary.strata_count}",

@@ -88,10 +88,11 @@ class ClassDatum(rootdata.Record):
 
 def make_class(rd: RootDatum, w: weyl.WeylElement, nu_bar, residual=None, kappa=None,
                e=None) -> ClassDatum:
+    """``residual`` maps roots to r_alpha, or lists (root, r_alpha) pairs."""
     nu_bar = rootdata.coweight(nu_bar)
     order = w.order()
-    res = tuple(sorted((tuple(int(x) for x in r), Fraction(v)) for r, v in
-                       (residual or {}).items()))
+    items = residual.items() if isinstance(residual, dict) else residual or ()
+    res = tuple(sorted((tuple(int(x) for x in r), Fraction(v)) for r, v in items))
     if kappa is None:
         kappa = rootdata.fundamental_group(rd).zero()
     cd = ClassDatum(rd=rd, w=w, e=order if e is None else int(e), nu_bar=nu_bar,
@@ -217,35 +218,34 @@ def _frac_from_json(obj) -> Fraction:
 
 
 def class_from_json(data) -> ClassDatum:
-    """Parse a class datum from the JSON schema.
+    """Parse a class datum from the decoded JSON schema, an object.
 
     The reduced word uses 1-based reflection indices; "residual" lists
-    positive roots only; a short "kappa" is padded with zeros.
+    positive roots only; a short "kappa" is padded with zeros.  Every list
+    field must be a JSON list, and a residual root may be listed once.
     """
-    if isinstance(data, (str, bytes)):
-        import json
-        try:
-            data = json.loads(data)
-        except ValueError as exc:
-            raise UsageError(f"malformed class JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise UsageError("class JSON must be an object")
     try:
         label = data["type"]
         isogeny = data.get("isogeny", "sc")
         word = data.get("w", [])
         nu = data["nu_bar"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise UsageError(f"class JSON missing field: {exc}") from None
     try:
-        word = [rootdata._as_int(i) - 1 for i in word]
+        word = [i - 1 for i in rootdata._as_ints(word)]
     except (TypeError, ValueError):
         raise UsageError(f"malformed twist word {word!r}") from None
     rd = rootdata.build_root_datum(label, isogeny)
     try:
         if isinstance(nu, dict):
             den = rootdata._as_int(nu.get("den", 1))
-            nu_bar = tuple(Fraction(rootdata._as_int(n), den) for n in nu["num"])
-        else:
+            nu_bar = tuple(Fraction(n, den) for n in rootdata._as_ints(nu["num"]))
+        elif isinstance(nu, (list, tuple)):
             nu_bar = rootdata.coweight(nu)
+        else:
+            raise TypeError("not a list")
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise UsageError(f"malformed nu_bar {nu!r}: {exc}") from None
     if len(nu_bar) != rd.rank:
@@ -254,11 +254,10 @@ def class_from_json(data) -> ClassDatum:
     items = data.get("residual", [])
     if not isinstance(items, (list, tuple)):
         raise UsageError(f"residual must be a list of entries, not {items!r}")
-    residual = {}
+    residual = []
     for item in items:
         try:
-            root = tuple(rootdata._as_int(x) for x in item["root"])
-            residual[root] = _frac_from_json(item["val"])
+            residual.append((rootdata._as_ints(item["root"]), _frac_from_json(item["val"])))
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise UsageError(f"malformed residual entry {item!r}: {exc}") from None
     kappa = rootdata.parse_kappa(rd, data.get("kappa", []))

@@ -113,22 +113,13 @@ class KVReport(rootdata.Record):
         self.chen_zhu_mu = chen_zhu_mu
 
     def to_json(self) -> dict:
-        def cw(v):
-            return None if v is None else [str(x) for x in v]
+        """The fields by name, each Fraction as its string and tuple as a list."""
+        def encode(v):
+            if isinstance(v, tuple):
+                return [encode(x) for x in v]
+            return str(v) if isinstance(v, Fraction) else v
 
-        return {
-            "nonempty": self.nonempty,
-            "newton": cw(self.newton),
-            "d": self.d,
-            "c": self.c,
-            "regular_orbit_bound": self.regular_orbit_bound,
-            "dimension": self.dimension,
-            "mu_star": cw(self.mu_star),
-            "predicted_orbits": self.predicted_orbits,
-            "regular_bound_exact": self.regular_bound_exact,
-            "d_plus": None if self.d_plus is None else str(self.d_plus),
-            "chen_zhu_mu": [cw(v) for v in self.chen_zhu_mu],
-        }
+        return {f: encode(getattr(self, f)) for f in self._fields}
 
 
 def report(cd: ClassDatum, lam, chen_zhu: bool = True) -> KVReport:

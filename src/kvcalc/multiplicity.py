@@ -2,8 +2,8 @@
 
 The dual group is read off the root datum: its weights are the coweights of
 rd in simple-coroot coordinates, its positive roots are
-``rd.positive_coroots`` and its rho is ``rd.rho_check``; its coroots are the
-roots of rd, paired with a weight by ``rootdata.pair_root``.  The invariant
+``rd.positive_coroots`` and its rho is half of ``rd.two_rho_check``; its coroots
+are the roots of rd, paired with a weight by ``rootdata.pair_root``.  The invariant
 form is (x, y) = sum over positive roots beta of <beta, x><beta, y>, which W
 preserves because it permutes the roots up to sign; on each simple factor it
 is a positive multiple of the form that symmetrizes the Cartan matrix, and
@@ -169,9 +169,10 @@ def multiplicity_kostant(rd: RootDatum, lam, mu) -> int:
 
     lam = rootdata.check_dominant(rd, lam, "lambda")
     mu = rootdata.check_dominant(rd, mu, "mu")
-    # lam + rho and mu + rho over one denominator D, so W acts on integers
-    d, n = rootdata._scale(rootdata.add(lam, rd.rho_check) + rootdata.add(mu, rd.rho_check))
-    lam_rho, mu_rho = n[:rd.rank], n[rd.rank:]
+    # lam + rho and mu + rho over one denominator 2D, so W acts on integers
+    d, n = rootdata._scale(lam + mu)
+    n = tuple(2 * x + d * t for x, t in zip(n, rd.two_rho_check + rd.two_rho_check))
+    lam_rho, mu_rho, d = n[:rd.rank], n[rd.rank:], 2 * d
     total = 0
     for w in weyl.enumerate_group(rd):
         diff = rootdata.sub(w.apply(lam_rho), mu_rho)
@@ -244,9 +245,10 @@ def _minimal_above(rd: RootDatum, lam: Coweight, low) -> list[Coweight]:
 
 def highest_root_pairing(rd: RootDatum, lam) -> Fraction:
     """max over the dual's positive roots theta of <lam + rho, theta-vee>;
-    the coroots theta-vee are the positive roots of rd."""
-    shifted = rootdata.add(rootdata.coweight(lam), rd.rho_check)
-    return max(Fraction(rootdata.pair_root(rd, beta, shifted)) for beta in rd.positive_roots)
+    theta-vee runs over the positive roots beta of rd, <beta, rho> = ht beta."""
+    d, n = rootdata._scale(rootdata.coweight(lam))
+    p = rootdata._pairings(rd, n)
+    return Fraction(max(sum(map(mul, beta, p)) + d * sum(beta) for beta in rd.positive_roots), d)
 
 
 def sweep_dominant(rd: RootDatum, cap: int) -> list[Coweight]:

@@ -184,16 +184,16 @@ class Record:
 
 class RootDatum(Record):
     _fields = ("label", "rank", "cartan", "positive_roots", "positive_coroots",
-               "rho_check", "isogeny", "lattice_basis")
+               "two_rho_check", "isogeny", "lattice_basis")
 
-    def __init__(self, label, rank, cartan, positive_roots, positive_coroots, rho_check,
+    def __init__(self, label, rank, cartan, positive_roots, positive_coroots, two_rho_check,
                  isogeny, lattice_basis):
         self.label = label  # ((letter, n), ...)
         self.rank = rank
         self.cartan = cartan
         self.positive_roots = positive_roots
         self.positive_coroots = positive_coroots
-        self.rho_check = rho_check  # half-sum of positive coroots, simple-coroot coords
+        self.two_rho_check = two_rho_check  # sum of positive coroots, simple-coroot coords
         self.isogeny = isogeny
         # columns = generators of Lambda, in fundamental-coweight coordinates
         self.lattice_basis = lattice_basis
@@ -227,17 +227,12 @@ class RootDatum(Record):
         return tuple(zip(*self.cartan))
 
     @cached_property
-    def two_rho_check(self) -> tuple[int, ...]:
-        """2 rho_check, the sum of the positive coroots, as integers."""
-        return tuple(int(2 * x) for x in self.rho_check)
-
-    @cached_property
     def _hash(self) -> int:
         return hash(self._values())
 
     def __hash__(self) -> int:
         # Every lru_cache keyed on a datum hashes it on each lookup; the
-        # generated hash would rehash all fields, Fractions included, each time.
+        # generated hash would rehash every field each time.
         return self._hash
 
     @cached_property
@@ -267,11 +262,10 @@ def _build(factors, cartan, isogeny) -> RootDatum:
             f"positive root closure for {factors} gave {len(roots)}, expected {expected}"
         )
     two_rho_check = tuple(sum(c[j] for c in coroots) for j in range(r))
-    rho_check = tuple(Fraction(x, 2) for x in two_rho_check)
-    # sanity: <alpha_i, rho_check> = 1 for every simple root
+    # sanity: <alpha_i, 2 rho_check> = 2 for every simple root
     for i in range(r):
-        if sum(cartan[j][i] * rho_check[j] for j in range(r)) != 1:
-            raise InvariantViolation(f"<alpha_{i + 1}, rho_check> != 1 for {factors}")
+        if sum(cartan[j][i] * two_rho_check[j] for j in range(r)) != 2:
+            raise InvariantViolation(f"<alpha_{i + 1}, 2 rho_check> != 2 for {factors}")
 
     if isogeny == "sc":
         basis = tuple(tuple(cartan[j][i] for j in range(r)) for i in range(r))  # columns = coroots
@@ -281,9 +275,9 @@ def _build(factors, cartan, isogeny) -> RootDatum:
         iso_name = "adjoint"
     else:
         try:  # a list of integer lists: a string or dict would iterate too
-            if not all(isinstance(g, (list, tuple)) for g in (isogeny, *isogeny)):
+            if not isinstance(isogeny, (list, tuple)):
                 raise TypeError
-            gens = [tuple(_as_int(x) for x in g) for g in isogeny]
+            gens = [_as_ints(g) for g in isogeny]
         except (TypeError, ValueError):
             raise UsageError(f"cannot read isogeny {isogeny!r}") from None
         if len(gens) != r or any(len(g) != r for g in gens):
@@ -297,7 +291,7 @@ def _build(factors, cartan, isogeny) -> RootDatum:
         cartan=cartan,
         positive_roots=roots,
         positive_coroots=coroots,
-        rho_check=rho_check,
+        two_rho_check=two_rho_check,
         isogeny=iso_name,
         lattice_basis=basis,
     )
@@ -321,10 +315,6 @@ def coweight(coords) -> Coweight:
 
 def zero_coweight(rd: RootDatum) -> Coweight:
     return tuple(Fraction(0) for _ in range(rd.rank))
-
-
-def add(u: Coweight, v: Coweight) -> Coweight:
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def sub(u: Coweight, v: Coweight) -> Coweight:
@@ -548,10 +538,17 @@ def _as_int(x) -> int:
     return out
 
 
+def _as_ints(entries) -> tuple[int, ...]:
+    """A list (or tuple) of `_as_int` integers; a string or dict raises TypeError."""
+    if not isinstance(entries, (list, tuple)):
+        raise TypeError("not a list")
+    return tuple(_as_int(x) for x in entries)
+
+
 def parse_kappa(rd: RootDatum, entries) -> tuple[int, ...]:
     grp = fundamental_group(rd)
     try:
-        entries = list(_as_int(x) for x in entries)
+        entries = list(_as_ints(entries))
     except (TypeError, ValueError):
         raise UsageError(f"kappa must be a list of integers, not {entries!r}") from None
     if len(entries) > rd.rank:

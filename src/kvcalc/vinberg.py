@@ -3,13 +3,14 @@
 The nilpotent cone is stratified by pairs (J, w) where J is a set of simple
 roots, w runs over minimal-length double-coset representatives for the
 parabolic on the complement of J, and every simple root of J must appear in
-w.  Dimensions are exact integers; the top strata are detected and checked
-against the Coxeter-element count.
+w.  Dimensions are exact integers, and the strata come in print order: J as
+a sorted tuple, then w by word.  The top strata, of dimension dim G - r, are
+checked against the Coxeter elements.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import rootdata, weyl
 from .errors import InvariantViolation
@@ -17,13 +18,16 @@ from .rootdata import RootDatum
 
 
 class NilconeStratum(rootdata.Record):
-    __slots__ = _fields = ("j", "w", "dim", "is_top")
+    __slots__ = _fields = ("j", "w", "dim")
 
-    def __init__(self, j: frozenset[int], w: weyl.WeylElement, dim: int, is_top: bool):
+    def __init__(self, j: frozenset[int], w: weyl.WeylElement, dim: int):
         self.j = j
         self.w = w
         self.dim = dim
-        self.is_top = is_top
+
+    @property
+    def is_top(self) -> bool:
+        return self.dim == self.w.rd.dim_g - self.w.rd.rank
 
 
 def levi_dimension(rd: RootDatum, subset: frozenset[int]) -> int:
@@ -33,21 +37,16 @@ def levi_dimension(rd: RootDatum, subset: frozenset[int]) -> int:
 
 def nilcone_strata(rd: RootDatum) -> tuple[NilconeStratum, ...]:
     """All strata (J, w) with w a minimal double-coset representative for
-    the complement of J and Supp(w) containing J."""
+    the complement of J and Supp(w) containing J, sorted by (sorted J, word)."""
     r = rd.rank
-    top_dim = rd.dim_g - r
     out = []
-    for size in range(r + 1):
-        for j in combinations(range(r), size):
-            j = frozenset(j)
-            jc = frozenset(range(r)) - j
-            dim_l = levi_dimension(rd, jc)
-            for w in weyl.min_double_coset_reps(rd, jc, jc):
-                if not j <= w.support:
-                    continue
-                dim = rd.dim_g - dim_l - w.length + len(j)
-                out.append(NilconeStratum(j=j, w=w, dim=dim, is_top=dim == top_dim))
-    out.sort(key=lambda s: (sorted(s.j), s.w.word))
+    for j in sorted(chain.from_iterable(combinations(range(r), k) for k in range(r + 1))):
+        j = frozenset(j)
+        jc = frozenset(range(r)) - j
+        base = rd.dim_g - levi_dimension(rd, jc) + len(j)
+        reps = sorted((w for w in weyl.min_double_coset_reps(rd, jc, jc) if j <= w.support),
+                      key=lambda w: w.word)
+        out.extend(NilconeStratum(j, w, base - w.length) for w in reps)
     return tuple(out)
 
 
@@ -78,7 +77,4 @@ def nilcone_report(rd: RootDatum, strata) -> NilconeSummary:
         raise InvariantViolation("top strata are not exactly (Delta, Coxeter)")
     if len(top) != len(coxeter):
         raise InvariantViolation("top stratum count differs from the Coxeter count")
-    for s in strata:
-        if not s.is_top and s.dim >= top_dim:
-            raise InvariantViolation("non-top stratum reaches the top dimension")
     return NilconeSummary(dim=max_dim, top_count=len(top), strata_count=len(strata))

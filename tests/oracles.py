@@ -22,13 +22,17 @@ linear scan of the residual list that a dict lookup replaced.
 `oracle_enumerate_group` and `oracle_root_closure` are the breadth-first
 passes that the package replaced by walks along ascents: they reflect every
 element by every s_i with a full pairing and keep one set of everything seen,
-so they assume nothing about which reflections lengthen.  The rest were
-public functions of the package until nothing but the tests called them: the
-Weyl dimension formula with the orbit-size sum it checks `weight_system`
-against, the generic valuation vector of a split class, the JSON writers
-of a class datum and of a `dim --json` report, the lattice membership test
-`is_integral`, and `val_one_minus`, one entry of a class's integer table as
-a Fraction.
+so they assume nothing about which reflections lengthen.  `descent_oracle`
+reads the descents of an element off `Fraction` pairings, where the package
+builds bitmasks for the whole group, and `oracle_nilcone_strata` lists the
+nilpotent-cone strata from the descents and supports of every element, where
+the package asks for double-coset representatives one J at a time.  The rest
+were public functions of the package until nothing but the tests called them:
+the Weyl dimension formula with the orbit-size sum it checks `weight_system`
+against, the generic valuation vector of a split class, the JSON writers of a
+class datum and of a `dim --json` report, the lattice membership test
+`is_integral`, and `val_one_minus`, one entry of a class's integer table as a
+Fraction.
 
 `levi_coxeter_classes` builds twisted classes whose nu_bar is not dominant,
 and `conjugate_class` records the same class by another representative, so
@@ -185,6 +189,39 @@ def oracle_enumerate_group(rd) -> tuple:
     return tuple(out)
 
 
+def descent_oracle(rd, w):
+    """(left, right) descent bitmasks of w from pairings: i is a left descent
+    when <alpha_i, w(2 rho_check)> < 0, and a right descent when it is a left
+    descent of w^-1, whose image of 2 rho_check is the reversed word applied
+    to 2 rho_check."""
+    def mask(v):
+        return sum(1 << i for i, p in enumerate(rootdata._pairings(rd, v)) if p < 0)
+
+    inverse = rd.two_rho_check
+    for i in reversed(w.word):
+        inverse = reflect(rd, i, inverse)
+    return mask(tuple(Fraction(x) for x in w.key)), mask(inverse)
+
+
+def oracle_nilcone_strata(rd) -> list:
+    """(J, word, dim) for every stratum of the nilpotent cone, sorted: each
+    element w of `oracle_enumerate_group` with each J between its descents
+    D_L u D_R (`descent_oracle`) and its support, where
+    dim = dim G - dim L(J^c) - l(w) + |J| and dim L(J^c) counts the positive
+    roots supported off J."""
+    out = []
+    for w in oracle_enumerate_group(rd):
+        left, right = descent_oracle(rd, w)
+        low = {i for i in range(rd.rank) if (left | right) >> i & 1}
+        free = sorted(w.support - low)
+        for k in range(len(free) + 1):
+            for extra in combinations(free, k):
+                j = tuple(sorted(low.union(extra)))
+                levi = sum(all(root[i] == 0 for i in j) for root in rd.positive_roots)
+                out.append((j, w.word, rd.dim_g - 2 * levi - rd.rank - w.length + len(j)))
+    return sorted(out)
+
+
 def oracle_root_closure(cartan):
     """All (root, coroot) pairs, each in simple-root / simple-coroot coords,
     every root reflected by every s_i with full pairings."""
@@ -223,12 +260,13 @@ def weyl_dimension(rd, lam) -> int:
         raise UsageError("weyl_dimension needs a dominant coweight")
     num = Fraction(1)
     den = Fraction(1)
-    shifted = rootdata.add(rootdata.coweight(lam), rd.rho_check)
+    rho = tuple(Fraction(x, 2) for x in rd.two_rho_check)
+    shifted = tuple(x + y for x, y in zip(rootdata.coweight(lam), rho))
     for root in rd.positive_roots:
         # the positive coroots of the dual group are the positive roots of
         # rd; one pairs with a dual weight x (coroot coords of rd) as <root, x>.
         num *= rootdata.pair_root(rd, root, shifted)
-        den *= rootdata.pair_root(rd, root, rd.rho_check)
+        den *= rootdata.pair_root(rd, root, rho)
     val = num / den
     if val.denominator != 1 or val <= 0:
         raise InvariantViolation(f"Weyl dimension {val} is not a positive integer")

@@ -242,6 +242,41 @@ class TestMalformedInput:
         path.write_text(json.dumps("not a class"))
         self.check(["dim", "--class", str(path), "--lambda", "1,1"], capsys)
 
+    # the file is decoded once: a string that holds a class is not a class
+    def test_class_json_holding_a_string_that_holds_a_class(self, tmp_path, capsys):
+        path = tmp_path / "class.json"
+        path.write_text(json.dumps(json.dumps({"type": "A2", "nu_bar": [0, 0]})))
+        err = self.check(["dim", "--class", str(path), "--lambda", "2,2"], capsys)
+        assert err == "error: class JSON must be an object\n"
+
+    # every list field is a JSON list: a string or an object would iterate
+    # into integers, "12" into the word s1 s2 and {"1": 0} into s1
+    @pytest.mark.parametrize("fields", [
+        {"w": "12"},
+        {"w": {"1": 0}},
+        {"kappa": "00"},
+        {"kappa": {"0": 1}},
+        {"nu_bar": "00"},
+        {"nu_bar": {"num": "00", "den": 1}},
+        {"residual": [{"root": "11", "val": 1}]},
+    ], ids=["w-string", "w-object", "kappa-string", "kappa-object", "nu-string",
+            "nu-num-string", "residual-root-string"])
+    def test_list_field_that_is_not_a_list(self, tmp_path, capsys, fields):
+        path = write_class(tmp_path, **fields)
+        self.check(["dim", "--class", path, "--lambda", "2,2"], capsys)
+
+    def test_residual_root_listed_twice(self, tmp_path, capsys):
+        path = write_class(tmp_path, residual=[{"root": [1, 1], "val": 1},
+                                               {"root": [1, 1], "val": 2}])
+        err = self.check(["dim", "--class", path, "--lambda", "2,2"], capsys)
+        assert "residual-root: duplicate entry for (1, 1)" in err
+
+    def test_splitting_degree_off_the_twist_order(self, tmp_path, capsys):
+        path = write_class(tmp_path, w=[1], e=3)
+        err = self.check(["dim", "--class", path, "--lambda", "1,1"], capsys)
+        assert err == ("error: invalid class datum: splitting-degree: e=3 but the twist "
+                       "has order 2\n")
+
     def test_split_class_kappa_off_the_class_of_nu_bar(self, tmp_path, capsys):
         # kappa_G(t^nu) = [nu]: nu_bar = 1 lies in the coroot lattice, so kappa = 0
         path = write_class(tmp_path, type="A1", isogeny="adjoint", nu_bar=["1"], kappa=[1])
@@ -463,6 +498,20 @@ class TestDim:
         code, text = run(["components", "--class", path, "--lambda", lam])
         assert code == 0 and text.startswith("predicted-orbits 25\n")
         assert weyl.enumerate_group.cache_info().misses == 0
+
+    # validate accepts a class whose dimension is a half-integer at every lambda
+    # of its fundamental-group class; at a lambda off that class it is empty
+    def test_class_with_no_integral_dimension_is_answered_off_its_class(self, tmp_path,
+                                                                          capsys):
+        positive = rootdata.build_root_datum("B3", "adjoint").positive_roots
+        path = write_class(tmp_path, type="B3", isogeny="adjoint", w=[1, 2, 3],
+                           nu_bar=[0, 0, 0], kappa=[0, 0, 1],
+                           residual=[{"root": list(root), "val": "7/6"} for root in positive])
+        code, text = run(["dim", "--class", path, "--lambda", "1,2,1"])
+        assert code == 0 and text.startswith("nonempty false\n")
+        code, text = run(["dim", "--class", path, "--lambda", "1,2,3/2"])
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == "invariant violated: dimension 27/2 is not an integer\n"
 
     def test_components(self, split_class_file):
         code, text = run(["components", "--class", split_class_file,

@@ -443,11 +443,12 @@ class TestJsonInterchange:
         assert conjugacy.class_from_json(class_to_json(cd)) == cd
 
     def test_parse_from_text(self):
-        # the string branch imports json itself; the CLI passes parsed data
+        # the CLI decodes the file once and passes the object; a text is refused
         cd = conjugacy.split_class(rd("B2"), [1, 1], {})
-        assert conjugacy.class_from_json(json.dumps(class_to_json(cd))) == cd
-        with pytest.raises(UsageError, match="malformed class JSON"):
-            conjugacy.class_from_json("{not json")
+        text = json.dumps(class_to_json(cd))
+        assert conjugacy.class_from_json(json.loads(text)) == cd
+        with pytest.raises(UsageError, match="^class JSON must be an object$"):
+            conjugacy.class_from_json(text)
 
 
 # Well-shaped class JSON: the label is drawn first, so that most vectors

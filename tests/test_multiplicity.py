@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from kvcalc import multiplicity, rootdata, weyl
 from kvcalc.errors import InvariantViolation, UsageError
 from oracles import (dimension_sum, dual_datum, frac_matrix, generic_char_valuation, inverse,
-                     is_integral, oracle_dominant_below, orbit_size, weyl_dimension)
+                     is_integral, oracle_dominant_below, orbit_size, rational_grid,
+                     weyl_dimension)
 
 
 def rd(label, isogeny="sc"):
@@ -387,6 +388,19 @@ class TestKostantFormula:
         weyl.enumerate_group(datum)
         info = weyl.enumerate_group.cache_info()
         assert (info.hits, info.currsize) == (hits + 1, 1)
+
+
+class TestHighestRootPairing:
+    # the grid's fractional lambda put rho's half-integers and lambda's
+    # denominator D in one sum, which the integral sweeps never do
+    @pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3", "C3"])
+    def test_matches_the_fraction_pairing_with_rho(self, label):
+        datum = rd(label)
+        rho = tuple(Fraction(x, 2) for x in datum.two_rho_check)
+        for lam in rational_grid(datum, 3, 6):
+            shifted = tuple(x + y for x, y in zip(lam, rho))
+            expected = max(rootdata.pair_root(datum, beta, shifted) for beta in datum.positive_roots)
+            assert multiplicity.highest_root_pairing(datum, lam) == expected
 
 
 class TestWeightSystem:

@@ -74,8 +74,8 @@ class TestConstruction:
     def test_rho_check_pairs_to_one(self):
         for label in ["A1", "A2", "B2", "G2", "A3", "F4"]:
             datum = rd(label)
-            pair = rootdata._pairings(datum, datum.rho_check)
-            assert all(p == 1 for p in pair)
+            pair = rootdata._pairings(datum, datum.two_rho_check)
+            assert all(p == 2 for p in pair)
 
     def test_unknown_label_rejected(self):
         with pytest.raises(UsageError):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from kvcalc import multiplicity, rootdata, vinberg, weyl
-from oracles import action
+from oracles import action, oracle_nilcone_strata
 
 
 def rd(label, isogeny="sc"):
@@ -71,6 +71,15 @@ class TestNilconeStrata:
         datum = rd(label)
         tops = {action(s.w) for s in vinberg.nilcone_strata(datum) if s.is_top}
         assert tops == {action(e) for e in weyl.coxeter_elements(datum)}
+
+    @pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4",
+                                       "F4", "A1xB2"])
+    def test_table_matches_brute_force_in_print_order(self, label):
+        """Content and order of the whole table, against the strata read off
+        every element's descents and support, with no double-coset filter."""
+        datum = rd(label)
+        got = [(tuple(sorted(s.j)), s.w.word, s.dim) for s in vinberg.nilcone_strata(datum)]
+        assert got == oracle_nilcone_strata(datum)
 
 
 class TestArcStrataIndex:

@@ -4,7 +4,7 @@ The brute-force constructions below (parabolic closure, covering-set double
 cosets, coset sizes) multiply the action matrices of `oracles`.  They
 are the oracles for the descent-mask filters of `weyl`, which never multiply
 matrices.  The masks themselves are checked against descents read off
-`Fraction` pairings (`descent_oracle`).
+`Fraction` pairings (`oracles.descent_oracle`).
 """
 
 from fractions import Fraction
@@ -15,7 +15,8 @@ import pytest
 
 from kvcalc import rootdata, weyl
 from kvcalc.errors import SizeGuardError, UsageError
-from oracles import action, dual_datum, mat_mul, oracle_enumerate_group, rank, reflect
+from oracles import (action, descent_oracle, dual_datum, mat_mul, oracle_enumerate_group,
+                     rank, reflect)
 
 
 def rd(label, isogeny="sc"):
@@ -60,20 +61,6 @@ def parabolic_actions(datum, gens):
                     nxt.append(p)
         frontier = nxt
     return seen
-
-
-def descent_oracle(datum, w):
-    """(left, right) descent bitmasks of w from pairings: i is a left descent
-    when <alpha_i, w(2 rho_check)> < 0, and a right descent when it is a left
-    descent of w^-1, whose image of 2 rho_check is the reversed word applied
-    to 2 rho_check."""
-    def mask(v):
-        return sum(1 << i for i, p in enumerate(rootdata._pairings(datum, v)) if p < 0)
-
-    inverse = tuple(2 * x for x in datum.rho_check)
-    for i in reversed(w.word):
-        inverse = reflect(datum, i, inverse)
-    return mask(tuple(Fraction(x) for x in w.key)), mask(inverse)
 
 
 def double_coset(left, w, right):
