@@ -48,8 +48,10 @@ def _attach_negative_lists(argv):
     return out
 
 
-def _word_str(word) -> str:
-    return " ".join(f"s{i + 1}" for i in word) if word else "e"
+def _word_str(rd):
+    """The formatter of rd's Weyl words, its letters named once; `e` if empty."""
+    letters = [f"s{i + 1}" for i in range(rd.rank)]
+    return lambda word: " ".join([letters[i] for i in word]) or "e"
 
 
 def _fmt(v) -> str:
@@ -108,8 +110,9 @@ def cmd_weyl(args, out):
     rd = _build(args)
     if args.coxeter:
         elements = weyl.coxeter_elements(rd)
+        word_str = _word_str(rd)
         for e in elements:
-            print(_word_str(e.word), file=out)
+            print(word_str(e.word), file=out)
         print(f"count {len(elements)}", file=out)
     else:
         group = weyl.enumerate_group(rd)
@@ -218,12 +221,13 @@ def cmd_nilcone(args, out):
     from . import vinberg
     rd = _build(args)
     strata_list = vinberg.nilcone_strata(rd)
+    word_str, top_dim = _word_str(rd), rd.dim_g - rd.rank
     j = None
     for s in strata_list:
         if s.j != j:  # the strata come grouped by J: label each J once
             j, label = s.j, ",".join(str(i + 1) for i in sorted(s.j)) or "-"
-        top = "top" if s.is_top else "."
-        print(f"{label}\t{_word_str(s.w.word)}\t{s.w.length}\t{s.dim}\t{top}", file=out)
+        top = "top" if s.dim == top_dim else "."
+        print(f"{label}\t{word_str(s.w.word)}\t{s.w.length}\t{s.dim}\t{top}", file=out)
     summary = vinberg.nilcone_report(rd, strata_list)
     print(
         f"summary dim {summary.dim} top {summary.top_count} strata {summary.strata_count}",

@@ -11,12 +11,11 @@ each, and computes the dimension, mu*, m_{lambda,mu*} and d_+ from them.
 Each public function checks its coweight operands once; the private cores
 here and in ``multiplicity`` trust them, so one `dim` report checks lambda once.
 
-The approximations mu* (minimal above the Newton point, found by
-``multiplicity._minimal_above``) and Chen-Zhu (maximal below it) compare
-scaled integers: the candidates are integer tuples over one denominator, and
-``rootdata._extremes`` confirms the lowest (highest) one by height against
-every other in one pass, falling back to the pairwise filter only to list a
-tie.
+The approximations mu* (least above the Newton point, an ascent by
+``rootdata._least_above``) and Chen-Zhu (maximal below it) compare scaled
+integers.  The Chen-Zhu candidates are integer tuples over one denominator,
+and ``rootdata._extremes`` confirms the highest one by height against every
+other in one pass, falling back to the pairwise filter only to list a tie.
 """
 
 from __future__ import annotations
@@ -28,15 +27,14 @@ from operator import gt
 
 from . import conjugacy, multiplicity, rootdata, weyl
 from .conjugacy import ClassDatum
-from .errors import InvariantViolation, UniquenessError, UsageError
+from .errors import InvariantViolation, UsageError
 from .rootdata import Coweight, RootDatum
 
 
 def best_integral_approx(rd: RootDatum, nu, lam) -> Coweight:
-    """The unique minimal dominant lattice coweight mu with nu <= mu <= lam.
-
-    Uniqueness is asserted, not assumed: a tie raises UniquenessError.
-    """
+    """The unique minimal dominant lattice coweight mu with nu <= mu <= lam:
+    the least, as the dominant coweights of lam's pi_1 class are closed under
+    the componentwise minimum (``strata.polytope_intersection``)."""
     nu = rootdata.coweight(nu)
     lam = rootdata.check_dominant(rd, lam, "lambda")
     if not rootdata.is_dominant(rd, nu):
@@ -49,14 +47,10 @@ def best_integral_approx(rd: RootDatum, nu, lam) -> Coweight:
 def _best_integral_approx(rd: RootDatum, nu: Coweight, lam: Coweight) -> Coweight:
     """``best_integral_approx`` for a dominant nu <= lam, lam dominant and in
     the lattice, unchecked."""
-    minimal = multiplicity._minimal_above(rd, lam, nu)
-    if not minimal:
+    mu = rootdata._least_above(rd, lam, nu)
+    if mu is None:
         raise InvariantViolation(f"lambda {lam} is not a candidate above {nu}")
-    if len(minimal) != 1:
-        raise UniquenessError(
-            f"minimal dominant approximations of {nu} below {lam} are not unique: {minimal}"
-        )
-    return minimal[0]
+    return mu
 
 
 def chen_zhu_approx(rd: RootDatum, nu):
@@ -74,7 +68,7 @@ def chen_zhu_approx(rd: RootDatum, nu):
     rootdata.guard_grid_size(prod(sizes), "the Chen-Zhu grid")
     candidates = [k for k in product(*map(range, sizes))
                   if rootdata._dominant(rd, k) and rootdata._is_integral_ints(rd, q, k)]
-    maximal = rootdata._extremes(candidates, highest=True)
+    maximal = rootdata._extremes(candidates)
     return tuple(sorted(tuple(Fraction(x, q) for x in k) for k in maximal))
 
 

@@ -21,11 +21,10 @@ against the literal dual datum, built from the transposed Cartan matrix.
 The dominance interval is walked once per (rd, lam), by ``_interval``, and
 cached there: lam is scaled by D, the lcm of its denominators, and the walk
 steps down along covers, each a positive coroot, through dominant integer
-tuples only.  Freudenthal's recursion and ``_minimal_above`` (mu* in ``kv``,
-the Steinberg strata) read that one cache; ``dominant_below`` is its sorted
-view.  The Fraction coweights beside the scaled keys are built once and are
-the ones every caller sees.  The public functions check lam and mu; the
-private cores (``_weight_system``, ``_interval``, ``_minimal_above``) trust them.
+tuples only.  Freudenthal's recursion reads that one cache; ``dominant_below``
+is its sorted view.  The Fraction coweights beside the scaled keys are built
+once and are the ones every caller sees.  The public functions check lam and
+mu; the private cores (``_weight_system``, ``_interval``) trust them.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from operator import add, le, mul, sub
+from operator import add, mul, sub
 from types import MappingProxyType
 
 from . import rootdata
@@ -154,13 +153,9 @@ def _kp(beta, roots, idx) -> int:
     if idx >= len(roots):
         return 0
     a = roots[idx]
-    cap = min(b // x for b, x in zip(beta, a) if x > 0)
-    total = 0
-    for k in range(cap + 1):
-        rest = tuple(b - k * x for b, x in zip(beta, a))
-        if all(b >= 0 for b in rest):
-            total += _kp(rest, roots, idx + 1)
-    return total
+    cap = min(b // x for b, x in zip(beta, a) if x > 0)  # so no coordinate goes negative
+    return sum(_kp(tuple(b - k * x for b, x in zip(beta, a)), roots, idx + 1)
+               for k in range(cap + 1))
 
 
 def multiplicity_kostant(rd: RootDatum, lam, mu) -> int:
@@ -227,16 +222,6 @@ def dominant_below(rd: RootDatum, lam) -> tuple[Coweight, ...]:
     increasing order: a sorted view of ``_interval``."""
     _, interval = _interval(rd, rootdata.check_dominant(rd, lam, "lambda"))
     return tuple(interval[v] for v in sorted(interval))
-
-
-def _minimal_above(rd: RootDatum, lam: Coweight, low) -> list[Coweight]:
-    """The minimal elements, sorted, of the dominant lattice coweights mu <= lam
-    with mu_i >= low_i for every i.  In the interval scaled by D, mu_i >= low_i
-    exactly when D mu_i >= ceil(D low_i), since D mu_i is an integer."""
-    d, interval = _interval(rd, lam)
-    low = tuple(-(-x.numerator * d // x.denominator) for x in low)
-    minimal = rootdata._extremes([mu for mu in interval if all(map(le, low, mu))])
-    return sorted(interval[mu] for mu in minimal)
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,14 @@ lattice membership, rational dominance ``leq_q``, root pairings and
 integer data cached per datum (the Cartan columns, and the inverse of
 ``lattice_basis`` as an integer matrix ``adj`` over a scale ``det``).
 Fractions are built only at the boundary, for the values a function returns.
-The layers above share three private kernels on such scaled integers:
+The layers above share four private kernels on such scaled integers:
 ``_dominant`` (the dominance test of ``is_dominant``), ``_reduce_ints`` (the
-reflection loop of ``dominant_reduce``) and ``_extremes`` (the minimal or
-maximal elements of a set of scaled coweights).  Five rules have their one
-owner here: ``check_dominant`` (dominant and in Lambda), ``dominant_grid``
-(the dominant k / denominator under a height cap), ``_apply_word`` (the word
-walk), ``RootDatum.two_rho_check`` and ``levi_roots`` (a standard Levi).
+reflection loop of ``dominant_reduce``), ``_least_above`` (the ascent to mu*
+and the Steinberg strata) and ``_extremes`` (the maximal elements of a set
+of scaled coweights).  Five rules have their one owner here:
+``check_dominant`` (dominant and in Lambda), ``dominant_grid`` (the dominant
+k / denominator under a height cap), ``_apply_word`` (the word walk),
+``RootDatum.two_rho_check`` and ``levi_roots`` (a standard Levi).
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ import re
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from math import factorial, lcm
-from operator import ge, le, mul
+from math import factorial, lcm, prod
+from operator import ge, gt, mul
 
 from . import linalg
 from .errors import InvariantViolation, SizeGuardError, UsageError
@@ -198,20 +199,17 @@ class RootDatum(Record):
         # columns = generators of Lambda, in fundamental-coweight coordinates
         self.lattice_basis = lattice_basis
 
-    @property
+    @cached_property
     def num_positive_roots(self) -> int:
         return len(self.positive_roots)
 
-    @property
+    @cached_property
     def dim_g(self) -> int:
         return 2 * self.num_positive_roots + self.rank
 
     @property
     def weyl_order(self) -> int:
-        out = 1
-        for letter, n in self.label:
-            out *= _WEYL_ORDER[letter](n)
-        return out
+        return prod(_WEYL_ORDER[letter](n) for letter, n in self.label)
 
     @cached_property
     def iota(self) -> tuple[int, ...]:
@@ -400,24 +398,45 @@ def dominant_reduce(rd: RootDatum, v: Coweight):
     return tuple(Fraction(x, d) for x in m), word
 
 
-def _extremes(points: list, highest: bool = False) -> list:
-    """The minimal (highest: maximal) elements of a list of distinct integer
-    tuples under the componentwise order, which is dominance for coroot
-    coordinates scaled to one denominator.
+def _least_above(rd: RootDatum, lam: Coweight, low):
+    """The least dominant mu <= lam with mu_i >= low_i for every i, or None
+    when lam is not above low; lam is dominant and in the lattice.
 
-    A point strictly below another has a smaller coordinate sum, so only a
-    point of least height can be a least element.  One pass checks whether
-    the lowest point lies below every other; only when it does not, and the
-    minimal elements are therefore not unique, does the pairwise filter run,
-    returning them in list order.
+    Scaled by D, the lcm of lam's denominators, the walk starts at the least
+    X = D lam mod D above ceil(D low).  While a pairing <alpha_i, X> is
+    negative it adds D to X_i, updating the pairings from Cartan row i as
+    ``_reduce_ints`` does.  Each step is forced: the off-diagonal Cartan
+    entries are <= 0, so every dominant mu >= X has mu_i > X_i.  The walk thus
+    stays below every candidate, D lam among them, and stops on the least.
+    It keeps the bound of ``multiplicity._interval``, so refuses the same lam.
+    """
+    d, top = _scale(lam)
+    guard_grid_size(prod(t // d + 1 for t in top), "the dominance interval")
+    low = [-(-b.numerator * d // b.denominator) for b in low]  # ceil(D low_i)
+    x = [t - d * ((t - b) // d) for t, b in zip(top, low)]
+    if any(map(gt, x, top)):
+        return None
+    pair = _pairings(rd, x)
+    while True:
+        p, i = min(zip(pair, range(rd.rank)))
+        if p >= 0:
+            return tuple(Fraction(v, d) for v in x)
+        x[i] += d
+        pair = [q + d * c for q, c in zip(pair, rd.cartan[i])]
+
+
+def _extremes(points: list) -> list:
+    """The maximal elements, in list order, of a list of distinct integer
+    tuples under the componentwise order: dominance, for coroot coordinates
+    over one denominator.  Only a highest point can be a greatest element, so
+    the pairwise filter runs only when the highest is not above every other.
     """
     if not points:
         return []
-    below = ge if highest else le
-    best = (max if highest else min)(points, key=sum)
-    if all(all(map(below, best, p)) for p in points):
+    best = max(points, key=sum)
+    if all(all(map(ge, best, p)) for p in points):
         return [best]
-    return [p for p in points if not any(q != p and all(map(below, q, p)) for q in points)]
+    return [p for p in points if not any(q != p and all(map(ge, q, p)) for q in points)]
 
 
 def leq_q(rd: RootDatum, nu: Coweight, lam: Coweight) -> bool:

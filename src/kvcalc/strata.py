@@ -5,15 +5,16 @@ open stratum removes every smaller polytope in the same lattice class.  The
 Steinberg-base strata classify the valuations (a_i, b_i) of the characteristic
 coordinates.  The b-part is fixed by lambda (b_i = lambda_{iota(i)}), so the
 c-valuations alone decide a stratum; INFINITE is the valuation of a zero
-coordinate.  The classifying coweight is recovered as a unique minimal
-element, never by tie-breaking.
+coordinate.  The classifying coweight is the least element of a set closed
+under the componentwise minimum, so it is unique and needs no tie-breaking.
 
 Polytope membership decides on nu and lambda scaled once to integers.  Its
 open stratum walks no interval: by Stembridge (Adv. Math. 136, 1998) each
 dominant mu that lambda covers is lambda - beta, beta a positive coroot, so
 nu lies in it exactly when nu <= lambda and no dominant lambda - beta is
-above nu.  The Steinberg stratum is the minimal element of a part of the
-dominance interval, found by ``multiplicity._minimal_above`` as mu* is.
+above nu.  The Steinberg stratum walks no interval either: it is the least
+dominant mu <= lambda above the floor lambda_i - a_{iota(i)}, reached by
+``rootdata._least_above`` as mu* is.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from operator import le
 
 from . import rootdata
-from .errors import UniquenessError, UsageError
+from .errors import UsageError
 from .rootdata import Coweight, RootDatum
 
 
@@ -84,20 +85,16 @@ def polytope_intersection(rd: RootDatum, lam1, lam2) -> Coweight:
 
 
 def steinberg_stratum(rd: RootDatum, c_vals: tuple, lam) -> Coweight:
-    """The unique minimal dominant lattice mu <= lam with
+    """The least dominant lattice mu <= lam with
     val(c_{iota(i)}) >= <lambda - mu, omega_i> for every i, given one
     c-valuation per fundamental coordinate, each a Fraction or INFINITE."""
-    from . import multiplicity
-
     lam = rootdata.check_dominant(rd, lam, "lambda")
     if len(c_vals) != rd.rank:
         raise UsageError("need one c-valuation per fundamental coordinate")
     # mu_i >= lam_i - a_i; an infinite a_i bounds nothing, and dominant mu_i >= 0
     low = [0 if a is INFINITE else x - Fraction(a)
            for x, a in zip(lam, (c_vals[j] for j in rd.iota))]
-    minimal = multiplicity._minimal_above(rd, lam, low)
-    if not minimal:
+    mu = rootdata._least_above(rd, lam, low)
+    if mu is None:
         raise UsageError("valuation vector matches no stratum below lambda")
-    if len(minimal) != 1:
-        raise UniquenessError(f"Steinberg stratum below {lam} is not unique: {minimal}")
-    return minimal[0]
+    return mu

@@ -15,7 +15,9 @@ on coweights.  The partition-count and full-weight oracles use the literal
 datum, so they check that reading.
 
 `oracle_dominant_below` is the coroot-step walk of the dominance interval
-that the package replaced by a walk along covers.  The `fraction_*` class
+that the package replaced by a walk along covers, and `minimal_above` is the
+search of that interval for mu* and the Steinberg strata that the package
+replaced by an ascent from the floor.  The `fraction_*` class
 invariants are the Fraction sums, one root at a time, that the package
 replaced by one integer table per class (`ClassDatum.valuations`), with the
 linear scan of the residual list that a dict lookup replaced.
@@ -44,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
-from operator import mul
+from operator import le, mul
 
 from kvcalc import conjugacy, kv, multiplicity, rootdata, weyl
 from kvcalc.errors import InvariantViolation, UsageError
@@ -398,6 +400,26 @@ def oracle_dominant_below(rd, lam):
                 stack.append(w)
     out.sort()
     return tuple(out)
+
+
+def minimal_above(rd, lam, low) -> list:
+    """The minimal elements, sorted, of the dominant lattice coweights mu <= lam
+    with mu_i >= low_i for every i, by a search of the whole dominance
+    interval: the oracle of ``rootdata._least_above``.  It lists every
+    minimal element, so a tie would show.  In the interval scaled by D,
+    mu_i >= low_i exactly when D mu_i >= ceil(D low_i), since D mu_i is an
+    integer.  The lowest candidate is tested against every other in one
+    pass, and the pairwise filter runs only when that fails."""
+    d, interval = multiplicity._interval(rd, lam)
+    low = tuple(-(-x.numerator * d // x.denominator) for x in low)
+    above = [mu for mu in interval if all(map(le, low, mu))]
+    if not above:
+        return []
+    best = min(above, key=sum)
+    if all(all(map(le, best, p)) for p in above):
+        return [interval[best]]
+    return sorted(interval[p] for p in above
+                  if not any(q != p and all(map(le, q, p)) for q in above))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kvcalc import cli, conjugacy, kv, multiplicity, rootdata, weyl
+from kvcalc import cli, conjugacy, kv, rootdata, weyl
 from kvcalc.errors import InvariantViolation
 from oracles import report_from_json
 
@@ -654,9 +654,9 @@ class TestVerify:
     def test_dimension_consistency_fails_on_a_wrong_mu_star(self, monkeypatch, capsys):
         # mu* searched above 0 instead of above the Newton point mu: the
         # report's mu* leaves the proven case, where it is mu itself
-        minimal_above = multiplicity._minimal_above
-        monkeypatch.setattr(multiplicity, "_minimal_above",
-                            lambda rd, lam, low: minimal_above(rd, lam, [Fraction(0)] * len(low)))
+        least_above = rootdata._least_above
+        monkeypatch.setattr(rootdata, "_least_above",
+                            lambda rd, lam, low: least_above(rd, lam, [Fraction(0)] * len(low)))
         # height 2 reaches lambda = 1,1; at height 1 the only row is lambda = mu = 0
         code, _ = run(["verify", "dimension-consistency", "--type", "A2", "--height", "2"])
         assert code == 2
@@ -859,11 +859,14 @@ class TestStartup:
         assert not added & {"kvcalc.kv", "kvcalc.conjugacy"}
 
     def test_strata_polytope_loads_neither_multiplicity_nor_weyl(self):
-        added = _added("import io\nfrom kvcalc import cli\n"
-                       "assert cli.run(['strata', 'polytope', '--type', 'A2', '--lambda',"
-                       " '2,1', '--nu', '1/2,1/2'], io.StringIO()) == 0")
-        assert "kvcalc.strata" in added
-        assert not added & {"kvcalc.multiplicity", "kvcalc.weyl"}
+        # and neither does `strata steinberg`, whose stratum is an ascent in rootdata
+        for kind, flag, value in (("polytope", "--nu", "1/2,1/2"),
+                                  ("steinberg", "--cvals", "1,inf")):
+            argv = ["strata", kind, "--type", "A2", "--lambda", "2,1", flag, value]
+            added = _added(f"import io\nfrom kvcalc import cli\n"
+                           f"assert cli.run({argv!r}, io.StringIO()) == 0")
+            assert "kvcalc.strata" in added
+            assert not added & {"kvcalc.multiplicity", "kvcalc.weyl"}
 
     def test_mult_loads_no_weyl(self):
         added = _added("import io\nfrom kvcalc import cli\n"

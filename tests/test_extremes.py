@@ -1,10 +1,14 @@
-"""Minimal and maximal elements: mu*, the Steinberg stratum and the Chen-Zhu
-set against the pairwise filters they replaced.
+"""Least and greatest elements: mu*, the Steinberg stratum and the Chen-Zhu
+set against the searches they replaced.
 
-The production code confirms the lowest (highest) candidate by height in one
-pass over scaled integers and falls back to the pairwise filter only to list a
-tie.  The oracles below are the former Fraction code: every candidate tested
-against every other with ``rootdata.leq_q``.
+mu* and the Steinberg stratum are the least dominant coweight below lambda
+above a floor, found by ``rootdata._least_above`` as an ascent from the
+floor.  Its oracle, ``oracles.minimal_above``, searches the whole dominance
+interval and lists every minimal element, so a tie would show there.  The
+Chen-Zhu set confirms its highest candidate by height in one pass over scaled
+integers and falls back to the pairwise filter only to list several maximal
+points.  The other oracles below are the former Fraction code: every
+candidate tested against every other with ``rootdata.leq_q``.
 """
 
 import random
@@ -14,8 +18,8 @@ from itertools import product
 import pytest
 
 from kvcalc import kv, multiplicity, rootdata, strata
-from kvcalc.errors import InvariantViolation, UniquenessError, UsageError
-from oracles import is_integral, rational_grid
+from kvcalc.errors import InvariantViolation, SizeGuardError, UniquenessError, UsageError
+from oracles import is_integral, minimal_above, rational_grid
 from test_multiplicity import dominant_lattice_weights
 
 
@@ -139,40 +143,53 @@ def test_extremes_match_pairwise_on_hand_built_points():
     datum = rd("A2")
     points = [(1, 2), (2, 1), (2, 2), (3, 3), (0, 4)]
     coweights = [cw(*p) for p in points]
-    assert rootdata._extremes(points) == [(1, 2), (2, 1), (0, 4)]
-    assert [cw(*p) for p in rootdata._extremes(points)] == pairwise_minimal(datum, coweights)
-    assert [cw(*p) for p in rootdata._extremes(points, highest=True)] == \
-        pairwise_maximal(datum, coweights)
-    assert rootdata._extremes(points[1:4]) == [(2, 1)]
-    assert rootdata._extremes(points[1:4], highest=True) == [(3, 3)]
+    assert [cw(*p) for p in rootdata._extremes(points)] == pairwise_maximal(datum, coweights)
+    assert rootdata._extremes(points[1:4]) == [(3, 3)]
     assert rootdata._extremes([]) == []
 
 
-@pytest.fixture
-def tied_interval(monkeypatch):
-    """A2, lambda = (2, 2), with the interval cut to (1,2), (2,1), (2,2):
-    two minimal elements, which no true interval has."""
-    lam = cw(2, 2)
-    tied = (1, {(2, 2): lam, (1, 2): cw(1, 2), (2, 1): cw(2, 1)})
-    real = multiplicity._interval
-    monkeypatch.setattr(multiplicity, "_interval",
-                        lambda datum, v: tied if tuple(v) == lam else real(datum, v))
-    yield rd("A2"), lam
+# (type, isogeny, cap on the pairings of lambda): sc, adjoint, products and
+# the A3 lattice between them, with lambda up to height 40 on A2
+LEAST_ABOVE_TYPES = [
+    ("A1", "sc", 12), ("A1", "adjoint", 12), ("A2", "sc", 40), ("A2", "adjoint", 10),
+    ("A3", "sc", 5), ("A3", "adjoint", 4), ("A3", [[1, 0, 1], [0, 1, 0], [0, 0, 2]], 4),
+    ("A4", "sc", 3), ("B2", "sc", 16), ("B2", "adjoint", 8), ("B3", "sc", 4), ("B4", "sc", 2),
+    ("C3", "sc", 4), ("C3", "adjoint", 3), ("D4", "sc", 3), ("G2", "sc", 12), ("F4", "sc", 2),
+    ("E6", "sc", 2), ("A1xB2", "sc", 4), ("A1xA2", "adjoint", 4),
+]
 
 
-def test_tie_raises_the_oracle_message(tied_interval):
-    datum, lam = tied_interval
-    nu = cw(0, 0)
-    with pytest.raises(UniquenessError) as got:
-        kv.best_integral_approx(datum, nu, lam)
-    with pytest.raises(UniquenessError) as want:
-        oracle_best_integral_approx(datum, nu, lam)
-    assert str(got.value) == str(want.value)
-    assert "[(Fraction(1, 1), Fraction(2, 1)), (Fraction(2, 1), Fraction(1, 1))]" in str(got.value)
+def test_least_above_is_the_one_minimal_element_of_the_interval():
+    """At every lambda: the zero floor, lambda itself, and four random
+    rational floors, some below 0 and some above lambda."""
+    rng = random.Random(26)
+    cases = 0
+    for label, isogeny, cap in LEAST_ABOVE_TYPES:
+        datum = rd(label, isogeny)
+        for lam in dominant_lattice_weights(datum, cap):
+            floors = [[0] * datum.rank, list(lam)]
+            for _ in range(4):
+                den = rng.randint(1, 6)
+                floors.append([Fraction(rng.randint(-den, int((x + 1) * den)), den) for x in lam])
+            for low in floors:
+                least = rootdata._least_above(datum, lam, low)
+                assert minimal_above(datum, lam, low) == ([] if least is None else [least]), \
+                    (label, isogeny, lam, low)
+                cases += 1
+    assert cases > 4000
 
-    v = (strata.INFINITE, strata.INFINITE)
-    with pytest.raises(UniquenessError) as got:
-        strata.steinberg_stratum(datum, v, lam)
-    with pytest.raises(UniquenessError) as want:
-        oracle_steinberg_stratum(datum, v, lam)
-    assert str(got.value) == str(want.value)
+
+def test_least_above_keeps_the_bound_of_the_interval_it_no_longer_walks():
+    datum = rd("A2")
+    lam = cw(3000, 3000)  # a box of 3001^2 points, over the cap
+    refused = "the dominance interval would visit 9006001 tuples, over the cap of 2000000"
+    with pytest.raises(SizeGuardError) as exc:
+        kv.best_integral_approx(datum, cw(0, 0), lam)
+    assert str(exc.value) == refused
+    with pytest.raises(SizeGuardError) as exc:
+        strata.steinberg_stratum(datum, (1, 1), lam)
+    assert str(exc.value) == refused
+    # under the cap, answered by the ascent alone (iota swaps the two c-values)
+    lam = cw(1400, 1400)
+    assert kv.best_integral_approx(datum, cw(0, 0), lam) == cw(0, 0)
+    assert strata.steinberg_stratum(datum, (Fraction(1, 2), 3), lam) == cw(1397, 1400)

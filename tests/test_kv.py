@@ -11,7 +11,7 @@ import pytest
 from kvcalc import cli, conjugacy, kv, multiplicity, rootdata, weyl
 from kvcalc.errors import InvariantViolation, KVError, UsageError
 from oracles import (class_to_json, conjugate_class, fraction_disc_valuation,
-                     levi_coxeter_classes, report_from_json)
+                     levi_coxeter_classes, minimal_above, report_from_json)
 
 
 def rd(label, isogeny="sc"):
@@ -179,7 +179,8 @@ class TestBestIntegralApprox:
     @pytest.mark.parametrize("label,lam_coords", [("A2", (2, 2)), ("B2", (2, 2)),
                                                   ("G2", (3, 2))])
     def test_uniqueness_over_rational_grid(self, label, lam_coords):
-        # a UniquenessError anywhere here would falsify the minimality lemma
+        # a second minimal element in the oracle's list would falsify the
+        # minimality lemma
         datum = rd(label)
         lam = cw(*lam_coords)
         for num1 in range(0, 9):
@@ -192,6 +193,7 @@ class TestBestIntegralApprox:
                 mu = kv.best_integral_approx(datum, nu, lam)
                 assert rootdata.leq_q(datum, nu, mu)
                 assert rootdata.leq_q(datum, mu, lam)
+                assert minimal_above(datum, lam, nu) == [mu]
 
 
 class TestChenZhu:
