@@ -128,12 +128,12 @@ def cmd_mult(args, out):
     if args.sweep is not None and (args.lam is not None or args.mu is not None):
         raise UsageError("mult --sweep takes no --lambda or --mu")
     if args.sweep is not None:
-        rows = []
-        for lam in multiplicity.sweep_dominant(rd, args.sweep):
-            wsys = multiplicity.weight_system(rd, lam)
-            rows.extend((lam, mu, m) for mu, m in wsys.items())
-        for lam, mu, m in sorted(rows):
-            print(f"{_fmt(lam)}\t{_fmt(mu)}\t{m}", file=out)
+        lams = multiplicity.sweep_dominant(rd, args.sweep)
+        if not lams:
+            raise UsageError(f"mult --sweep {args.sweep} reaches no dominant lambda")
+        for lam in lams:
+            for mu, m in multiplicity.weight_system(rd, lam).items():
+                print(f"{_fmt(lam)}\t{_fmt(mu)}\t{m}", file=out)
         return
     lam = rootdata.parse_coweight(rd, args.lam)
     mu = rootdata.parse_coweight(rd, args.mu)
@@ -250,8 +250,8 @@ def verify_lower_bound(args, data):
         for lam in rootdata.dominant_integral_sweep(rd, args.height):
             if not all(p > 0 for p in rootdata._pairings(rd, lam)):
                 continue
-            # lam has a row at mu = 0; the weights come in dominant_below's order
-            for mu, m in sorted(multiplicity.weight_system(rd, lam).items()):
+            # lam has a row at mu = 0; the weights come in increasing order
+            for mu, m in multiplicity.weight_system(rd, lam).items():
                 if not all(x > 0 for x in rootdata.sub(lam, mu)):
                     continue
                 yield label, _fmt(lam), _fmt(mu), m, bound, _verdict(m >= bound)
@@ -269,7 +269,7 @@ def verify_freudenthal_kostant(args, data):
     from . import multiplicity
     for label, rd in data:
         for lam in multiplicity.sweep_dominant(rd, args.height):
-            for mu, a in sorted(multiplicity.weight_system(rd, lam).items()):
+            for mu, a in multiplicity.weight_system(rd, lam).items():
                 b = multiplicity.multiplicity_kostant(rd, lam, mu)
                 yield label, _fmt(lam), _fmt(mu), a, b, _verdict(a == b)
 
@@ -285,7 +285,7 @@ def verify_dimension_consistency(args, data):
     for label, rd in data:
         grp = rootdata.fundamental_group(rd)
         for lam in rootdata.dominant_integral_sweep(rd, args.height):
-            for mu in multiplicity.dominant_below(rd, lam):
+            for mu in multiplicity.weight_system(rd, lam):
                 pairings = rootdata._pairings(rd, rootdata._scale(mu)[1])
                 residual = {
                     root: Fraction(rng.randrange(0, 3))

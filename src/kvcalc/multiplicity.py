@@ -18,13 +18,13 @@ W the cached table of ``weyl.enumerate_group(rd)`` acting on coweights and
 its positive roots the positive coroots.  The tests check both readings
 against the literal dual datum, built from the transposed Cartan matrix.
 
-The dominance interval is walked once per (rd, lam), by ``_interval``, and
-cached there: lam is scaled by D, the lcm of its denominators, and the walk
-steps down along covers, each a positive coroot, through dominant integer
-tuples only.  Freudenthal's recursion reads that one cache; ``dominant_below``
-is its sorted view.  The Fraction coweights beside the scaled keys are built
-once and are the ones every caller sees.  The public functions check lam and
-mu; the private cores (``_weight_system``, ``_interval``) trust them.
+The dominance interval is walked once per (rd, lam), by ``_interval``, inside
+the cached weight system: lam is scaled by D, the lcm of its denominators,
+and the walk steps down along covers, each a positive coroot, through
+dominant integer tuples only.  Every dominant mu <= lam is a weight of V(lam),
+so the keys of ``weight_system`` are the interval, in the increasing order
+every caller prints, each Fraction built once.  The public functions check
+lam and mu; the private cores (``_weight_system``, ``_interval``) trust them.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ def _gram(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
 
 def weight_system(rd: RootDatum, lam) -> MappingProxyType:
     """The dominant weights of the dual-group irreducible V(lam), with their
-    multiplicities, as a read-only mapping."""
+    multiplicities, as a read-only mapping in increasing order: its keys are
+    the dominance interval below lam."""
     return _weight_system(rd, rootdata.check_dominant(rd, lam, "lambda"))
 
 
@@ -61,7 +62,7 @@ def _weight_system(rd: RootDatum, lam: Coweight) -> MappingProxyType:
     """``weight_system`` for a checked lam, cached per (rd, lam).
 
     lam and the weights are in simple-coroot coordinates of rd.  Freudenthal's
-    recursion visits ``_interval(rd, lam)`` in decreasing height and reads
+    recursion visits the scaled interval in decreasing height and reads
     m(mu + k alpha) as m of its dominant representative.  A dict lookup is
     enough, for two reasons: that representative is at least mu + k alpha in
     dominance, so it is higher than mu and already computed; and the weights on
@@ -73,8 +74,12 @@ def _weight_system(rd: RootDatum, lam: Coweight) -> MappingProxyType:
     Freudenthal's m = 2 sum m(y) (y, alpha) / (C(lam) - C(mu)) becomes
     2 D sum m(Y) (Y, alpha) / (C(D lam) - C(D mu)), all in integers.
     """
-    d, interval = _interval(rd, lam)
+    d, scaled = rootdata._scale(lam)
+    highest, *rest = _interval(rd, d, scaled)
     g = _gram(rd)
+
+    def unscale(x):
+        return tuple(Fraction(v, d) for v in x)
 
     def gram_times(x):
         return tuple(sum(map(mul, row, x)) for row in g)
@@ -93,7 +98,6 @@ def _weight_system(rd: RootDatum, lam: Coweight) -> MappingProxyType:
     # Each alpha-string step reduces y = D mu + k D alpha, whose dominant
     # representative lies above y; the string ends by the time ht(y) exceeds
     # ht(D lam), so it takes at most (ht D lam - ht D mu) // (D ht alpha) + 1.
-    highest, *rest = interval
     h = sum(highest)
     rootdata.guard_grid_size(sum((h - sum(mu)) // sum(step) + 1
                                  for mu in rest for step, _, _ in strings),
@@ -115,14 +119,14 @@ def _weight_system(rd: RootDatum, lam: Coweight) -> MappingProxyType:
         denom = top - casimir(mu)
         if denom <= 0:
             raise InvariantViolation(
-                f"Freudenthal denominator {Fraction(denom, d * d)} at {interval[mu]} below {lam}")
+                f"Freudenthal denominator {Fraction(denom, d * d)} at {unscale(mu)} below {lam}")
         m, rest = divmod(2 * d * total, denom)
         if rest or m <= 0:
             raise InvariantViolation(
-                f"Freudenthal multiplicity {Fraction(2 * d * total, denom)} at {interval[mu]} "
+                f"Freudenthal multiplicity {Fraction(2 * d * total, denom)} at {unscale(mu)} "
                 f"below {lam}")
         mult[mu] = m
-    return MappingProxyType({interval[mu]: m for mu, m in mult.items()})
+    return MappingProxyType({unscale(mu): mult[mu] for mu in sorted(mult)})
 
 
 def multiplicity_freudenthal(rd: RootDatum, lam, mu) -> int:
@@ -183,11 +187,10 @@ def multiplicity_kostant(rd: RootDatum, lam, mu) -> int:
 # dominance intervals
 
 
-@lru_cache(maxsize=None)
-def _interval(rd: RootDatum, lam) -> tuple[int, dict[tuple[int, ...], Coweight]]:
-    """(D, {D mu: mu}) over the dominant lattice coweights mu <= lam, by
-    decreasing height, lam first; D is the lcm of lam's denominators, so
-    every D mu is an integer tuple.
+def _interval(rd: RootDatum, d: int, scaled) -> list[tuple[int, ...]]:
+    """The scaled dominant lattice coweights D mu, mu <= lam, by decreasing
+    height, D lam = scaled first; D is the lcm of lam's denominators, so every
+    D mu is an integer tuple.
 
     The walk steps down from D lam by D beta, beta a positive coroot, and
     keeps the dominant results.  By Stembridge (*The partial order of
@@ -197,11 +200,10 @@ def _interval(rd: RootDatum, lam) -> tuple[int, dict[tuple[int, ...], Coweight]]
     lies between 0 and D lam_i and is congruent to D lam_i mod D: the
     interval holds at most prod(floor(lam_i) + 1) points.  lam is checked.
     """
-    d, top = rootdata._scale(lam)
-    rootdata.guard_grid_size(prod(t // d + 1 for t in top), "the dominance interval")
+    rootdata.guard_grid_size(prod(t // d + 1 for t in scaled), "the dominance interval")
     steps = [tuple(d * b for b in beta) for beta in rd.positive_coroots]
-    seen = {top}
-    stack = [top]
+    seen = {scaled}
+    stack = [scaled]
     while stack:
         v = stack.pop()
         for step in steps:
@@ -211,17 +213,9 @@ def _interval(rd: RootDatum, lam) -> tuple[int, dict[tuple[int, ...], Coweight]]
                 stack.append(w)
     # every lattice point below lam stays in the lattice (coroot steps)
     if not all(rootdata._is_integral_ints(rd, d, v) for v in seen):
-        raise InvariantViolation(f"a coweight below {lam} left the isogeny lattice")
-    return d, {v: tuple(Fraction(x, d) for x in v)
-               for v in sorted(seen, key=lambda v: (-sum(v), v))}
-
-
-def dominant_below(rd: RootDatum, lam) -> tuple[Coweight, ...]:
-    """Dominant lattice coweights mu with lam - mu a nonnegative integer
-    combination of simple coroots (this forces matching pi_1 classes), in
-    increasing order: a sorted view of ``_interval``."""
-    _, interval = _interval(rd, rootdata.check_dominant(rd, lam, "lambda"))
-    return tuple(interval[v] for v in sorted(interval))
+        raise InvariantViolation(f"a coweight below {tuple(Fraction(t, d) for t in scaled)} "
+                                 "left the isogeny lattice")
+    return sorted(seen, key=lambda v: (-sum(v), v))
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +231,7 @@ def highest_root_pairing(rd: RootDatum, lam) -> Fraction:
 
 
 def sweep_dominant(rd: RootDatum, cap: int) -> list[Coweight]:
-    """Dominant lattice coweights lam with <lam+rho, theta-vee> <= cap."""
-    out = []
-    for v in rootdata.dominant_integral_sweep(rd, cap):
-        if highest_root_pairing(rd, v) <= cap:
-            out.append(v)
-    return out
+    """Dominant lattice coweights lam with <lam+rho, theta-vee> <= cap, in
+    increasing order."""
+    return [v for v in rootdata.dominant_integral_sweep(rd, cap)
+            if highest_root_pairing(rd, v) <= cap]

@@ -408,7 +408,8 @@ def _least_above(rd: RootDatum, lam: Coweight, low):
     ``_reduce_ints`` does.  Each step is forced: the off-diagonal Cartan
     entries are <= 0, so every dominant mu >= X has mu_i > X_i.  The walk thus
     stays below every candidate, D lam among them, and stops on the least.
-    It keeps the bound of ``multiplicity._interval``, so refuses the same lam.
+    The ascent may take sum(lam_i - ceil(low_i)) steps; its one guard, checked
+    first, is the box bound of ``multiplicity._interval``, with its message.
     """
     d, top = _scale(lam)
     guard_grid_size(prod(t // d + 1 for t in top), "the dominance interval")
@@ -426,17 +427,19 @@ def _least_above(rd: RootDatum, lam: Coweight, low):
 
 
 def _extremes(points: list) -> list:
-    """The maximal elements, in list order, of a list of distinct integer
+    """The maximal elements, by decreasing height, of a list of distinct integer
     tuples under the componentwise order: dominance, for coroot coordinates
-    over one denominator.  Only a highest point can be a greatest element, so
-    the pairwise filter runs only when the highest is not above every other.
+    over one denominator.  A point lies below higher points only, and below a
+    kept one if below any, so the walk by height keeps each point below none.
     """
-    if not points:
-        return []
-    best = max(points, key=sum)
-    if all(all(map(ge, best, p)) for p in points):
-        return [best]
-    return [p for p in points if not any(q != p and all(map(ge, q, p)) for q in points)]
+    kept = []
+    for p in sorted(points, key=sum, reverse=True):
+        for q in kept:
+            if all(map(ge, q, p)):
+                break
+        else:
+            kept.append(p)
+    return kept
 
 
 def leq_q(rd: RootDatum, nu: Coweight, lam: Coweight) -> bool:

@@ -25,10 +25,6 @@ class NilconeStratum(rootdata.Record):
         self.w = w
         self.dim = dim
 
-    @property
-    def is_top(self) -> bool:
-        return self.dim == self.w.rd.dim_g - self.w.rd.rank
-
 
 def levi_dimension(rd: RootDatum, subset: frozenset[int]) -> int:
     """Dimension of the standard Levi on the given simple roots."""

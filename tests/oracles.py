@@ -16,11 +16,13 @@ datum, so they check that reading.
 
 `oracle_dominant_below` is the coroot-step walk of the dominance interval
 that the package replaced by a walk along covers, and `minimal_above` is the
-search of that interval for mu* and the Steinberg strata that the package
-replaced by an ascent from the floor.  The `fraction_*` class
-invariants are the Fraction sums, one root at a time, that the package
-replaced by one integer table per class (`ClassDatum.valuations`), with the
-linear scan of the residual list that a dict lookup replaced.
+search of the interval for mu* and the Steinberg strata that the package
+replaced by an ascent from the floor; it reads the walk along covers once
+per lambda (`scaled_interval`), which the tests check against the oracle.
+The `fraction_*` class invariants are the Fraction sums, one root at a time,
+that the package replaced by one integer table per class
+(`ClassDatum.valuations`), with the linear scan of the residual list that a
+dict lookup replaced.
 `oracle_enumerate_group` and `oracle_root_closure` are the breadth-first
 passes that the package replaced by walks along ascents: they reflect every
 element by every s_i with a full pairing and keep one set of everything seen,
@@ -377,6 +379,7 @@ def fraction_levi_disc_valuation(cd, levi) -> Fraction:
 # dominance intervals
 
 
+@lru_cache(maxsize=None)
 def oracle_dominant_below(rd, lam):
     """The dominance interval by the coroot-step walk that the package used
     before it walked by covers: unit simple-coroot steps down from lam, kept
@@ -402,6 +405,14 @@ def oracle_dominant_below(rd, lam):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def scaled_interval(rd, lam):
+    """(D, the scaled interval of ``multiplicity._interval``) for a checked
+    lam, walked once per (rd, lam) for the oracles that search it."""
+    d, scaled = rootdata._scale(lam)
+    return d, tuple(multiplicity._interval(rd, d, scaled))
+
+
 def minimal_above(rd, lam, low) -> list:
     """The minimal elements, sorted, of the dominant lattice coweights mu <= lam
     with mu_i >= low_i for every i, by a search of the whole dominance
@@ -410,15 +421,15 @@ def minimal_above(rd, lam, low) -> list:
     mu_i >= low_i exactly when D mu_i >= ceil(D low_i), since D mu_i is an
     integer.  The lowest candidate is tested against every other in one
     pass, and the pairwise filter runs only when that fails."""
-    d, interval = multiplicity._interval(rd, lam)
+    d, interval = scaled_interval(rd, lam)
     low = tuple(-(-x.numerator * d // x.denominator) for x in low)
     above = [mu for mu in interval if all(map(le, low, mu))]
     if not above:
         return []
     best = min(above, key=sum)
     if all(all(map(le, best, p)) for p in above):
-        return [interval[best]]
-    return sorted(interval[p] for p in above
+        return [tuple(Fraction(x, d) for x in best)]
+    return sorted(tuple(Fraction(x, d) for x in p) for p in above
                   if not any(q != p and all(map(le, q, p)) for q in above))
 
 

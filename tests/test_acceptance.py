@@ -77,7 +77,7 @@ def test_04_multiplicity_lower_bound():
         for lam in rootdata.dominant_integral_sweep(datum, 10):
             if not all(p > 0 for p in rootdata._pairings(datum, lam)):
                 continue
-            for mu in multiplicity.dominant_below(datum, lam):
+            for mu in multiplicity.weight_system(datum, lam):
                 if not all(x > 0 for x in rootdata.sub(lam, mu)):
                     continue
                 m = multiplicity.multiplicity_freudenthal(datum, lam, mu)
@@ -145,7 +145,7 @@ def test_08_steinberg_equals_best_approx_equals_mu():
     for label in ["A1", "A2"]:
         datum = rd(label)
         for lam in rootdata.dominant_integral_sweep(datum, 6):
-            for mu in multiplicity.dominant_below(datum, lam):
+            for mu in multiplicity.weight_system(datum, lam):
                 cases.append((datum, lam, mu))
     cases = [rng.choice(cases) for _ in range(100)]
     for datum, lam, mu in cases:
@@ -162,7 +162,7 @@ def test_09_dimension_formula_coherence():
     for label in ["A2", "A3"]:
         datum = rd(label)
         for lam in rootdata.dominant_integral_sweep(datum, 5):
-            for mu in multiplicity.dominant_below(datum, lam):
+            for mu in multiplicity.weight_system(datum, lam):
                 residual = {
                     root: Fraction(rng.randrange(0, 3))
                     for root in datum.positive_roots

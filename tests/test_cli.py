@@ -294,6 +294,12 @@ class TestMalformedInput:
     def test_mult_sweep_refuses_a_single_query_operand(self, operand, capsys):
         self.check(["mult", "--type", "A2", "--sweep", "2", *operand], capsys)
 
+    # on A2 every dominant lambda has <lambda + rho, theta-vee> >= 2
+    @pytest.mark.parametrize("cap", ["-1", "0", "1"])
+    def test_mult_sweep_that_reaches_no_lambda(self, cap, capsys):
+        err = self.check(["mult", "--type", "A2", "--sweep", cap], capsys)
+        assert err == f"error: mult --sweep {cap} reaches no dominant lambda\n"
+
     def test_strata_polytope_refuses_both_nu_and_lambda2(self, capsys):
         self.check(["strata", "polytope", "--type", "A2", "--lambda", "2,1",
                     "--nu", "1/2,1/2", "--lambda2", "1,1"], capsys)
@@ -443,8 +449,8 @@ class TestMult:
         code, text = run(["mult", "--type", "A1", "--sweep", "4"])
         assert code == 0
         rows = [line.split("\t") for line in text.strip().splitlines()]
-        assert ["1", "1", "1"] in rows
-        assert all(len(r) == 3 for r in rows)
+        # rows by (lambda, mu), each increasing: lambda = 1 lists mu = 0, then 1
+        assert rows == [["0", "0", "1"], ["1", "0", "1"], ["1", "1", "1"]]
 
 
 class TestDim:
@@ -964,7 +970,7 @@ def fuzz_files(tmp_path_factory):
 @example(["weyl", "--type", "A2"])
 @example(["weyl", "--type", "B2", "--coxeter", "--isogeny", "custom:{isogeny}"])
 @example(["mult", "--type", "A2", "--lambda", "2,1", "--mu", "0,0"])
-@example(["mult", "--type", "G2", "--sweep", "2"])
+@example(["mult", "--type", "G2", "--sweep", "6"])
 @example(["dim", "--class", "{split}", "--lambda", "2,1"])
 @example(["dim", "--class", "{split}", "--lambda", "2,1", "--json"])
 @example(["dim", "--class", "{inconsistent}", "--lambda", "1"])

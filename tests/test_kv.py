@@ -389,8 +389,7 @@ class TestCheckedOnce:
     enters; the interval, the weight system and mu* trust that check."""
 
     def test_a_dim_report_checks_lambda_once(self, monkeypatch, tmp_path):
-        # cold caches, so that the interval and the weight system are built here
-        multiplicity._interval.cache_clear()
+        # a cold cache, so that the weight system and its interval are built here
         multiplicity._weight_system.cache_clear()
         path = tmp_path / "class.json"
         path.write_text(json.dumps(class_to_json(conjugacy.split_class(rd("A3"), [2, 2, 2]))))
@@ -429,6 +428,6 @@ class TestCheckedOnce:
         *rows, verdict = [line.split("\t") for line in out.getvalue().splitlines()]
         assert verdict == ["PASS"]
         lams = {(label, lam) for label, lam, *_ in rows}
-        # lambda once per row (`kv.report`) and once per `dominant_below`, mu never
+        # lambda once per row (`kv.report`) and once per `weight_system`, mu never
         assert calls.count("mu") == 0
         assert len(calls) == len(rows) + len(lams) == 126

@@ -166,7 +166,7 @@ class TestCoherence:
     def test_split_generic_class_lands_in_its_stratum(self, label):
         datum = rd(label)
         for lam in rootdata.dominant_integral_sweep(datum, 4):
-            for mu in multiplicity.dominant_below(datum, lam):
+            for mu in multiplicity.weight_system(datum, lam):
                 v = valuation_vector_for(datum, lam, mu)
                 assert strata.steinberg_stratum(datum, v, lam) == mu
                 assert kv.best_integral_approx(datum, mu, lam) == mu
@@ -190,7 +190,7 @@ class TestSizeGuards:
         lambda: rootdata.dominant_integral_sweep(rd("A2"), 10**4),
         lambda: rootdata.dominant_grid(rd("A2"), 10**3, 6),
         lambda: kv.chen_zhu_approx(rd("A1", "adjoint"), [10**7]),
-        lambda: multiplicity.dominant_below(rd("A2"), (3000, 3000)),
+        lambda: multiplicity.weight_system(rd("A2"), (3000, 3000)),
     ], ids=["dominant-sweep", "rational-grid", "chen-zhu-grid", "dominance-interval"])
     def test_oversized_grid_refused(self, build):
         with pytest.raises(SizeGuardError):

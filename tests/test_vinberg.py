@@ -36,7 +36,7 @@ class TestNilconeStrata:
 
     def test_a2_top_strata(self):
         datum = rd("A2")
-        tops = [s for s in vinberg.nilcone_strata(datum) if s.is_top]
+        tops = [s for s in vinberg.nilcone_strata(datum) if s.dim == datum.dim_g - datum.rank]
         assert len(tops) == 2
         cox_actions = {action(e) for e in weyl.coxeter_elements(datum)}
         for s in tops:
@@ -69,7 +69,8 @@ class TestNilconeStrata:
     @pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3", "F4"])
     def test_top_strata_are_exactly_coxeter(self, label):
         datum = rd(label)
-        tops = {action(s.w) for s in vinberg.nilcone_strata(datum) if s.is_top}
+        tops = {action(s.w) for s in vinberg.nilcone_strata(datum)
+                if s.dim == datum.dim_g - datum.rank}
         assert tops == {action(e) for e in weyl.coxeter_elements(datum)}
 
     @pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4",
@@ -87,12 +88,12 @@ class TestArcStrataIndex:
     indexed by the dominance interval: dominant mu <= lambda."""
 
     def test_zero(self):
-        assert multiplicity.dominant_below(rd("A2"), cw(0, 0)) == (cw(0, 0),)
+        assert tuple(multiplicity.weight_system(rd("A2"), cw(0, 0))) == (cw(0, 0),)
 
     def test_adjoint_minuscule(self):
         datum = rd("A1", "adjoint")
         omega = cw(Fraction(1, 2))
-        assert multiplicity.dominant_below(datum, omega) == (omega,)
+        assert tuple(multiplicity.weight_system(datum, omega)) == (omega,)
 
     def test_a2_theta(self):
-        assert multiplicity.dominant_below(rd("A2"), cw(1, 1)) == (cw(0, 0), cw(1, 1))
+        assert tuple(multiplicity.weight_system(rd("A2"), cw(1, 1))) == (cw(0, 0), cw(1, 1))
