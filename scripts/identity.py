@@ -11,6 +11,15 @@ exceptions ("tracebacks") and the exit codes.  To check that a change keeps
 every answer and every refusal, run the script against the parent's `src`
 and against the change's, and `diff` the two outputs.
 
+Its output is committed as `scripts/identity_expected.txt`, and CI diffs
+every run against that file on each interpreter it tests.  A change that
+alters output on purpose, or edits the command lists of
+`perfbench/workloads.py` that the corpus runs, regenerates the file with
+
+    python3 scripts/identity.py src > scripts/identity_expected.txt
+
+and lists the changed lines in `CHANGES.md`.
+
 The corpus: the benchmark's `interactive` lists at seeds 0-3 and its
 `nilcone` and `sweep` lists (from `perfbench/workloads.py`); `nilcone` on
 fourteen types; every verify suite at its defaults and under the adjoint

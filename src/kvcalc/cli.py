@@ -5,7 +5,8 @@ input datum is internally inconsistent.  All enumerations are emitted in
 sorted order, so output is byte-deterministic for fixed flags.  Each
 handler imports the modules it uses, so a command loads only its own layers.
 `main` freezes the collector's generations before it exits, so that
-finalization does not walk the heap; `run` never does.
+finalization does not walk the heap, and exits 1 without a message when the
+reader closes stdout; `run` does neither.
 A verify suite yields one tab-separated row per checked case; `cmd_verify`
 builds every datum first, then prints, counts and judges the rows.
 """
@@ -13,6 +14,7 @@ builds every datum first, then prints, counts and judges the rows.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -334,17 +336,17 @@ def verify_stratification_disjoint(args, data):
 
 
 def verify_chen_zhu_compare(args, data):
-    """Report only: mu* from the largest lam above nu against the maximal mu below nu."""
+    """Report only: mu* from the first lam above nu (all agree) against the maximal mu below nu."""
     from . import kv
     for label, rd in data:
         lams = [tuple(4 * x for x in lam)  # scaled by 4, as nu = k / 4 is
                 for lam in rootdata.dominant_grid(rd, args.height + 2 * rd.rank, 1)]
         for k in rootdata.dominant_grid(rd, args.height, 4):
             nu = tuple(Fraction(x, 4) for x in k)
-            above = [lam for lam in lams if all(map(le, k, lam))]
-            if not above:
+            lam = next((lam for lam in lams if all(map(le, k, lam))), None)
+            if lam is None:
                 continue
-            mu_star = kv.best_integral_approx(rd, nu, [x // 4 for x in max(above, key=sum)])
+            mu_star = kv.best_integral_approx(rd, nu, [x // 4 for x in lam])
             below = kv.chen_zhu_approx(rd, nu)
             czs = " ".join(_fmt(v) for v in below) or "-"
             same = len(below) == 1 and below[0] == mu_star
@@ -467,7 +469,14 @@ def run(argv=None, out=None) -> int:
 
 
 def main() -> None:
-    code = run()
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: exit 1 with nothing on stderr, and point
+        # stdout at devnull so that the interpreter's last flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
     import gc  # here, not at the top: `import kvcalc.cli` loads nothing more
     gc.freeze()  # finalization's full collections skip the permanent generation
     sys.exit(code)

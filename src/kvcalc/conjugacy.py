@@ -214,6 +214,8 @@ def r_levi(cd: ClassDatum, levi: frozenset[int] | set[int]):
 def _frac_from_json(obj) -> Fraction:
     if isinstance(obj, dict):
         return Fraction(rootdata._as_int(obj["num"]), rootdata._as_int(obj.get("den", 1)))
+    if isinstance(obj, bool):
+        raise TypeError(f"{obj!r} is not a number")
     return Fraction(obj)
 
 
@@ -243,6 +245,8 @@ def class_from_json(data) -> ClassDatum:
             den = rootdata._as_int(nu.get("den", 1))
             nu_bar = tuple(Fraction(n, den) for n in rootdata._as_ints(nu["num"]))
         elif isinstance(nu, (list, tuple)):
+            if any(isinstance(x, bool) for x in nu):
+                raise TypeError("a boolean is not a number")
             nu_bar = rootdata.coweight(nu)
         else:
             raise TypeError("not a list")

@@ -14,8 +14,8 @@ here and in ``multiplicity`` trust them, so one `dim` report checks lambda once.
 The approximations mu* (least above the Newton point, an ascent by
 ``rootdata._least_above``) and Chen-Zhu (maximal below it) compare scaled
 integers.  The Chen-Zhu candidates are integer tuples over one denominator,
-and ``rootdata._extremes`` keeps, by decreasing height, each one below no
-kept candidate; they are sorted as integers before Fractions are built.
+and ``rootdata._extremes`` keeps, in decreasing order, each one below no
+kept candidate, and returns them in increasing order, the printed one.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def chen_zhu_approx(rd: RootDatum, nu):
     rootdata.guard_grid_size(prod(sizes), "the Chen-Zhu grid")
     candidates = [k for k in product(*map(range, sizes))
                   if rootdata._dominant(rd, k) and rootdata._is_integral_ints(rd, q, k)]
-    return tuple(tuple(Fraction(x, q) for x in k) for k in sorted(rootdata._extremes(candidates)))
+    return tuple(tuple(Fraction(x, q) for x in k) for k in rootdata._extremes(candidates))
 
 
 def regular_bound_exact(rd: RootDatum, lam, mu_star) -> bool:

@@ -22,9 +22,9 @@ The dominance interval is walked once per (rd, lam), by ``_interval``, inside
 the cached weight system: lam is scaled by D, the lcm of its denominators,
 and the walk steps down along covers, each a positive coroot, through
 dominant integer tuples only.  Every dominant mu <= lam is a weight of V(lam),
-so the keys of ``weight_system`` are the interval, in the increasing order
-every caller prints, each Fraction built once.  The public functions check
-lam and mu; the private cores (``_weight_system``, ``_interval``) trust them.
+so the keys of ``weight_system`` are the interval, in increasing tuple order:
+the printed order, which extends dominance, so the recursion runs over it
+reversed.  The public functions check lam and mu; the private cores trust them.
 """
 
 from __future__ import annotations
@@ -43,10 +43,9 @@ from .rootdata import Coweight, RootDatum
 @lru_cache(maxsize=None)
 def _gram(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
     """Gram matrix of (x, y) = sum over beta > 0 of <beta, x><beta, y> in
-    simple-coroot coordinates."""
+    simple-coroot coordinates, with <beta, alpha_j-vee> = sum_i beta_i cartan[j][i]."""
     r = rd.rank
-    units = rootdata._units(r)
-    rows = [[int(rootdata.pair_root(rd, beta, e)) for e in units] for beta in rd.positive_roots]
+    rows = [[sum(map(mul, beta, row)) for row in rd.cartan] for beta in rd.positive_roots]
     return tuple(tuple(sum(p[i] * p[j] for p in rows) for j in range(r)) for i in range(r))
 
 
@@ -62,12 +61,12 @@ def _weight_system(rd: RootDatum, lam: Coweight) -> MappingProxyType:
     """``weight_system`` for a checked lam, cached per (rd, lam).
 
     lam and the weights are in simple-coroot coordinates of rd.  Freudenthal's
-    recursion visits the scaled interval in decreasing height and reads
-    m(mu + k alpha) as m of its dominant representative.  A dict lookup is
-    enough, for two reasons: that representative is at least mu + k alpha in
-    dominance, so it is higher than mu and already computed; and the weights on
-    an alpha-string form an unbroken string, so the first k whose
-    representative is not a weight ends the string.
+    recursion visits the scaled interval in reverse, from D lam down, and
+    reads m(mu + k alpha) as m of its dominant representative.  A dict lookup
+    is enough, for two reasons: that representative is at least mu + k alpha
+    in dominance, so it is a larger tuple than mu and already computed; and
+    the weights on an alpha-string form an unbroken string, so the first k
+    whose representative is not a weight ends the string.
 
     Everything is scaled by D (see ``_interval``): with x = X / D the Casimir
     value (x, x) + (x, 2 rho) is C(X) / D^2, C(X) = (X, X) + D (X, 2 rho), and
@@ -75,7 +74,7 @@ def _weight_system(rd: RootDatum, lam: Coweight) -> MappingProxyType:
     2 D sum m(Y) (Y, alpha) / (C(D lam) - C(D mu)), all in integers.
     """
     d, scaled = rootdata._scale(lam)
-    highest, *rest = _interval(rd, d, scaled)
+    interval = _interval(rd, d, scaled)  # increasing, D lam = scaled last
     g = _gram(rd)
 
     def unscale(x):
@@ -98,13 +97,13 @@ def _weight_system(rd: RootDatum, lam: Coweight) -> MappingProxyType:
     # Each alpha-string step reduces y = D mu + k D alpha, whose dominant
     # representative lies above y; the string ends by the time ht(y) exceeds
     # ht(D lam), so it takes at most (ht D lam - ht D mu) // (D ht alpha) + 1.
-    h = sum(highest)
+    h = sum(scaled)
     rootdata.guard_grid_size(sum((h - sum(mu)) // sum(step) + 1
-                                 for mu in rest for step, _, _ in strings),
+                                 for mu in interval[:-1] for step, _, _ in strings),
                              "Freudenthal's recursion")
-    top = casimir(highest)
-    mult = {highest: 1}
-    for mu in rest:
+    top = casimir(scaled)
+    mult = {scaled: 1}
+    for mu in reversed(interval[:-1]):
         total = 0
         for step, g_alpha, growth in strings:
             y = mu
@@ -126,7 +125,7 @@ def _weight_system(rd: RootDatum, lam: Coweight) -> MappingProxyType:
                 f"Freudenthal multiplicity {Fraction(2 * d * total, denom)} at {unscale(mu)} "
                 f"below {lam}")
         mult[mu] = m
-    return MappingProxyType({unscale(mu): mult[mu] for mu in sorted(mult)})
+    return MappingProxyType({unscale(mu): mult[mu] for mu in interval})
 
 
 def multiplicity_freudenthal(rd: RootDatum, lam, mu) -> int:
@@ -188,9 +187,10 @@ def multiplicity_kostant(rd: RootDatum, lam, mu) -> int:
 
 
 def _interval(rd: RootDatum, d: int, scaled) -> list[tuple[int, ...]]:
-    """The scaled dominant lattice coweights D mu, mu <= lam, by decreasing
-    height, D lam = scaled first; D is the lcm of lam's denominators, so every
-    D mu is an integer tuple.
+    """The scaled dominant lattice coweights D mu, mu <= lam, in increasing
+    tuple order, D lam = scaled last; D is the lcm of lam's denominators, so
+    every D mu is an integer tuple.  When mu < nu, nu - mu is nonnegative, so
+    nu is the larger tuple: the order extends dominance.
 
     The walk steps down from D lam by D beta, beta a positive coroot, and
     keeps the dominant results.  By Stembridge (*The partial order of
@@ -215,7 +215,7 @@ def _interval(rd: RootDatum, d: int, scaled) -> list[tuple[int, ...]]:
     if not all(rootdata._is_integral_ints(rd, d, v) for v in seen):
         raise InvariantViolation(f"a coweight below {tuple(Fraction(t, d) for t in scaled)} "
                                  "left the isogeny lattice")
-    return sorted(seen, key=lambda v: (-sum(v), v))
+    return sorted(seen)
 
 
 # ---------------------------------------------------------------------------

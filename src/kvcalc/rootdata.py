@@ -427,19 +427,19 @@ def _least_above(rd: RootDatum, lam: Coweight, low):
 
 
 def _extremes(points: list) -> list:
-    """The maximal elements, by decreasing height, of a list of distinct integer
+    """The maximal elements, in increasing order, of a list of distinct integer
     tuples under the componentwise order: dominance, for coroot coordinates
-    over one denominator.  A point lies below higher points only, and below a
-    kept one if below any, so the walk by height keeps each point below none.
+    over one denominator.  A point lies below larger tuples only, and below a
+    kept one if below any, so the walk down keeps each point below none.
     """
     kept = []
-    for p in sorted(points, key=sum, reverse=True):
+    for p in sorted(points, reverse=True):
         for q in kept:
             if all(map(ge, q, p)):
                 break
         else:
             kept.append(p)
-    return kept
+    return kept[::-1]
 
 
 def leq_q(rd: RootDatum, nu: Coweight, lam: Coweight) -> bool:
@@ -550,7 +550,10 @@ def fundamental_group(rd: RootDatum) -> FiniteAbelianGroup:
 
 def _as_int(x) -> int:
     """x read as an integer: an int or an integer string.  A number that is
-    not an integer raises ValueError, where int() would truncate it."""
+    not an integer raises ValueError, where int() would truncate it, and so
+    does a boolean, which int() would read as 0 or 1."""
+    if isinstance(x, bool):
+        raise ValueError(f"{x!r} is not an integer")
     try:
         out = int(x)
     except OverflowError:  # int() of an infinite float

@@ -12,13 +12,17 @@ against them.  `rational_grid` is the `Fraction` view of
 transposed Cartan matrix.  The package reads the dual group off rd instead:
 its positive roots are rd's positive coroots and its Weyl group is W acting
 on coweights.  The partition-count and full-weight oracles use the literal
-datum, so they check that reading.
+datum, so they check that reading.  `oracle_gram` builds the invariant form
+of Freudenthal's recursion from Fraction pairings, where the package reads
+them off the Cartan matrix.
 
 `oracle_dominant_below` is the coroot-step walk of the dominance interval
 that the package replaced by a walk along covers, and `minimal_above` is the
 search of the interval for mu* and the Steinberg strata that the package
 replaced by an ascent from the floor; it reads the walk along covers once
 per lambda (`scaled_interval`), which the tests check against the oracle.
+Its least candidate, when there is one, is the smallest tuple, since tuple
+order extends dominance; it is tested against every other candidate.
 The `fraction_*` class invariants are the Fraction sums, one root at a time,
 that the package replaced by one integer table per class
 (`ClassDatum.valuations`), with the linear scan of the residual list that a
@@ -167,6 +171,15 @@ def dual_datum(rd, isogeny="sc"):
     factors = tuple((_DUAL_LETTER[l], n) for l, n in rd.label)
     cartan_t = tuple(tuple(rd.cartan[j][i] for j in range(rd.rank)) for i in range(rd.rank))
     return rootdata._build(factors, cartan_t, isogeny)
+
+
+def oracle_gram(rd):
+    """``multiplicity._gram`` by the Fraction route it replaced: each pairing
+    <beta, alpha_j-vee> is ``rootdata.pair_root`` of beta on a unit coweight."""
+    r = rd.rank
+    units = [tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r)]
+    rows = [[rootdata.pair_root(rd, beta, e) for e in units] for beta in rd.positive_roots]
+    return tuple(tuple(sum(p[i] * p[j] for p in rows) for j in range(r)) for i in range(r))
 
 
 # ---------------------------------------------------------------------------
@@ -419,14 +432,14 @@ def minimal_above(rd, lam, low) -> list:
     interval: the oracle of ``rootdata._least_above``.  It lists every
     minimal element, so a tie would show.  In the interval scaled by D,
     mu_i >= low_i exactly when D mu_i >= ceil(D low_i), since D mu_i is an
-    integer.  The lowest candidate is tested against every other in one
-    pass, and the pairwise filter runs only when that fails."""
+    integer.  The smallest tuple is tested against every other candidate
+    in one pass, and the pairwise filter runs only when that fails."""
     d, interval = scaled_interval(rd, lam)
     low = tuple(-(-x.numerator * d // x.denominator) for x in low)
     above = [mu for mu in interval if all(map(le, low, mu))]
     if not above:
         return []
-    best = min(above, key=sum)
+    best = min(above)
     if all(all(map(le, best, p)) for p in above):
         return [tuple(Fraction(x, d) for x in best)]
     return sorted(tuple(Fraction(x, d) for x in p) for p in above

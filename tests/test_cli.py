@@ -215,6 +215,31 @@ class TestMalformedInput:
         path = write_class(tmp_path, **fields)
         self.check(["dim", "--class", path, "--lambda", "1,1"], capsys)
 
+    # int(True) is 1 and Fraction(False) is 0; a JSON boolean is refused, not read as either
+    @pytest.mark.parametrize("fields", [
+        {"nu_bar": [False, False]},
+        {"nu_bar": {"num": [True, True], "den": 1}},
+        {"nu_bar": {"num": [1, 1], "den": True}},
+        {"residual": [{"root": [True, True], "val": 1}]},
+        {"residual": [{"root": [1, 1], "val": True}]},
+        {"residual": [{"root": [1, 1], "val": {"num": True, "den": 1}}]},
+        {"residual": [{"root": [1, 1], "val": {"num": 1, "den": True}}]},
+        {"kappa": [False, False]},
+        {"w": [True]},
+        {"e": True},
+        {"isogeny": [[True, False], [False, True]]},
+    ], ids=["nu-bar-list", "nu-num", "nu-den", "residual-root", "residual-val",
+            "residual-num", "residual-den", "kappa", "w", "e", "isogeny"])
+    def test_boolean_in_a_number_field(self, tmp_path, capsys, fields):
+        path = write_class(tmp_path, **fields)
+        self.check(["dim", "--class", path, "--lambda", "1,1"], capsys)
+
+    def test_boolean_in_isogeny_file(self, tmp_path, capsys):
+        path = tmp_path / "isogeny.json"
+        path.write_text(json.dumps([[True, False], [False, True]]))
+        err = self.check(["weyl", "--type", "A2", "--isogeny", f"custom:{path}"], capsys)
+        assert err.startswith("error: cannot read isogeny ")
+
     # json reads both 1e400 and Infinity as an infinite float
     @pytest.mark.parametrize("fields", [
         {"isogeny": [[1, 0], [0, float("inf")]]},
@@ -705,9 +730,11 @@ class TestVerify:
         assert sorted(self.TWO_TYPE_RUNS) == sorted(cli.VERIFY_SUITES)
 
     def test_chen_zhu_takes_the_highest_lambda_above_nu(self):
-        # at height 8 on A2 the first highest lambda of the sweep is not above
-        # every nu of the grid, so the filter decides; the oracle compares in
-        # Fractions, as the suite did before it scaled lambda by 4
+        # the suite reads mu* from the first lambda above nu, and must print
+        # what the highest one gives; at height 8 on A2 the first highest
+        # lambda of the sweep is not above every nu of the grid, so the filter
+        # decides; the oracle compares in Fractions, as the suite did before
+        # it scaled lambda by 4
         datum = rootdata.build_root_datum("A2")
         code, text = run(["verify", "chen-zhu-compare", "--type", "A2", "--height", "8"])
         assert code == 0
@@ -808,6 +835,22 @@ class TestEntryPoint:
         assert proc.stdout == b""
         lines = proc.stderr.decode().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+    def test_closed_stdout_exits_1_without_a_traceback(self):
+        # the table of D5 is about 220 KB, more than a pipe buffer, so the
+        # child is still printing when the reader closes the pipe
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        with subprocess.Popen([sys.executable, "-m", "kvcalc.cli", "nilcone", "--type", "D5"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            try:
+                first = proc.stdout.readline()
+                proc.stdout.close()
+                code = proc.wait(timeout=60)
+            finally:
+                proc.kill()  # a no-op once the child has exited
+            assert first == b"-\te\t0\t0\t.\n"
+            assert code == 1
+            assert proc.stderr.read() == b""
 
     def test_run_leaves_the_freeze_count_as_it_found_it(self, split_class_file):
         # tests and library callers run many commands in one process, whose

@@ -5,10 +5,11 @@ mu* and the Steinberg stratum are the least dominant coweight below lambda
 above a floor, found by ``rootdata._least_above`` as an ascent from the
 floor.  Its oracle, ``oracles.minimal_above``, searches the whole dominance
 interval and lists every minimal element, so a tie would show there.  The
-Chen-Zhu set walks its candidates, scaled integers, by decreasing height and
-keeps each one that no kept candidate is above.  The other oracles below are
-the former Fraction code: every candidate tested against every other with
-``rootdata.leq_q``, over the dominance interval of ``oracle_dominant_below``.
+Chen-Zhu set walks its candidates, scaled integers, in decreasing tuple
+order and keeps each one that no kept candidate is above.  The other oracles
+below are the former Fraction code: every candidate tested against every
+other with ``rootdata.leq_q``, over the dominance interval of
+``oracle_dominant_below``.
 """
 
 import random
@@ -143,10 +144,25 @@ def test_extremes_match_pairwise_on_hand_built_points():
     datum = rd("A2")
     points = [(1, 2), (2, 1), (2, 2), (3, 3), (0, 4)]
     coweights = [cw(*p) for p in points]
-    assert (sorted(cw(*p) for p in rootdata._extremes(points))
+    assert rootdata._extremes(points) == [(0, 4), (3, 3)]
+    assert ([cw(*p) for p in rootdata._extremes(points)]
             == sorted(pairwise_maximal(datum, coweights)))
     assert rootdata._extremes(points[1:4]) == [(3, 3)]
     assert rootdata._extremes([]) == []
+
+
+@pytest.mark.parametrize("isogeny", ["sc", "adjoint"])
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_mu_star_is_the_same_from_every_integral_lambda_above_nu(label, isogeny):
+    """Over the grid of `verify chen-zhu-compare --height 4`: an integral
+    lambda only bounds the ascent from ceil(nu), so the suite may read mu*
+    from the first lambda above nu."""
+    datum = rd(label, isogeny)
+    lams = rootdata.dominant_integral_sweep(datum, 4 + 2 * datum.rank)
+    for nu in rational_grid(datum, 4, 4):
+        above = [lam for lam in lams if rootdata.leq_q(datum, nu, lam)]
+        assert len(above) > 1, nu
+        assert len({kv.best_integral_approx(datum, nu, lam) for lam in above}) == 1, nu
 
 
 # (type, isogeny, cap on the pairings of lambda): sc, adjoint, products and

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from kvcalc import multiplicity, rootdata, weyl
 from kvcalc.errors import InvariantViolation, UsageError
 from oracles import (dimension_sum, dual_datum, frac_matrix, generic_char_valuation, inverse,
-                     is_integral, oracle_dominant_below, orbit_size, rational_grid,
-                     weyl_dimension)
+                     is_integral, oracle_dominant_below, oracle_gram, orbit_size,
+                     rational_grid, weyl_dimension)
 
 
 def rd(label, isogeny="sc"):
@@ -205,9 +205,9 @@ class TestIntegerInterval:
                              + [(label, cap, iso) for label, cap in INTERVAL_ONLY_TYPES
                                 for iso in ("sc", "adjoint")])
     def test_matches_fraction_walk(self, label, cap, isogeny):
-        """The scaled interval, by decreasing height and lam first, holds the
-        oracle's coweights; the weight system's keys are the oracle's tuple,
-        in its increasing order, on every type small enough to compute it."""
+        """The interval, unscaled, is the oracle's tuple, in its increasing
+        order with lam last; so are the weight system's keys, on every type
+        small enough to compute it."""
         datum = rd(label, isogeny)
         lams = dominant_lattice_weights(datum, cap)
         # a nontrivial pi_1 puts lambdas off the coroot lattice: fractional coordinates
@@ -219,12 +219,21 @@ class TestIntegerInterval:
             d, scaled = rootdata._scale(lam)
             assert d == lcm(*(x.denominator for x in lam))
             interval = multiplicity._interval(datum, d, scaled)
-            assert interval[0] == scaled
-            heights = [sum(v) for v in interval]
-            assert heights == sorted(heights, reverse=True)
-            assert sorted(tuple(Fraction(x, d) for x in v) for v in interval) == list(below), lam
+            assert interval[-1] == scaled
+            assert tuple(tuple(Fraction(x, d) for x in v) for v in interval) == below, lam
             if with_weights:
                 assert tuple(multiplicity.weight_system(datum, lam)) == below, lam
+
+
+# every simple type in its supported rank range, and three products
+GRAM_TYPES = [f"{letter}{n}" for letter, (lo, hi) in rootdata._RANK_RANGE.items()
+              for n in range(lo, hi + 1)] + ["A1xB2", "A2xG2", "B3xC3"]
+
+
+@pytest.mark.parametrize("isogeny", ["sc", "adjoint"])
+@pytest.mark.parametrize("label", GRAM_TYPES)
+def test_gram_matches_fraction_pairings(label, isogeny):
+    assert multiplicity._gram(rd(label, isogeny)) == oracle_gram(rd(label, isogeny))
 
 
 class TestFullWeightOracle:
