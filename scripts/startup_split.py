@@ -5,8 +5,10 @@
 Spawns fresh interpreters one at a time, the command interleaved with a bare
 `python -c pass`, and prints the median of each phase in ms: start (spawn to
 the child's first statement), import (`import kvcalc.cli`), run (`cli.main()`
-up to an `atexit` stamp) and exit (the stamp to `wait4` returning).  Parent
-and child read the same monotonic clock.  Uses the standard library only.
+up to its call of `os._exit`) and exit (that call to `wait4` returning).  The
+child replaces `os._exit` before it calls `main` with a wrapper that writes
+the stamps to stderr and then exits.  Parent and child read the same
+monotonic clock.  Uses the standard library only.
 """
 
 import os
@@ -18,10 +20,13 @@ import time
 from pathlib import Path
 
 SPAWNS = 21
-CHILD = """import atexit, os, time; t1 = time.perf_counter()
+CHILD = """import os, time; t1 = time.perf_counter()
 import kvcalc.cli
 t2 = time.perf_counter()
-atexit.register(lambda: os.write(2, f"\\n{t1!r} {t2!r} {time.perf_counter()!r}\\n".encode()))
+def stamped_exit(code, exit=os._exit):
+    os.write(2, f"\\n{t1!r} {t2!r} {time.perf_counter()!r}\\n".encode())
+    exit(code)
+os._exit = stamped_exit
 kvcalc.cli.main()
 """
 

@@ -3,51 +3,24 @@
 Exit codes: 0 success, 1 usage error, 2 a checked identity failed or an
 input datum is internally inconsistent.  All enumerations are emitted in
 sorted order, so output is byte-deterministic for fixed flags.  Each
-handler imports the modules it uses, so a command loads only its own layers.
-`main` freezes the collector's generations before it exits, so that
-finalization does not walk the heap, and exits 1 without a message when the
-reader closes stdout; `run` does neither.
+handler imports the modules it uses, `fractions` included, so a command
+loads only what it runs.  `parse_args` reads argv off the table `COMMANDS`.
+`main` flushes stdout and stderr and ends in `os._exit`, and exits 1 without
+a message when the reader closes stdout; `run` does neither.
 A verify suite yields one tab-separated row per checked case; `cmd_verify`
 builds every datum first, then prints, counts and judges the rows.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from fractions import Fraction
 from itertools import combinations
 from operator import le, mul
+from types import SimpleNamespace
 
 from . import rootdata
 from .errors import InvariantViolation, KVError, UsageError
-
-DEFAULT_NILCONE_TYPES = ["A1", "A2", "B2", "G2", "A3"]
-DEFAULT_BOUND_TYPES = ["A2", "B2", "G2", "A3"]
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
-
-
-_LIST_FLAGS = ("--lambda", "--lambda2", "--mu", "--nu", "--cvals")
-
-
-def _attach_negative_lists(argv):
-    """argv with ``--nu -1/2,1`` passed as ``--nu=-1/2,1``, for each coweight
-    and c-valuation flag: argparse takes a token that starts with ``-`` for an
-    option unless it is a bare negative number, and no option starts with
-    ``-`` and a digit, ``.`` or ``/``."""
-    out = []
-    for tok in argv:
-        negative = len(tok) > 1 and tok[0] == "-" and tok[1] in "0123456789./"
-        if negative and out and out[-1] in _LIST_FLAGS:
-            out[-1] += "=" + tok
-        else:
-            out.append(tok)
-    return out
 
 
 def _word_str(rd):
@@ -87,6 +60,7 @@ def _build(args, label=None) -> rootdata.RootDatum:
 
 
 def _parse_cvals(rd, text):
+    from fractions import Fraction
     from . import strata
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != rd.rank:
@@ -108,18 +82,17 @@ def _parse_cvals(rd, text):
 
 
 def cmd_weyl(args, out):
-    from . import weyl
     rd = _build(args)
     if args.coxeter:
+        from . import weyl
         elements = weyl.coxeter_elements(rd)
         word_str = _word_str(rd)
         for e in elements:
             print(word_str(e.word), file=out)
         print(f"count {len(elements)}", file=out)
     else:
-        group = weyl.enumerate_group(rd)
-        print(f"order {len(group)}", file=out)
-        print(f"longest-length {group[-1].length}", file=out)  # sorted by length
+        print(f"order {rd.weyl_order}", file=out)  # closed forms: no table
+        print(f"longest-length {rd.num_positive_roots}", file=out)  # l(w0) = |Phi+|
 
 
 def cmd_mult(args, out):
@@ -191,7 +164,7 @@ def cmd_components(args, out):
 def cmd_strata(args, out):
     from . import strata
     rd = _build(args)
-    if args.strata_kind == "polytope":
+    if args.kind == "polytope":
         if args.nu is None and args.lam2 is None:
             raise UsageError("polytope needs --nu or --lambda2")
         if args.nu is not None and args.lam2 is not None:
@@ -280,9 +253,11 @@ def verify_dimension_consistency(args, data):
     """The class report of a split class with integral Newton point mu <= lam
     against the paper's proven case: mu* = mu and the dimension
     <rho, lam - mu> + r(gamma).  One `rng` draws across all types, so each
-    type's cases depend on those before."""
+    type's cases depend on those before.  A Levi trial checks 2^rank relations."""
     import random
     from . import conjugacy, kv, multiplicity
+    for _, rd in data:
+        rootdata.guard_grid_size(args.count * 2 ** rd.rank, "the Levi trials")
     rng = random.Random(args.seed)
     for label, rd in data:
         grp = rootdata.fundamental_group(rd)
@@ -290,7 +265,7 @@ def verify_dimension_consistency(args, data):
             for mu in multiplicity.weight_system(rd, lam):
                 pairings = rootdata._pairings(rd, rootdata._scale(mu)[1])
                 residual = {
-                    root: Fraction(rng.randrange(0, 3))
+                    root: rng.randrange(0, 3)
                     for root in rd.positive_roots
                     if not sum(map(mul, root, pairings))
                 }
@@ -310,9 +285,7 @@ def verify_dimension_consistency(args, data):
         zero = rootdata.zero_coweight(rd)
         levi_ok = True
         for trial in range(args.count):
-            residual = {
-                root: Fraction(rng.randrange(0, 4)) for root in rd.positive_roots
-            }
+            residual = {root: rng.randrange(0, 4) for root in rd.positive_roots}
             cd = conjugacy.split_class(rd, zero, residual)
             for size in range(rd.rank + 1):
                 for levi in combinations(range(rd.rank), size):
@@ -325,6 +298,7 @@ def verify_dimension_consistency(args, data):
 
 
 def verify_stratification_disjoint(args, data):
+    from fractions import Fraction
     from . import strata
     for label, rd in data:
         d = 6  # nu = k / d over the grid, and every lam is d times an integer tuple
@@ -337,6 +311,7 @@ def verify_stratification_disjoint(args, data):
 
 def verify_chen_zhu_compare(args, data):
     """Report only: mu* from the first lam above nu (all agree) against the maximal mu below nu."""
+    from fractions import Fraction
     from . import kv
     for label, rd in data:
         lams = [tuple(4 * x for x in lam)  # scaled by 4, as nu = k / 4 is
@@ -355,8 +330,8 @@ def verify_chen_zhu_compare(args, data):
 
 
 VERIFY_SUITES = {  # name -> (suite, default types)
-    "lower-bound": (verify_lower_bound, DEFAULT_BOUND_TYPES),
-    "nilcone": (verify_nilcone, DEFAULT_NILCONE_TYPES),
+    "lower-bound": (verify_lower_bound, ["A2", "B2", "G2", "A3"]),
+    "nilcone": (verify_nilcone, ["A1", "A2", "B2", "G2", "A3"]),
     "freudenthal-kostant": (verify_freudenthal_kostant, ["A1", "A2", "B2", "G2"]),
     "dimension-consistency": (verify_dimension_consistency, ["A2", "A3"]),
     "stratification-disjoint": (verify_stratification_disjoint, ["A2"]),
@@ -365,8 +340,6 @@ VERIFY_SUITES = {  # name -> (suite, default types)
 
 
 def cmd_verify(args, out):
-    if args.suite not in VERIFY_SUITES:
-        raise UsageError(f"unknown suite {args.suite!r}; choose from {sorted(VERIFY_SUITES)}")
     suite, default_types = VERIFY_SUITES[args.suite]
     labels = args.type.split(",") if args.type else default_types
     data = [(label, _build(args, label)) for label in labels]  # refuse before any output
@@ -386,79 +359,98 @@ def cmd_verify(args, out):
 
 
 # ---------------------------------------------------------------------------
-# parser plumbing
+# argv
 
 
-def _add_common(p):
-    p.add_argument("--type", default=None, help="root-system label, e.g. A2 or A1xA1")
-    p.add_argument("--isogeny", default="sc",
-                   help="sc | adjoint | custom:<json-file with generator vectors>")
+_TYPE = {"--type": ("type", str, None), "--isogeny": ("isogeny", str, "sc")}
+_CLASS = {"--class": ("class_file", str, None), "--lambda": ("lam", str, None)}
+
+# name -> (handler, positional as (dest, choices) or None, flags, required flags);
+# a flag maps to (dest, str | int | bool, default), bool being a switch
+COMMANDS = {
+    "weyl": (cmd_weyl, None, {**_TYPE, "--coxeter": ("coxeter", bool, False)}, ()),
+    "mult": (cmd_mult, None, {**_TYPE, "--lambda": ("lam", str, None), "--mu": ("mu", str, None),
+                              "--sweep": ("sweep", int, None)}, ()),
+    "dim": (cmd_dim, None, {**_CLASS, "--json": ("json", bool, False)}, tuple(_CLASS)),
+    "components": (cmd_components, None, _CLASS, tuple(_CLASS)),
+    "strata": (cmd_strata, ("kind", ("polytope", "steinberg")),
+               {**_TYPE, "--lambda": ("lam", str, None), "--lambda2": ("lam2", str, None),
+                "--nu": ("nu", str, None), "--cvals": ("cvals", str, None)}, ("--lambda",)),
+    "nilcone": (cmd_nilcone, None, _TYPE, ()),
+    "verify": (cmd_verify, ("suite", VERIFY_SUITES),
+               {**_TYPE, "--height": ("height", int, 6), "--seed": ("seed", int, 20240817),
+                "--count": ("count", int, 20)}, ()),
+}
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="kv-calc", description="Exact-arithmetic calculator for dimensions "
-                     "and component counts of Kottwitz-Viehmann varieties")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _print_usage(name, out):
+    """The usage line of command ``name``, or what kv-calc is and every command's."""
+    if name is None:
+        print("usage: kv-calc COMMAND [FLAGS]\n\nExact-arithmetic calculator for dimensions "
+              "and component counts of Kottwitz-Viehmann varieties\n", file=out)
+    for name in COMMANDS if name is None else [name]:
+        _, positional, flags, required = COMMANDS[name]
+        words = ["usage: kv-calc", name]
+        if positional:
+            words.append("{" + ",".join(positional[1]) + "}")
+        for flag, (_, kind, _) in flags.items():
+            word = flag if kind is bool else f"{flag} {flag[2:].upper()}"
+            words.append(word if flag in required else f"[{word}]")
+        print(" ".join(words), file=out)
 
-    p = sub.add_parser("weyl", help="Weyl group data")
-    _add_common(p)
-    p.add_argument("--coxeter", action="store_true")
-    p.set_defaults(func=cmd_weyl)
 
-    p = sub.add_parser("mult", help="weight multiplicities of the dual group")
-    _add_common(p)
-    p.add_argument("--lambda", dest="lam")
-    p.add_argument("--mu")
-    p.add_argument("--sweep", type=int, default=None)
-    p.set_defaults(func=cmd_mult)
+def _choice(what, token, choices):
+    if token not in choices:
+        found = f"unknown {what} {token!r}" if token else f"no {what}"
+        raise UsageError(f"{found}; choose from {sorted(choices)}")
+    return token
 
-    p = sub.add_parser("dim", help="full report for a class and lambda")
-    p.add_argument("--class", dest="class_file", required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_dim)
 
-    p = sub.add_parser("components", help="component-count prediction")
-    p.add_argument("--class", dest="class_file", required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.set_defaults(func=cmd_components)
-
-    p = sub.add_parser("strata", help="polytope and Steinberg-base strata")
-    p.add_argument("strata_kind", choices=["polytope", "steinberg"])
-    _add_common(p)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--lambda2", dest="lam2", default=None)
-    p.add_argument("--nu", default=None)
-    p.add_argument("--cvals", default=None)
-    p.set_defaults(func=cmd_strata)
-
-    p = sub.add_parser("nilcone", help="nilpotent-cone strata table")
-    _add_common(p)
-    p.set_defaults(func=cmd_nilcone)
-
-    p = sub.add_parser("verify", help="verification sweeps")
-    p.add_argument("suite")
-    _add_common(p)
-    p.add_argument("--height", type=int, default=6)
-    p.add_argument("--seed", type=int, default=20240817)
-    p.add_argument("--count", type=int, default=20)
-    p.set_defaults(func=cmd_verify)
-    return parser
+def parse_args(argv):
+    """(handler, args) for argv, read off ``COMMANDS``: the token after a
+    value flag is its value, ``--flag=value`` is read too and the last of a
+    repeated flag wins.  ``-h`` or ``--help`` before any fault gives
+    ``_print_usage`` and the command (None before one); a token that fits
+    no entry of the table, a prefix of a flag included, raises UsageError."""
+    if argv and argv[0] in ("-h", "--help"):
+        return _print_usage, None
+    name = _choice("command", argv[0] if argv else None, COMMANDS)
+    handler, positional, flags, required = COMMANDS[name]
+    values = {dest: default for dest, _, default in flags.values()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _print_usage, name
+        flag, eq, value = token.partition("=")
+        if flag in flags:
+            dest, kind, _ = flags[flag]
+            if kind is bool:
+                if eq:
+                    raise UsageError(f"{flag} takes no value")
+                value = True
+            elif not eq and (value := next(tokens, None)) is None:
+                raise UsageError(f"{flag} needs a value")
+            try:
+                values[dest] = kind(value)
+            except ValueError:  # only int() raises
+                raise UsageError(f"{flag} takes an integer, not {value!r}") from None
+        elif positional and positional[0] not in values and not token.startswith("-"):
+            values[positional[0]] = token
+        else:
+            raise UsageError(f"unrecognized argument {token!r}")
+    if positional:
+        _choice(positional[0], values.get(positional[0]), positional[1])
+    missing = [flag for flag in required if values[flags[flag][0]] is None]
+    if missing:
+        raise UsageError(f"{name} needs {' and '.join(missing)}")
+    return handler, SimpleNamespace(**values)
 
 
 def run(argv=None, out=None) -> int:
     out = out or sys.stdout
-    argv = _attach_negative_lists(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        stdout, sys.stdout = sys.stdout, out  # argparse prints --help to sys.stdout
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:  # --help printed, then argparse exited
-            return exc.code
-        finally:
-            sys.stdout = stdout
-        args.func(args, out)
+        handler, args = parse_args(sys.argv[1:] if argv is None else argv)
+        handler(args, out)
         return 0
     except InvariantViolation as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
@@ -469,17 +461,15 @@ def run(argv=None, out=None) -> int:
 
 
 def main() -> None:
+    """The `kv-calc` entry point: `run` on sys.argv, then flush and end the
+    process without the interpreter's teardown."""
     try:
         code = run()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout: exit 1 with nothing on stderr, and point
-        # stdout at devnull so that the interpreter's last flush cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader closed stdout: exit 1 with nothing on stderr
         code = 1
-    import gc  # here, not at the top: `import kvcalc.cli` loads nothing more
-    gc.freeze()  # finalization's full collections skip the permanent generation
-    sys.exit(code)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

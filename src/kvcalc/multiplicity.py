@@ -103,6 +103,7 @@ def _weight_system(rd: RootDatum, lam: Coweight) -> MappingProxyType:
                              "Freudenthal's recursion")
     top = casimir(scaled)
     mult = {scaled: 1}
+    memo = {}  # y -> m of its representative or None, final when first read
     for mu in reversed(interval[:-1]):
         total = 0
         for step, g_alpha, growth in strings:
@@ -111,7 +112,9 @@ def _weight_system(rd: RootDatum, lam: Coweight) -> MappingProxyType:
             while True:
                 y = tuple(map(add, y, step))
                 form += growth
-                m_y = mult.get(rootdata._reduce_ints(rd, y)[0])
+                if y not in memo:
+                    memo[y] = mult.get(rootdata._reduce_ints(rd, y)[0])
+                m_y = memo[y]
                 if m_y is None:
                     break
                 total += m_y * form

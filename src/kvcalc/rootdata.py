@@ -14,8 +14,9 @@ lattice membership, rational dominance ``leq_q``, root pairings and
 ``dominant_reduce``) never compute with Fractions: a coweight is scaled once to
 ``(D, n)``, D the lcm of its denominators and n integers, and tested against
 integer data cached per datum (the Cartan columns, and the inverse of
-``lattice_basis`` as an integer matrix ``adj`` over a scale ``det``).
-Fractions are built only at the boundary, for the values a function returns.
+``lattice_basis`` as an integer matrix ``adj`` over a scale ``det``).  A
+Fraction is built only for a value a function returns, and only a function
+that builds one imports `fractions`, so `weyl` and `nilcone` never load it.
 The layers above share four private kernels on such scaled integers:
 ``_dominant`` (the dominance test of ``is_dominant``), ``_reduce_ints`` (the
 reflection loop of ``dominant_reduce``), ``_least_above`` (the ascent to mu*
@@ -29,7 +30,6 @@ k / denominator under a height cap), ``_apply_word`` (the word walk),
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from math import factorial, lcm, prod
@@ -38,7 +38,7 @@ from operator import ge, gt, mul
 from . import linalg
 from .errors import InvariantViolation, SizeGuardError, UsageError
 
-Coweight = tuple[Fraction, ...]
+Coweight = tuple  # of Fractions
 
 #: Hard cap on the Weyl group order for full enumerations (E6 just fits).
 WEYL_ORDER_CAP = 51840
@@ -308,11 +308,12 @@ def _build(factors, cartan, isogeny) -> RootDatum:
 
 
 def coweight(coords) -> Coweight:
+    from fractions import Fraction
     return tuple([x if type(x) is Fraction else Fraction(x) for x in coords])
 
 
 def zero_coweight(rd: RootDatum) -> Coweight:
-    return tuple(Fraction(0) for _ in range(rd.rank))
+    return coweight([0] * rd.rank)
 
 
 def sub(u: Coweight, v: Coweight) -> Coweight:
@@ -331,8 +332,9 @@ def _pairings(rd: RootDatum, v) -> tuple:
     return tuple([sum(map(mul, col, v)) for col in rd.cartan_columns])
 
 
-def pair_root(rd: RootDatum, root, v: Coweight) -> Fraction:
-    """Pairing <alpha, v> of a root (simple-root coords) with a coweight."""
+def pair_root(rd: RootDatum, root, v: Coweight):
+    """Pairing <alpha, v> of a root (simple-root coords) with a coweight, a Fraction."""
+    from fractions import Fraction
     d, n = _scale(v)
     return Fraction(sum(map(mul, root, _pairings(rd, n))), d)
 
@@ -390,6 +392,7 @@ def dominant_reduce(rd: RootDatum, v: Coweight):
     The word lists simple reflections in application order: folding them over
     v from the left reproduces the returned dominant coweight.
     """
+    from fractions import Fraction
     v = coweight(v)
     d, n = _scale(v)
     m, word = _reduce_ints(rd, n)
@@ -411,6 +414,7 @@ def _least_above(rd: RootDatum, lam: Coweight, low):
     The ascent may take sum(lam_i - ceil(low_i)) steps; its one guard, checked
     first, is the box bound of ``multiplicity._interval``, with its message.
     """
+    from fractions import Fraction
     d, top = _scale(lam)
     guard_grid_size(prod(t // d + 1 for t in top), "the dominance interval")
     low = [-(-b.numerator * d // b.denominator) for b in low]  # ceil(D low_i)
@@ -587,6 +591,7 @@ def parse_kappa(rd: RootDatum, entries) -> tuple[int, ...]:
 
 
 def parse_coweight(rd: RootDatum, text: str) -> Coweight:
+    from fractions import Fraction
     parts = [p.strip() for p in str(text).split(",")]
     if len(parts) != rd.rank:
         raise UsageError(f"expected {rd.rank} coordinates, got {len(parts)}")

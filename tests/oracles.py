@@ -14,7 +14,9 @@ its positive roots are rd's positive coroots and its Weyl group is W acting
 on coweights.  The partition-count and full-weight oracles use the literal
 datum, so they check that reading.  `oracle_gram` builds the invariant form
 of Freudenthal's recursion from Fraction pairings, where the package reads
-them off the Cartan matrix.
+them off the Cartan matrix.  `unmemoized_weight_system` is Freudenthal's
+recursion as the package ran it before it kept each alpha-string point's
+lookup: every point is reduced afresh.
 
 `oracle_dominant_below` is the coroot-step walk of the dominance interval
 that the package replaced by a walk along covers, and `minimal_above` is the
@@ -52,7 +54,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
-from operator import le, mul
+from operator import add, le, mul
 
 from kvcalc import conjugacy, kv, multiplicity, rootdata, weyl
 from kvcalc.errors import InvariantViolation, UsageError
@@ -180,6 +182,38 @@ def oracle_gram(rd):
     units = [tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r)]
     rows = [[rootdata.pair_root(rd, beta, e) for e in units] for beta in rd.positive_roots]
     return tuple(tuple(sum(p[i] * p[j] for p in rows) for j in range(r)) for i in range(r))
+
+
+def unmemoized_weight_system(rd, lam) -> dict:
+    """The weight system of the dual-group V(lam), weights in increasing
+    order, by Freudenthal's recursion over ``multiplicity._interval`` with
+    every alpha-string point Y = D mu + k D alpha reduced to its dominant
+    representative by ``rootdata._reduce_ints`` each time it is met, and
+    (Y, alpha) computed from Y itself.  lam is checked."""
+    lam = rootdata.check_dominant(rd, lam, "lambda")
+    d, scaled = rootdata._scale(lam)
+    interval = multiplicity._interval(rd, d, scaled)
+    g = multiplicity._gram(rd)
+
+    def form(x, y):
+        return sum(a * g[i][j] * b for i, a in enumerate(x) for j, b in enumerate(y))
+
+    def casimir(x):
+        return form(x, x) + d * form(x, rd.two_rho_check)
+
+    mult = {scaled: 1}
+    for mu in reversed(interval[:-1]):
+        total = 0
+        for alpha in rd.positive_coroots:
+            y = mu
+            while True:
+                y = tuple(map(add, y, (d * a for a in alpha)))
+                m_y = mult.get(rootdata._reduce_ints(rd, y)[0])
+                if m_y is None:
+                    break
+                total += m_y * form(y, alpha)
+        mult[mu] = Fraction(2 * d * total, casimir(scaled) - casimir(mu))
+    return {tuple(Fraction(x, d) for x in mu): mult[mu] for mu in interval}
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -93,20 +94,32 @@ class TestExitCodes:
         code, _ = run(["mult", "--type", "A2"])
         assert code == 1
 
-    @pytest.mark.parametrize("argv", [["--help"], ["weyl", "-h"]])
+    FLAGS = {  # every flag of each command, which its usage line names
+        "weyl": ["--type", "--isogeny", "--coxeter"],
+        "mult": ["--type", "--isogeny", "--lambda", "--mu", "--sweep"],
+        "dim": ["--class", "--lambda", "--json"],
+        "components": ["--class", "--lambda"],
+        "strata": ["--type", "--isogeny", "--lambda", "--lambda2", "--nu", "--cvals"],
+        "nilcone": ["--type", "--isogeny"],
+        "verify": ["--type", "--isogeny", "--height", "--seed", "--count"],
+    }
+
+    @pytest.mark.parametrize("argv", [["--help"], *([name, "-h"] for name in FLAGS)])
     def test_help_is_written_to_out(self, argv, capsys):
         code, text = run(argv)
         assert code == 0
         assert text.startswith("usage: kv-calc")
         assert capsys.readouterr().out == ""
+        if argv[0] in self.FLAGS:
+            usage = text.splitlines()[0]
+            assert sorted(re.findall(r"--[a-z0-9]+", usage)) == sorted(self.FLAGS[argv[0]])
 
-    def test_help_describes_the_calculator_not_its_implementation(self, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "200")  # argparse wraps to the terminal width
+    def test_help_describes_the_calculator_not_its_implementation(self):
         code, text = run(["--help"])
         assert code == 0
         assert ("Exact-arithmetic calculator for dimensions and component counts of "
                 "Kottwitz-Viehmann varieties") in text.splitlines()
-        assert "freezes the collector's generations" not in text
+        assert "os._exit" not in text
 
 
 def write_class(tmp_path, **fields):
@@ -338,8 +351,23 @@ class TestMalformedInput:
         self.check(["strata", "steinberg", "--type", "A2", "--lambda", "2,1",
                     "--cvals", "1,inf", *operand], capsys)
 
-    # each handler checks --type, then its flags, in this order
+    # argv is read off the command table first; then each handler checks
+    # --type, then its flags, in this order
     @pytest.mark.parametrize("argv,message", [
+        ([], f"no command; choose from {sorted(cli.COMMANDS)}"),
+        (["bogus"], f"unknown command 'bogus'; choose from {sorted(cli.COMMANDS)}"),
+        (["weyl", "--type", "A2", "--bogus"], "unrecognized argument '--bogus'"),
+        (["weyl", "--type"], "--type needs a value"),
+        (["verify", "nilcone", "--height", "x"], "--height takes an integer, not 'x'"),
+        (["weyl", "--type", "A2", "--coxeter=1"], "--coxeter takes no value"),
+        (["strata", "--type", "A2", "--lambda", "1,1"],
+         "no kind; choose from ['polytope', 'steinberg']"),
+        (["strata", "bad", "--type", "A2", "--lambda", "1,1"],
+         "unknown kind 'bad'; choose from ['polytope', 'steinberg']"),
+        (["verify", "--type", "A2"], f"no suite; choose from {sorted(cli.VERIFY_SUITES)}"),
+        (["dim", "--lambda", "1,1"], "dim needs --class"),
+        # a prefix of a flag is not the flag
+        (["mult", "--type", "A2", "--lam", "1,1", "--mu", "0,0"], "unrecognized argument '--lam'"),
         (["weyl"], "--type is required"),
         (["nilcone", "--type", ""], "--type is required"),
         (["mult", "--sweep", "2", "--mu", "0,0"], "--type is required"),
@@ -437,6 +465,19 @@ class TestMalformedInput:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: Freudenthal's recursion"), proc.stderr
 
+    def test_oversized_levi_trials_are_refused_before_they_start(self):
+        # 10^8 trials of 2 Levi relations each; in a child with a timeout, so
+        # that trials that do start fail the test instead of hanging it
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "kvcalc.cli", "verify", "dimension-consistency",
+             "--type", "A1", "--height", "0", "--count", "100000000"],
+            capture_output=True, text=True, env=env, timeout=20)
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: the Levi trials") and proc.stderr.count("\n") == 1
+
     def test_oversized_coxeter_enumeration_is_refused(self, capsys):
         # 2^25 orientations of the Coxeter graph, over the cap
         self.check(["weyl", "--type", "A6xA6xA6xA6xA6", "--coxeter"], capsys)
@@ -455,9 +496,30 @@ class TestWeyl:
 
     def test_weyl_order_builds_no_descent_masks(self):
         weyl._descent_masks.cache_clear()
+        weyl.enumerate_group.cache_clear()
         code, text = run(["weyl", "--type", "F4"])
         assert code == 0 and text == "order 1152\nlongest-length 24\n"
         assert weyl._descent_masks.cache_info().misses == 0
+        assert weyl.enumerate_group.cache_info().misses == 0
+
+    # |W| and l(w0) are printed from closed forms, checked here against the table
+    @pytest.mark.parametrize("label", [
+        *(f"A{n}" for n in range(1, 7)), *(f"B{n}" for n in range(2, 7)),
+        *(f"C{n}" for n in range(2, 7)), "D4", "D5", "D6", "E6", "F4", "G2",
+        "A1xB2", "A2xG2", "B3xC3"])
+    def test_order_and_longest_length_are_the_table_s(self, label):
+        group = weyl.enumerate_group(rootdata.build_root_datum(label))
+        expected = f"order {len(group)}\nlongest-length {group[-1].length}\n"
+        assert run(["weyl", "--type", label]) == (0, expected)
+
+    @pytest.mark.parametrize("label,order,length", [("E6xA1", 103680, 37),
+                                                    ("A5xA5", 518400, 30)])
+    def test_product_over_the_enumeration_cap_answers(self, label, order, length):
+        code, text = run(["weyl", "--type", label])
+        assert (code, text) == (0, f"order {order}\nlongest-length {length}\n")
+
+    def test_repeated_flag_takes_its_last_value(self):
+        assert run(["weyl", "--type", "A1", "--type", "A2"]) == (0, "order 6\nlongest-length 3\n")
 
     def test_order_at_the_enumeration_cap(self):
         code, text = run(["weyl", "--type", "E6"])
@@ -635,9 +697,14 @@ class TestStrata:
     @pytest.mark.parametrize("argv,flag,value", [
         (["strata", "polytope", "--type", "A2", "--lambda", "1,1"], "--nu", "-1/2,1"),
         (["strata", "steinberg", "--type", "A2", "--lambda", "2,1"], "--cvals", "-5,1"),
+        (["mult", "--lambda", "2,1", "--mu", "0,0"], "--type", "A2"),
+        (["mult", "--type", "A2", "--mu", "0,0"], "--lambda", "2,1"),
+        (["mult", "--type", "A2", "--lambda", "2,1"], "--mu", "0,0"),
+        (["mult", "--type", "A2", "--lambda", "2,1"], "--mu", "-1,2"),
     ])
     def test_negative_list_after_its_flag_is_its_value(self, argv, flag, value, capsys):
-        # argparse reads "-5,1" as an option, but no option starts with "-" and a digit
+        # the token after a value flag is its value, negative or not, and
+        # --flag=value reads the same
         spaced = run(argv + [flag, value]), capsys.readouterr().err
         attached = run(argv + [f"{flag}={value}"]), capsys.readouterr().err
         assert spaced == attached
@@ -805,8 +872,8 @@ def test_invariant_violation_survives_python_O(inconsistent_class_file):
 
 
 # ---------------------------------------------------------------------------
-# the entry point: `main` freezes the collector's generations, then exits
-# through `sys.exit`, which flushes the block-buffered stdout of a pipe
+# the entry point: `main` flushes the block-buffered stdout of a pipe, then
+# ends in `os._exit`
 
 
 def _entry_point(argv):
@@ -885,7 +952,8 @@ def _added(code: str) -> frozenset:
 
 class TestStartup:
     def test_import_loads_no_heavy_stdlib_module(self):
-        heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "json", "random"}
+        heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "json", "random",
+                 "argparse", "gettext", "fractions", "decimal"}
         assert not _added("import kvcalc.cli") & heavy
 
     def test_import_loads_only_the_base_layers(self):
@@ -894,11 +962,21 @@ class TestStartup:
                           "kvcalc.linalg"}
 
     def test_weyl_loads_no_other_layer(self):
+        # |W| and l(w0) need no layer beyond the import's and no Fraction;
+        # the Coxeter elements need the Weyl layer alone
         added = _added("import io\nfrom kvcalc import cli\n"
                        "assert cli.run(['weyl', '--type', 'A2'], io.StringIO()) == 0")
+        assert added == _added("import kvcalc.cli")
+        added = _added("import io\nfrom kvcalc import cli\n"
+                       "assert cli.run(['weyl', '--type', 'A2', '--coxeter'], io.StringIO()) == 0")
         assert "kvcalc.weyl" in added
         unused = ("vinberg", "strata", "kv", "conjugacy", "multiplicity")
         assert not added & {f"kvcalc.{m}" for m in unused}
+
+    def test_nilcone_loads_no_fractions(self):
+        added = _added("import io\nfrom kvcalc import cli\n"
+                       "assert cli.run(['nilcone', '--type', 'B2'], io.StringIO()) == 0")
+        assert "kvcalc.vinberg" in added and "fractions" not in added
 
     def test_strata_polytope_loads_neither_kv_nor_conjugacy(self):
         added = _added("import io\nfrom kvcalc import cli\n"

@@ -13,7 +13,7 @@ from kvcalc import multiplicity, rootdata, weyl
 from kvcalc.errors import InvariantViolation, UsageError
 from oracles import (dimension_sum, dual_datum, frac_matrix, generic_char_valuation, inverse,
                      is_integral, oracle_dominant_below, oracle_gram, orbit_size,
-                     rational_grid, weyl_dimension)
+                     rational_grid, unmemoized_weight_system, weyl_dimension)
 
 
 def rd(label, isogeny="sc"):
@@ -344,6 +344,19 @@ class TestFreudenthal:
         # the interval's guard runs first, inside the same call
         [bound] = [count for what, count in guarded if what == "Freudenthal's recursion"]
         assert 0 < len(calls) <= bound
+
+    @pytest.mark.parametrize("isogeny", ["sc", "adjoint"])
+    @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
+    def test_memoized_recursion_matches_the_unmemoized_one(self, label, isogeny):
+        datum = rd(label, isogeny)
+        for lam in rootdata.dominant_integral_sweep(datum, 6):
+            got = multiplicity.weight_system(datum, lam)
+            assert list(got.items()) == list(unmemoized_weight_system(datum, lam).items()), lam
+
+    def test_memoized_recursion_matches_the_unmemoized_one_at_a_large_weight(self):
+        datum, lam = rd("A2"), cw(40, 40)
+        got = multiplicity.weight_system(datum, lam)
+        assert list(got.items()) == list(unmemoized_weight_system(datum, lam).items())
 
     def test_large_weight_under_the_step_cap_answers(self):
         # about 1.07M alpha-string steps, under the cap; V(100 theta) of SL3
